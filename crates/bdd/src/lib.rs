@@ -19,13 +19,10 @@
 //!   standard-triple normalization drives all binary operations;
 //! * a mark-and-sweep garbage collector behind an explicit root-pinning
 //!   API keeps long analysis sweeps from growing the arena monotonically;
-//! * variable order is a level permutation over [`Var`] indices: it starts
-//!   as the numeric index order (so callers still control the initial
-//!   placement — the timing engine interleaves time-shifted copies of each
-//!   signal), and [`BddManager::sift`] / the growth-triggered auto-reorder
-//!   hook permute levels at runtime via complement-edge-safe adjacent
-//!   swaps. Reordering changes node counts and time only; every handle
-//!   keeps denoting the same function.
+//! * variable order is the numeric [`Var`] index order — a variable's index
+//!   is its level — so callers control placement by how they number
+//!   variables (the timing engine interleaves the time-shifted copies of
+//!   each signal).
 //!
 //! # Examples
 //!
@@ -51,11 +48,10 @@ mod cubes;
 mod dot;
 mod hash;
 mod manager;
-mod reorder;
 mod snapshot;
 
 pub use cubes::{Cube, CubeIter};
-pub use manager::{Bdd, BddManager, BddStats, CompactMap, ReorderSchedule, Var, VarSet};
+pub use manager::{Bdd, BddManager, BddStats, CompactMap, Var, VarSet};
 pub use snapshot::{validate_order, BddImportError, BddSnapshot, SnapshotNode};
 
 #[cfg(test)]

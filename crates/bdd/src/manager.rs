@@ -184,17 +184,17 @@ impl FromIterator<Var> for VarSet {
 /// The high child of a stored node is always a regular (non-complemented)
 /// handle — that is the canonical form complement edges require.
 #[derive(Clone, Copy)]
-pub(crate) struct Node {
-    pub(crate) var: u32,
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
+struct Node {
+    var: u32,
+    lo: u32,
+    hi: u32,
 }
 
-pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
+const TERMINAL_VAR: u32 = u32::MAX;
 /// Sentinel variable index marking a swept (free-listed) arena slot.
-pub(crate) const FREE_VAR: u32 = u32::MAX - 1;
+const FREE_VAR: u32 = u32::MAX - 1;
 /// Empty slot marker in the open-addressed unique table.
-pub(crate) const EMPTY: u32 = u32::MAX;
+const EMPTY: u32 = u32::MAX;
 
 /// Direct-mapped ops-cache entry for memoized ITE triples.
 #[derive(Clone, Copy)]
@@ -232,7 +232,7 @@ const DEFAULT_GC_THRESHOLD: usize = 1 << 16;
 const INITIAL_UNIQUE_CAPACITY: usize = 1 << 8;
 
 #[inline]
-pub(crate) fn triple_hash(a: u32, b: u32, c: u32) -> u64 {
+fn triple_hash(a: u32, b: u32, c: u32) -> u64 {
     // The FxHash multiply-xor scheme from `crate::hash`, unrolled for a
     // fixed-width three-word key.
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -248,17 +248,6 @@ fn gc_stress() -> bool {
     })
 }
 
-/// `MCT_BDD_SIFT_STRESS`: sift at every garbage collection that
-/// [`BddManager::maybe_collect_garbage`] runs, regardless of the growth
-/// trigger or the auto-reorder flag. Exercises the swap machinery at every
-/// opportunity so order-dependence bugs surface loudly.
-fn sift_stress() -> bool {
-    static STRESS: OnceLock<bool> = OnceLock::new();
-    *STRESS.get_or_init(|| {
-        std::env::var_os("MCT_BDD_SIFT_STRESS").is_some_and(|v| !v.is_empty() && v != "0")
-    })
-}
-
 /// `MCT_BDD_COMPACT_STRESS`: arm [`BddManager::compact_pending`] after
 /// every garbage collection, so callers that opt into DFS-preorder
 /// compaction run it at every boundary regardless of fragmentation.
@@ -267,50 +256,6 @@ fn compact_stress() -> bool {
     *STRESS.get_or_init(|| {
         std::env::var_os("MCT_BDD_COMPACT_STRESS").is_some_and(|v| !v.is_empty() && v != "0")
     })
-}
-
-/// Below this live-node count, growth-triggered sifting never fires (tiny
-/// graphs churn fast and sift overhead would dominate).
-pub(crate) const REORDER_MIN_NODES: usize = 1 << 12;
-/// Node floor for the [`ReorderSchedule::AlwaysOnce`] schedule: the single
-/// pass waits until the graph is at least this big, so trivial circuits
-/// never pay for a pointless pass.
-const ALWAYS_ONCE_MIN_NODES: usize = 1 << 8;
-/// Sift-group sentinel: variables with this group id sift individually.
-pub(crate) const UNGROUPED: u32 = u32::MAX;
-
-/// When the auto-reorder hook fires a sifting pass.
-///
-/// Schedules are a performance lever only: like the variable order itself,
-/// they change node counts and wall time, never function handles or
-/// results. The schedule is consulted at every
-/// [`BddManager::maybe_collect_garbage`] boundary — *independently* of the
-/// garbage-collection trigger, so a schedule can fire on graphs that never
-/// grow past the GC threshold.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum ReorderSchedule {
-    /// Sift when the node count exceeds `ratio ×` the post-sift baseline
-    /// (with a [`REORDER_MIN_NODES`] floor). `GrowthRatio(2.0)` is the
-    /// default and the classic Rudell cadence.
-    GrowthRatio(f64),
-    /// Sift exactly once, at the first boundary where the graph reaches a
-    /// small node floor. One early pass captures most of the ordering win
-    /// on mid-sized graphs without paying per-boundary cost.
-    AlwaysOnce,
-    /// Sift at every boundary while the cumulative time spent sifting is
-    /// below this many milliseconds (then never again). Wall-clock driven,
-    /// but still deterministic in *results*: sifting only moves levels.
-    TimeBudget(u64),
-    /// Resolved by the analysis layer from circuit size and delay-class
-    /// count before it reaches the kernel. A manager handed `Adaptive`
-    /// directly falls back to the default growth cadence.
-    Adaptive,
-}
-
-impl Default for ReorderSchedule {
-    fn default() -> Self {
-        ReorderSchedule::GrowthRatio(2.0)
-    }
 }
 
 /// Result of ITE standard-triple normalization.
@@ -354,20 +299,17 @@ enum IteFrame {
 /// assert_eq!(m.restrict(f, Var::new(1), true), m.not(x));
 /// ```
 pub struct BddManager {
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Swept arena slots available for reuse.
-    pub(crate) free: Vec<u32>,
+    free: Vec<u32>,
     /// Open-addressed unique table of node indices (power-of-two capacity).
-    pub(crate) unique: Vec<u32>,
-    pub(crate) unique_mask: usize,
+    unique: Vec<u32>,
+    unique_mask: usize,
     /// Live decision nodes (== occupied unique-table slots).
-    pub(crate) unique_len: usize,
-    /// Variable index → level (position in the current order; smaller =
-    /// closer to the root). Always a permutation of `0..len`, identity
-    /// until a reorder permutes it.
-    pub(crate) var2level: Vec<u32>,
-    /// Inverse permutation of [`var2level`](Self::var2level).
-    pub(crate) level2var: Vec<u32>,
+    unique_len: usize,
+    /// One past the largest variable index any node has decided on. A
+    /// variable's index is its level, so nothing above this can be tested.
+    num_vars: u32,
     /// Direct-mapped memo for normalized ITE triples
     /// (`2^ops_bits` entries).
     ops: Box<[OpsEntry]>,
@@ -380,28 +322,7 @@ pub struct BddManager {
     ops_hits: u64,
     ops_lookups: u64,
     /// Externally pinned node indices with pin counts.
-    pub(crate) pins: FxHashMap<u32, u32>,
-    /// Growth-triggered sifting inside `maybe_collect_garbage`.
-    auto_reorder: bool,
-    /// When the auto-reorder hook fires (see [`ReorderSchedule`]).
-    schedule: ReorderSchedule,
-    /// Whether any sift pass has completed (the `AlwaysOnce` latch).
-    pub(crate) schedule_fired: bool,
-    /// Live-node baseline recorded after the last sift (or manager birth);
-    /// the growth schedules fire when live nodes exceed a multiple of this.
-    pub(crate) reorder_baseline: usize,
-    pub(crate) reorder_passes: u64,
-    pub(crate) reorder_swaps: u64,
-    /// Cumulative wall time spent inside sift passes (drives
-    /// [`ReorderSchedule::TimeBudget`] and the `reorder_time_ms` stat).
-    pub(crate) reorder_time: std::time::Duration,
-    /// Sum of live-node counts sampled just before each sift pass.
-    pub(crate) nodes_before_reorder: u64,
-    /// Sum of live-node counts sampled just after each sift pass.
-    pub(crate) nodes_after_reorder: u64,
-    /// Sift group per variable index ([`UNGROUPED`] = sift individually).
-    /// Groups at contiguous levels move as one block during sifting.
-    pub(crate) var_groups: Vec<u32>,
+    pins: FxHashMap<u32, u32>,
     /// Completed [`compact`](Self::compact) relocations.
     compactions: u64,
     /// Armed by a collection that left the arena fragmented (or by
@@ -414,7 +335,7 @@ pub struct BddManager {
     gc_trigger: usize,
     gc_runs: u64,
     nodes_freed: u64,
-    pub(crate) peak_nodes: usize,
+    peak_nodes: usize,
 }
 
 impl Default for BddManager {
@@ -443,8 +364,7 @@ impl BddManager {
             unique: vec![EMPTY; INITIAL_UNIQUE_CAPACITY],
             unique_mask: INITIAL_UNIQUE_CAPACITY - 1,
             unique_len: 0,
-            var2level: Vec::new(),
-            level2var: Vec::new(),
+            num_vars: 0,
             ops: vec![OPS_VACANT; 1 << OPS_CACHE_MIN_BITS].into_boxed_slice(),
             ops_bits: OPS_CACHE_MIN_BITS,
             ite_frames: Vec::new(),
@@ -452,16 +372,6 @@ impl BddManager {
             ops_hits: 0,
             ops_lookups: 0,
             pins: FxHashMap::default(),
-            auto_reorder: false,
-            schedule: ReorderSchedule::default(),
-            schedule_fired: false,
-            reorder_baseline: 1,
-            reorder_passes: 0,
-            reorder_swaps: 0,
-            reorder_time: std::time::Duration::ZERO,
-            nodes_before_reorder: 0,
-            nodes_after_reorder: 0,
-            var_groups: Vec::new(),
             compactions: 0,
             compact_due: false,
             gc_base: base,
@@ -580,97 +490,22 @@ impl BddManager {
         }
     }
 
-    /// The level of a variable index: its position in the current order.
-    /// The sentinels (`TERMINAL_VAR`, `FREE_VAR`) map to themselves, which
-    /// ranks them below every decision level.
-    #[inline]
-    pub(crate) fn level_of(&self, var: u32) -> u32 {
-        if var >= FREE_VAR {
-            var
-        } else {
-            self.var2level[var as usize]
-        }
-    }
-
-    /// The *level* of the root of `f` (terminals rank below everything).
-    /// All top-variable selection in the kernel compares levels, never raw
-    /// variable indices — that is the single indirection dynamic reordering
-    /// needs.
+    /// The variable index at the root of `f`; the terminal's out-of-band
+    /// index ranks it below every decision variable. A variable's index is
+    /// its level, so top-variable selection compares indices directly.
     #[inline]
     fn var_rank(&self, f: Bdd) -> u32 {
-        self.level_of(self.node(f).var)
-    }
-
-    /// Extends the order maps so `var` has a level. New variables append at
-    /// the bottom of the current order, which stays correct (and keeps both
-    /// maps inverse permutations) even after sifting has permuted the
-    /// existing prefix.
-    #[inline]
-    fn ensure_var(&mut self, var: u32) {
-        while (self.var2level.len() as u32) <= var {
-            let next = self.var2level.len() as u32;
-            self.var2level.push(next);
-            self.level2var.push(next);
-            self.var_groups.push(UNGROUPED);
-        }
-    }
-
-    /// Assigns `v` to sift group `group`. During a sift pass, variables of
-    /// the same group sitting at contiguous levels move as one block —
-    /// this is how the timing layer keeps each leaf's time-shifted copies
-    /// adjacent (the static order's interleaving invariant) under dynamic
-    /// reordering. Variables never assigned a group sift individually.
-    pub fn set_var_group(&mut self, v: Var, group: u32) {
-        self.ensure_var(v.index());
-        self.var_groups[v.index() as usize] = group;
-    }
-
-    /// The sift group of `v`, if one was assigned.
-    pub fn var_group(&self, v: Var) -> Option<u32> {
-        self.var_groups
-            .get(v.index() as usize)
-            .copied()
-            .filter(|&g| g != UNGROUPED)
-    }
-
-    /// Sets when the auto-reorder hook fires (see [`ReorderSchedule`]).
-    /// Only consulted when [`set_auto_reorder`](Self::set_auto_reorder) is
-    /// enabled.
-    pub fn set_reorder_schedule(&mut self, schedule: ReorderSchedule) {
-        self.schedule = schedule;
-    }
-
-    /// The current reorder schedule.
-    pub fn reorder_schedule(&self) -> ReorderSchedule {
-        self.schedule
-    }
-
-    /// Whether the schedule asks for a sift pass at the current node count.
-    fn schedule_due(&self) -> bool {
-        if self.var2level.len() < 2 || self.var2level.len() > crate::reorder::MAX_SIFT_VARS {
-            return false;
-        }
-        let nodes = self.num_nodes();
-        match self.schedule {
-            ReorderSchedule::GrowthRatio(ratio) => {
-                nodes as f64 > ratio * self.reorder_baseline.max(REORDER_MIN_NODES) as f64
-            }
-            // The analysis layer resolves `Adaptive` before it reaches the
-            // kernel; fall back to the default growth cadence if not.
-            ReorderSchedule::Adaptive => nodes > 2 * self.reorder_baseline.max(REORDER_MIN_NODES),
-            ReorderSchedule::AlwaysOnce => !self.schedule_fired && nodes >= ALWAYS_ONCE_MIN_NODES,
-            ReorderSchedule::TimeBudget(ms) => {
-                nodes >= REORDER_MIN_NODES && (self.reorder_time.as_millis() as u64) < ms
-            }
-        }
+        self.node(f).var
     }
 
     /// Canonicalizing constructor: collapses redundant tests and enforces
     /// the regular-high-child rule before consulting the unique table.
     fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
-        self.ensure_var(var);
+        if var >= self.num_vars {
+            self.num_vars = var + 1;
+        }
         debug_assert!(
-            self.level_of(var) < self.var_rank(lo) && self.level_of(var) < self.var_rank(hi),
+            var < self.var_rank(lo) && var < self.var_rank(hi),
             "mk: children must sit strictly below the decision variable"
         );
         if lo == hi {
@@ -753,7 +588,7 @@ impl BddManager {
     /// capacity, within `[2^OPS_CACHE_MIN_BITS, 2^OPS_CACHE_MAX_BITS]`).
     /// Growing re-slots the surviving entries; a collision keeps the later
     /// one, which is fine for a lossy memo.
-    pub(crate) fn maybe_grow_ops(&mut self) {
+    fn maybe_grow_ops(&mut self) {
         let unique_bits = self.unique.len().trailing_zeros();
         let want = unique_bits
             .saturating_sub(2)
@@ -903,8 +738,7 @@ impl BddManager {
                             results.push(Bdd(r.0 ^ neg as u32));
                             continue;
                         }
-                        let top = self.var_rank(f).min(self.var_rank(g)).min(self.var_rank(h));
-                        let var = self.level2var[top as usize];
+                        let var = self.var_rank(f).min(self.var_rank(g)).min(self.var_rank(h));
                         let (f0, f1) = self.cofactors_at(f, var);
                         let (g0, g1) = self.cofactors_at(g, var);
                         let (h0, h1) = self.cofactors_at(h, var);
@@ -994,11 +828,10 @@ impl BddManager {
             Emit { var: u32, reg: u32, c: u32 },
         }
         let target = v.index();
-        if target >= self.var2level.len() as u32 {
-            // The variable was never registered, so no node tests it.
+        if target >= self.num_vars {
+            // No node tests the variable.
             return f;
         }
-        let target_level = self.var2level[target as usize];
         let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
         let mut frames = vec![Frame::Visit(f)];
         let mut results: Vec<Bdd> = Vec::new();
@@ -1006,7 +839,7 @@ impl BddManager {
             match frame {
                 Frame::Visit(f) => {
                     let n = self.node(f);
-                    if self.level_of(n.var) > target_level {
+                    if n.var > target {
                         // Past the variable in the order (or a terminal):
                         // unchanged.
                         results.push(f);
@@ -1119,18 +952,11 @@ impl BddManager {
         self.exists_set(f, &VarSet::new(vars))
     }
 
-    /// The sorted *levels* of the quantifiable variables in `vars`.
-    /// Variables never registered with this manager are dropped: no node
-    /// can test them, so quantifying over them is the identity.
-    fn quantified_levels(&self, vars: &VarSet) -> Vec<u32> {
-        let mut levels: Vec<u32> = vars
-            .sorted
-            .iter()
-            .filter(|&&v| (v as usize) < self.var2level.len())
-            .map(|&v| self.var2level[v as usize])
-            .collect();
-        levels.sort_unstable();
-        levels
+    /// The sorted quantifiable variables of `vars`. Variables past
+    /// [`num_vars`](Self::num_vars) are dropped: no node tests them, so
+    /// quantifying over them is the identity.
+    fn quantified<'v>(&self, vars: &'v VarSet) -> &'v [u32] {
+        &vars.sorted[..vars.sorted.partition_point(|&v| v < self.num_vars)]
     }
 
     /// Existential quantification over a prepared [`VarSet`].
@@ -1141,7 +967,7 @@ impl BddManager {
             Visit(Bdd),
             Emit { f: u32, var: u32, quantified: bool },
         }
-        let qlevels = self.quantified_levels(vars);
+        let qvars = self.quantified(vars);
         let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
         let mut frames = vec![Frame::Visit(f)];
         let mut results: Vec<Bdd> = Vec::new();
@@ -1153,11 +979,10 @@ impl BddManager {
                         continue;
                     }
                     let n = self.node(f);
-                    let lvl = self.var2level[n.var as usize];
                     // All quantified variables above the root leave f
                     // untouched.
-                    let pos = qlevels.partition_point(|&l| l < lvl);
-                    if pos == qlevels.len() {
+                    let pos = qvars.partition_point(|&v| v < n.var);
+                    if pos == qvars.len() {
                         results.push(f);
                         continue;
                     }
@@ -1169,7 +994,7 @@ impl BddManager {
                     frames.push(Frame::Emit {
                         f: f.0,
                         var: n.var,
-                        quantified: qlevels[pos] == lvl,
+                        quantified: qvars[pos] == n.var,
                     });
                     frames.push(Frame::Visit(hi));
                     frames.push(Frame::Visit(lo));
@@ -1231,7 +1056,7 @@ impl BddManager {
         if vars.is_empty() {
             return self.and(f, g);
         }
-        let qlevels = self.quantified_levels(vars);
+        let qvars = self.quantified(vars);
         let mut memo: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         let mut frames = vec![Frame::App(f, g)];
         let mut results: Vec<Bdd> = Vec::new();
@@ -1252,9 +1077,9 @@ impl BddManager {
                         results.push(Bdd(r));
                         continue;
                     }
-                    let top = self.var_rank(f).min(self.var_rank(g));
-                    let pos = qlevels.partition_point(|&l| l < top);
-                    if pos == qlevels.len() {
+                    let var = self.var_rank(f).min(self.var_rank(g));
+                    let pos = qvars.partition_point(|&v| v < var);
+                    if pos == qvars.len() {
                         // No quantified variable at or below the frontier:
                         // plain conjunction.
                         let r = self.and(f, g);
@@ -1262,10 +1087,9 @@ impl BddManager {
                         results.push(r);
                         continue;
                     }
-                    let var = self.level2var[top as usize];
                     let (f0, f1) = self.cofactors_at(f, var);
                     let (g0, g1) = self.cofactors_at(g, var);
-                    if qlevels[pos] == top {
+                    if qvars[pos] == var {
                         frames.push(Frame::AfterLo { f1, g1, key });
                         frames.push(Frame::App(f0, g0));
                     } else {
@@ -1473,8 +1297,7 @@ impl BddManager {
         if let Some(&r) = memo.get(&(f.0, c.0)) {
             return Bdd(r);
         }
-        let top = self.var_rank(f).min(self.var_rank(c));
-        let var = self.level2var[top as usize];
+        let var = self.var_rank(f).min(self.var_rank(c));
         let (f0, f1) = self.cofactors_at(f, var);
         let (c0, c1) = self.cofactors_at(c, var);
         let r = if c1.is_false() {
@@ -1555,9 +1378,8 @@ impl BddManager {
             }
         }
         // Rebuild the unique table over the survivors (no tombstones),
-        // growing first if they would overload it — a reorder can leave
-        // more live nodes than the last natural growth point anticipated,
-        // and an overfull open-addressed table never terminates probing.
+        // growing first if they would overload it — an overfull
+        // open-addressed table never terminates probing.
         let live = marked.iter().skip(1).filter(|&&m| m).count();
         let mut cap = self.unique.len();
         while (live + 1) * 10 >= cap * 7 {
@@ -1606,42 +1428,18 @@ impl BddManager {
     /// node count exceeds the current trigger. Call at natural boundaries
     /// (between sweep candidates, between fixpoint iterations) with the
     /// handles that must survive. Returns whether a collection ran.
-    ///
-    /// When a collection does run, this is also the auto-reorder hook: with
-    /// [`set_auto_reorder`](Self::set_auto_reorder) enabled and the live set
-    /// still more than `REORDER_GROWTH ×` the post-sift baseline after
-    /// collecting, a [`sift`](Self::sift) pass runs over the same roots
-    /// (`MCT_BDD_SIFT_STRESS` forces one at every collection).
     pub fn maybe_collect_garbage(&mut self, roots: &[Bdd]) -> bool {
-        let gc_due = self.num_nodes() > self.gc_trigger;
-        // The schedule is consulted independently of the GC trigger: a
-        // graph that never grows past the collection threshold can still
-        // owe a scheduled pass (the pre-collection node count is an upper
-        // bound on the live count; the post-collection re-check below is
-        // what actually authorizes the sift).
-        let reorder_due = self.auto_reorder && self.schedule_due();
-        if !gc_due && !reorder_due {
+        if self.num_nodes() <= self.gc_trigger {
             return false;
         }
         self.collect_garbage(roots);
-        if sift_stress() || (self.auto_reorder && self.schedule_due()) {
-            self.sift(roots);
-        }
         true
     }
 
-    /// Enables growth-triggered Rudell sifting at
-    /// [`maybe_collect_garbage`](Self::maybe_collect_garbage) boundaries.
-    /// Off by default: reordering only ever changes node counts and time,
-    /// never function handles or results, but the time is not always won
-    /// back on small graphs.
-    pub fn set_auto_reorder(&mut self, enabled: bool) {
-        self.auto_reorder = enabled;
-    }
-
-    /// The current variable order, root-most level first.
-    pub fn level_order(&self) -> Vec<Var> {
-        self.level2var.iter().map(|&v| Var(v)).collect()
+    /// One past the largest variable index any node has decided on: the
+    /// variables `0 .. num_vars` span every function this manager built.
+    pub fn num_vars(&self) -> u32 {
+        self.num_vars
     }
 
     /// Overrides the live-node count that arms
@@ -1672,11 +1470,6 @@ impl BddManager {
             nodes_freed: self.nodes_freed,
             ops_cache_hits: self.ops_hits,
             ops_cache_lookups: self.ops_lookups,
-            reorder_passes: self.reorder_passes,
-            reorder_swaps: self.reorder_swaps,
-            reorder_time_ms: self.reorder_time.as_millis() as u64,
-            nodes_before_reorder: self.nodes_before_reorder,
-            nodes_after_reorder: self.nodes_after_reorder,
             compactions: self.compactions,
             mvec_memo_hits: 0,
             sigma_pruned_subtrees: 0,
@@ -1786,6 +1579,37 @@ impl BddManager {
         self.compact_due = false;
         CompactMap { map }
     }
+
+    /// Rebuilds the open-addressed unique table from the arena after
+    /// [`compact`](Self::compact) relocated the nodes (growing it first if
+    /// the survivors would exceed the 70% load bound).
+    fn rebuild_unique_from_arena(&mut self, live: usize) {
+        let mut cap = self.unique.len();
+        while (live + 1) * 10 >= cap * 7 {
+            cap *= 2;
+        }
+        if cap != self.unique.len() {
+            self.unique = vec![EMPTY; cap];
+            self.unique_mask = cap - 1;
+        } else {
+            self.unique.fill(EMPTY);
+        }
+        self.unique_len = 0;
+        for idx in 1..self.nodes.len() {
+            let n = self.nodes[idx];
+            if n.var >= FREE_VAR {
+                continue;
+            }
+            let mut slot = triple_hash(n.var, n.lo, n.hi) as usize & self.unique_mask;
+            while self.unique[slot] != EMPTY {
+                slot = (slot + 1) & self.unique_mask;
+            }
+            self.unique[slot] = idx as u32;
+            self.unique_len += 1;
+        }
+        debug_assert_eq!(self.unique_len, live);
+        self.maybe_grow_ops();
+    }
 }
 
 /// Relocation map returned by [`BddManager::compact`]: rewrite every
@@ -1820,17 +1644,6 @@ pub struct BddStats {
     pub ops_cache_hits: u64,
     /// ITE ops-cache lookups.
     pub ops_cache_lookups: u64,
-    /// Completed sift (dynamic variable reordering) passes.
-    pub reorder_passes: u64,
-    /// Adjacent-level swaps performed across all sift passes.
-    pub reorder_swaps: u64,
-    /// Cumulative wall time spent inside sift passes, in milliseconds.
-    pub reorder_time_ms: u64,
-    /// Sum of live-node counts sampled just before each sift pass (divide
-    /// by `reorder_passes` for the average pre-pass size).
-    pub nodes_before_reorder: u64,
-    /// Sum of live-node counts sampled just after each sift pass.
-    pub nodes_after_reorder: u64,
     /// Completed DFS-preorder arena compactions
     /// ([`BddManager::compact`]).
     pub compactions: u64,
@@ -1877,11 +1690,6 @@ impl BddStats {
         self.nodes_freed += other.nodes_freed;
         self.ops_cache_hits += other.ops_cache_hits;
         self.ops_cache_lookups += other.ops_cache_lookups;
-        self.reorder_passes += other.reorder_passes;
-        self.reorder_swaps += other.reorder_swaps;
-        self.reorder_time_ms += other.reorder_time_ms;
-        self.nodes_before_reorder += other.nodes_before_reorder;
-        self.nodes_after_reorder += other.nodes_after_reorder;
         self.compactions += other.compactions;
         self.mvec_memo_hits += other.mvec_memo_hits;
         self.sigma_pruned_subtrees += other.sigma_pruned_subtrees;
@@ -1897,7 +1705,7 @@ impl fmt::Display for BddStats {
         write!(
             f,
             "{} nodes ({} peak), {} gc runs ({} freed), ops cache {}/{} ({:.1}%), \
-             {} reorder passes ({} swaps, {} ms, {} -> {} nodes), {} compactions, \
+             {} compactions, \
              {} mvec memo hits, {} sigma pruned ({} subtrees), {} sigma reused, \
              {} skew lp pivots ({} cuts)",
             self.nodes,
@@ -1907,11 +1715,6 @@ impl fmt::Display for BddStats {
             self.ops_cache_hits,
             self.ops_cache_lookups,
             100.0 * self.ops_hit_rate(),
-            self.reorder_passes,
-            self.reorder_swaps,
-            self.reorder_time_ms,
-            self.nodes_before_reorder,
-            self.nodes_after_reorder,
             self.compactions,
             self.mvec_memo_hits,
             self.sigma_pruned,
@@ -2457,96 +2260,18 @@ mod tests {
     }
 
     #[test]
-    fn always_once_schedule_fires_exactly_once() {
-        let mut m = BddManager::new();
-        m.set_auto_reorder(true);
-        m.set_reorder_schedule(ReorderSchedule::AlwaysOnce);
-        m.set_gc_threshold(1 << 30); // GC never due on its own
-                                     // Grow the *live* graph past the AlwaysOnce floor: the hook
-                                     // re-checks the schedule after collecting, so dead intermediates
-                                     // must not be what carries the count over 256.
-        let mut keep2 = chain(&mut m, 12);
-        for i in 12..320u32 {
-            let v = m.var(Var::new(i));
-            keep2 = m.xor(keep2, v);
-            if i % 32 == 0 {
-                m.collect_garbage(&[keep2]);
-            }
-        }
-        m.collect_garbage(&[keep2]);
-        assert!(m.num_nodes() >= 256);
-        assert!(m.maybe_collect_garbage(&[keep2]));
-        assert_eq!(m.stats().reorder_passes, 1);
-        // Latched: a second call declines outright.
-        assert!(!m.maybe_collect_garbage(&[keep2]));
-        assert_eq!(m.stats().reorder_passes, 1);
-    }
-
-    #[test]
-    fn time_budget_schedule_stops_when_spent() {
-        let mut m = BddManager::new();
-        m.set_auto_reorder(true);
-        // A zero budget can never fire a pass.
-        m.set_reorder_schedule(ReorderSchedule::TimeBudget(0));
-        m.set_gc_threshold(8);
-        let mut keep = m.var(Var::new(0));
-        for i in 1..64u32 {
-            let v = m.var(Var::new(i));
-            keep = m.xor(keep, v);
-        }
-        m.maybe_collect_garbage(&[keep]);
-        assert_eq!(m.stats().reorder_passes, 0);
-    }
-
-    #[test]
-    fn growth_schedule_uses_ratio() {
-        let mut m = BddManager::new();
-        m.set_auto_reorder(true);
-        m.set_reorder_schedule(ReorderSchedule::GrowthRatio(1_000_000.0));
-        m.set_gc_threshold(8);
-        let mut keep = m.var(Var::new(0));
-        for i in 1..64u32 {
-            let v = m.var(Var::new(i));
-            keep = m.xor(keep, v);
-        }
-        // GC fires (threshold 8) but the absurd ratio never lets a reorder
-        // pass through.
-        m.maybe_collect_garbage(&[keep]);
-        assert_eq!(m.stats().reorder_passes, 0);
-        assert!(m.stats().gc_runs >= 1);
-    }
-
-    #[test]
-    fn telemetry_counts_nodes_around_pass() {
-        let mut m = BddManager::new();
-        m.set_auto_reorder(true);
-        m.set_reorder_schedule(ReorderSchedule::AlwaysOnce);
-        m.set_gc_threshold(1 << 30);
-        let mut keep = m.var(Var::new(0));
-        for i in 1..320u32 {
-            let v = m.var(Var::new(i));
-            keep = if i % 3 == 0 {
-                m.and(keep, v)
-            } else {
-                m.xor(keep, v)
-            };
-            if i % 32 == 0 {
-                m.collect_garbage(&[keep]);
-            }
-        }
-        m.collect_garbage(&[keep]);
-        assert!(m.num_nodes() >= 256);
-        assert!(m.maybe_collect_garbage(&[keep]));
-        let s = m.stats();
-        assert_eq!(s.reorder_passes, 1);
-        assert!(s.nodes_before_reorder > 0);
-        assert!(s.nodes_after_reorder > 0);
-        assert!(
-            s.nodes_after_reorder <= s.nodes_before_reorder,
-            "sifting never accepts a worse order: {} -> {}",
-            s.nodes_before_reorder,
-            s.nodes_after_reorder
-        );
+    fn num_vars_bounds_every_decided_variable() {
+        let (mut m, a, _b, c) = setup();
+        assert_eq!(m.num_vars(), 3);
+        let f = m.and(a, c);
+        // Variables past `num_vars` appear in no node: restricting or
+        // quantifying them is the identity.
+        assert_eq!(m.restrict(f, Var::new(7), true), f);
+        assert_eq!(m.exists(f, &[Var::new(7)]), f);
+        let c_only = m.exists(f, &[Var::new(0), Var::new(7)]);
+        assert_eq!(c_only, c);
+        let _ = m.var(Var::new(9));
+        assert_eq!(m.num_vars(), 10);
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! (children strictly before parents) with signed references. Reference
 //! `+1` is the constant TRUE, `-1` is FALSE, and node *i* of the list (from
 //! 0) is referenced as `±(i + 2)` — negative means the edge is
-//! complemented. The snapshot also records the variable count and the level
-//! order of the source manager so consumers can validate a stale artifact
-//! before letting it near a live manager, and can reproduce the learned
-//! order when they want to.
+//! complemented. The snapshot also records the variable count and a level
+//! order so consumers can validate a stale artifact before letting it near
+//! a live manager. A variable's index is its level, so exports write the
+//! identity order; the field stays in the format for artifacts written
+//! before that held.
 //!
 //! Import rebuilds bottom-up with [`BddManager::ite`], so the result is
-//! canonical under the *destination* manager's current order — the same
+//! canonical under the *destination* manager's order — the same
 //! re-canonicalization technique the engine's `transfer_bdd` path uses.
 //! Nothing in the destination manager is mutated until the snapshot has
 //! fully validated.
@@ -46,7 +47,8 @@ pub struct BddSnapshot {
     /// Number of variables the source manager knew about.
     pub num_vars: u32,
     /// The source manager's variable order, root-most level first
-    /// (`order[level] = var index`). A permutation of `0..num_vars`.
+    /// (`order[level] = var index`). A permutation of `0..num_vars`;
+    /// [`BddManager::export_bdd`] writes the identity.
     pub order: Vec<u32>,
     /// Decision nodes, children strictly before parents.
     pub nodes: Vec<SnapshotNode>,
@@ -272,8 +274,8 @@ impl BddManager {
         }
 
         BddSnapshot {
-            num_vars: self.level2var().len() as u32,
-            order: self.level2var().to_vec(),
+            num_vars: self.num_vars(),
+            order: (0..self.num_vars()).collect(),
             nodes,
             roots: roots.iter().map(|&r| ref_of(r, &ids)).collect(),
         }
@@ -286,8 +288,8 @@ impl BddManager {
     /// variables, topological references — and a malformed snapshot returns
     /// a structured [`BddImportError`] without touching this manager.
     /// Reconstruction runs bottom-up through [`ite`](Self::ite), so the
-    /// result is canonical under this manager's *current* order regardless
-    /// of the order the snapshot was exported under.
+    /// result is canonical under this manager's order regardless of the
+    /// order the snapshot was exported under.
     pub fn import_bdd(
         &mut self,
         snap: &BddSnapshot,
@@ -350,12 +352,6 @@ impl BddManager {
             .map(|&reference| resolve(reference, &built))
             .collect())
     }
-
-    /// The current level-to-variable permutation as raw indices
-    /// (`level2var[level] = var index`). Root-most level first.
-    pub fn level2var(&self) -> &[u32] {
-        &self.level2var
-    }
 }
 
 #[cfg(test)]
@@ -395,17 +391,16 @@ mod tests {
     fn round_trip_across_orders() {
         let (m, f) = mgr_with_fn();
         let snap = m.export_bdd(&[f]);
-        // Destination with a reversed variable order: allocate c, b, a
-        // first so levels differ, then import.
+        assert_eq!(snap.order, vec![0, 1, 2], "exports write the identity");
+        // Import under the reversed order: snapshot variable v lands on
+        // destination variable 2 − v, so every parent/child pair flips.
         let mut dst = BddManager::new();
-        for i in (0..3).rev() {
-            dst.var(Var::new(i));
-        }
-        let map: Vec<Var> = (0..snap.num_vars).map(Var::new).collect();
+        let map: Vec<Var> = (0..snap.num_vars).map(|v| Var::new(2 - v)).collect();
         let back = dst.import_bdd(&snap, &map).unwrap()[0];
         for bits in 0..8u32 {
-            let asg = |v: Var| bits >> v.index() & 1 == 1;
-            assert_eq!(dst.eval(back, asg), m.eval(f, asg));
+            let asg = |v: Var| bits >> (2 - v.index()) & 1 == 1;
+            let src_asg = |v: Var| bits >> v.index() & 1 == 1;
+            assert_eq!(dst.eval(back, asg), m.eval(f, src_asg));
         }
     }
 

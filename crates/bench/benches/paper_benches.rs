@@ -577,49 +577,22 @@ fn bench_ordering(h: &mut Harness) {
         ),
         ("parity16", &parity16, MctOptions::fixed_delays()),
     ];
-    use mct_core::ReorderSchedule;
     for (name, circuit, base) in scenarios {
-        for (label, ordering, schedule) in [
-            ("alloc", VarOrder::Alloc, ReorderSchedule::Adaptive),
-            ("static", VarOrder::Static, ReorderSchedule::Adaptive),
-            (
-                "sift-growth",
-                VarOrder::Sift,
-                ReorderSchedule::GrowthRatio(2.0),
-            ),
-            (
-                "sift-always-once",
-                VarOrder::Sift,
-                ReorderSchedule::AlwaysOnce,
-            ),
-            (
-                "sift-time-budget",
-                VarOrder::Sift,
-                ReorderSchedule::TimeBudget(50),
-            ),
-            ("sift-adaptive", VarOrder::Sift, ReorderSchedule::Adaptive),
-        ] {
+        for (label, ordering) in [("alloc", VarOrder::Alloc), ("static", VarOrder::Static)] {
             let scenario = format!("ordering/{name}/{label}");
             if !h.wants(&scenario) {
                 continue;
             }
             let opts = MctOptions {
                 ordering,
-                reorder_schedule: schedule,
                 ..base.clone()
             };
             // One deterministic probe run for the node-count column.
             let report = MctAnalyzer::new(circuit).unwrap().run(&opts).unwrap();
             let k = &report.kernel;
             println!(
-                "{scenario:<44} peak_nodes {} (passes {}, swaps {}, {} ms, {} -> {} nodes, compactions {})",
-                k.peak_nodes,
-                k.reorder_passes,
-                k.reorder_swaps,
-                k.reorder_time_ms,
-                k.nodes_before_reorder,
-                k.nodes_after_reorder,
-                k.compactions
+                "{scenario:<44} peak_nodes {} (compactions {})",
+                k.peak_nodes, k.compactions
             );
             h.bench(&scenario, || {
                 MctAnalyzer::new(circuit)

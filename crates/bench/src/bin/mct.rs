@@ -21,23 +21,11 @@
 //!   --lp              Section-7 path-coupled linear programs
 //!   --threads N       sweep worker threads (0 = all CPUs; default 1);
 //!                     the report is identical at every thread count
-//!   --order P         BDD variable ordering: alloc | static | sift
-//!                     (default static); never changes the report, only
-//!                     node counts and wall time
-//!   --reorder-schedule S  when `--order sift` fires a pass:
-//!                     growth[:ratio] | always-once | time-budget[:ms] |
-//!                     adaptive (default; picks one of the others from
-//!                     circuit size and delay-class count); never changes
-//!                     the report
 //!   --decompose       slice into independent cones of influence and
 //!                     analyze each with its own BDD manager; the
 //!                     recombined report is bit-identical, usually with a
 //!                     lower peak node count (and, on the server, an
 //!                     incrementally replayable per-cone cache)
-//!   --sigma S         variable-delay Φ enumeration: pruned (default,
-//!                     LP-bounded subtree walk) | flat (the plain
-//!                     odometer); never changes the report, only how many
-//!                     combinations are visited
 //!   --mode M          zero (default) | skew: `skew` additionally runs the
 //!                     clock-skew optimization tier — an LP over per-register
 //!                     capture offsets plus an exact re-sweep of the witness
@@ -52,9 +40,9 @@
 //!   --listen ADDR        bind address (default 127.0.0.1:7934; port 0 = ephemeral)
 //!   --workers N          worker threads (default 2)
 //!   --cache-capacity N   in-memory result-cache entries (default 64)
-//!   --cache-dir DIR      persist results, reachability snapshots, learned
-//!                        variable orders, and cone replay seeds across
-//!                        restarts (a restarted daemon warm-starts from disk)
+//!   --cache-dir DIR      persist results, reachability snapshots, and cone
+//!                        replay seeds across restarts (a restarted daemon
+//!                        warm-starts from disk)
 //!   --cache-max-bytes N  byte budget, applied to the in-memory cache and
 //!                        the disk store each (LRU eviction; artifacts
 //!                        larger than the budget bypass admission)
@@ -71,8 +59,10 @@
 //!                        as one `batch` request per shard.
 //!
 //! cache actions (offline, against a --cache-dir store):
-//!   ls                   list artifacts with class and size
-//!   gc                   drop foreign/corrupt files, then evict LRU
+//!   ls                   list artifacts with class and size (files no
+//!                        lookup reads, such as retired `order-*.mctb`
+//!                        ones, list as `other`)
+//!   gc                   drop foreign/corrupt/retired files, then evict LRU
 //!                        until under --cache-max-bytes (when given)
 //!   rm <digest>          remove every artifact keyed by a layout digest
 //!
@@ -91,7 +81,7 @@
 //!                        nondeterministic field, `wall_ms`)
 //! ```
 
-use mct_core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_core::{MctAnalyzer, MctOptions};
 use mct_netlist::{
     circuit_digests, parse_bench, parse_blif, write_bench, write_blif, Circuit, DelayModel,
     FsmView, Time,
@@ -111,10 +101,7 @@ struct Flags {
     exact: bool,
     lp: bool,
     threads: usize,
-    ordering: VarOrder,
-    reorder_schedule: ReorderSchedule,
     decompose: bool,
-    sigma: SigmaStrategy,
     skew: bool,
     skew_bound: Option<f64>,
     period: Option<f64>,
@@ -153,10 +140,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         exact: false,
         lp: false,
         threads: 1,
-        ordering: VarOrder::default(),
-        reorder_schedule: ReorderSchedule::Adaptive,
         decompose: false,
-        sigma: SigmaStrategy::default(),
         skew: false,
         skew_bound: None,
         period: None,
@@ -202,23 +186,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|e| format!("bad thread count: {e}"))?
             }
-            "--order" => match it.next().map(String::as_str) {
-                Some("alloc") => f.ordering = VarOrder::Alloc,
-                Some("static") => f.ordering = VarOrder::Static,
-                Some("sift") => f.ordering = VarOrder::Sift,
-                other => return Err(format!("--order needs alloc|static|sift, got {other:?}")),
-            },
-            "--reorder-schedule" => {
-                let spec = it.next().ok_or(
-                    "--reorder-schedule needs growth[:ratio]|always-once|time-budget[:ms]|adaptive",
-                )?;
-                f.reorder_schedule = mct_serve::report::parse_reorder_schedule(spec)?;
-            }
-            "--sigma" => match it.next().map(String::as_str) {
-                Some("flat") => f.sigma = SigmaStrategy::Flat,
-                Some("pruned") => f.sigma = SigmaStrategy::Pruned,
-                other => return Err(format!("--sigma needs flat|pruned, got {other:?}")),
-            },
             "--mode" => match it.next().map(String::as_str) {
                 Some("zero") => f.skew = false,
                 Some("skew") => f.skew = true,
@@ -377,10 +344,7 @@ fn mct_options(flags: &Flags) -> MctOptions {
         path_coupled_lp: flags.lp,
         exact_check: flags.exact,
         num_threads: flags.threads,
-        ordering: flags.ordering,
-        reorder_schedule: flags.reorder_schedule,
         decompose: flags.decompose,
-        sigma: flags.sigma,
         skew: flags.skew,
         skew_bound: flags.skew_bound,
         ..MctOptions::paper()
@@ -437,20 +401,6 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
                     (
                         "ops_cache_lookups".into(),
                         Json::Int(k.ops_cache_lookups as i64),
-                    ),
-                    ("reorder_passes".into(), Json::Int(k.reorder_passes as i64)),
-                    ("reorder_swaps".into(), Json::Int(k.reorder_swaps as i64)),
-                    (
-                        "reorder_time_ms".into(),
-                        Json::Int(k.reorder_time_ms as i64),
-                    ),
-                    (
-                        "nodes_before_reorder".into(),
-                        Json::Int(k.nodes_before_reorder as i64),
-                    ),
-                    (
-                        "nodes_after_reorder".into(),
-                        Json::Int(k.nodes_after_reorder as i64),
                     ),
                     ("compactions".into(), Json::Int(k.compactions as i64)),
                     ("mvec_memo_hits".into(), Json::Int(k.mvec_memo_hits as i64)),
@@ -520,9 +470,6 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
         }
     }
     println!("  bdd kernel             {}", report.kernel);
-    if flags.ordering == VarOrder::Sift && report.kernel.reorder_passes == 0 {
-        println!("  reorder: requested, never triggered");
-    }
     Ok(())
 }
 
@@ -777,27 +724,6 @@ fn build_analyze_request(
         ("exact_check".into(), Json::Bool(opts.exact_check)),
         ("num_threads".into(), Json::Int(opts.num_threads as i64)),
         ("decompose".into(), Json::Bool(opts.decompose)),
-        (
-            "ordering".into(),
-            Json::Str(
-                match opts.ordering {
-                    VarOrder::Alloc => "alloc",
-                    VarOrder::Static => "static",
-                    VarOrder::Sift => "sift",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "sigma".into(),
-            Json::Str(
-                match opts.sigma {
-                    SigmaStrategy::Flat => "flat",
-                    SigmaStrategy::Pruned => "pruned",
-                }
-                .into(),
-            ),
-        ),
         // Unlike the execution-strategy knobs above, `--mode skew`
         // changes the report (and the cache fingerprint), so the query
         // path must carry it to the server.
@@ -873,7 +799,6 @@ fn cmd_cache(flags: &Flags) -> Result<(), String> {
             for entry in store.ls() {
                 let kind = match entry.kind {
                     Some(mct_store::ArtifactKind::Reach) => "reach",
-                    Some(mct_store::ArtifactKind::Order) => "order",
                     Some(mct_store::ArtifactKind::Cone) => "cone",
                     None => "other",
                 };
@@ -1005,9 +930,8 @@ fn main() -> ExitCode {
     if cmd == "--help" || cmd == "-h" {
         eprintln!(
             "mct analyze <file> [--blif] [--model unit|mapped] [--fixed] \
-             [--no-reachability] [--exact] [--lp] [--threads N] \
-             [--order alloc|static|sift] [--reorder-schedule S] [--decompose] \
-             [--sigma flat|pruned] [--json]\n\
+             [--no-reachability] [--exact] [--lp] [--threads N] [--decompose] \
+             [--json]\n\
              mct delays <file> [--blif] [--model unit|mapped]\n\
              mct simulate <file> --period X [--cycles N] [--seed S] [--vcd out.vcd]\n\
              mct convert <in> <out>\n\

@@ -9,7 +9,7 @@
 use crate::decision::{DecisionContext, DecisionOutcome};
 use crate::error::MctError;
 use crate::parallel::{self, EvalEnv, SigmaMemo, SweepShared};
-use mct_bdd::{Bdd, BddManager, BddStats, ReorderSchedule};
+use mct_bdd::{Bdd, BddManager, BddStats};
 use mct_lp::{LpOutcome, Rat, Simplex};
 use mct_netlist::{Circuit, FsmView, NetId};
 use mct_tbf::{
@@ -21,9 +21,12 @@ use std::collections::HashMap;
 /// Variable-ordering policy for the symbolic kernel.
 ///
 /// Ordering is a performance lever only: the analyses compare canonical
-/// function handles, so every policy yields a bit-identical [`MctReport`] —
-/// only node counts and wall time change. For the same reason the policy is
-/// excluded from result-cache fingerprints.
+/// function handles, so both policies yield a bit-identical [`MctReport`] —
+/// only node counts and wall time change. [`VarOrder::Static`] is the
+/// production path; [`VarOrder::Alloc`] is kept as a library-level
+/// reference (the golden reports were captured under it, and the
+/// order-invariance tests compare against it). No CLI flag or service
+/// option selects it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum VarOrder {
     /// First-use allocation order (the historical behaviour).
@@ -33,10 +36,6 @@ pub enum VarOrder {
     /// gate DAG, timed copies of each leaf interleaved at adjacent levels.
     #[default]
     Static,
-    /// The static order plus growth-triggered Rudell sifting in every
-    /// manager (main, workers); learned orders propagate to warm-start
-    /// snapshots and sweep workers.
-    Sift,
 }
 
 /// Φ-enumeration strategy for the variable-delay sweep (§7).
@@ -44,8 +43,10 @@ pub enum VarOrder {
 /// Like [`VarOrder`], a performance lever only: both strategies visit the
 /// surviving (feasible) shift combinations in exactly the flat enumeration
 /// order, so every [`MctReport`] field outside the kernel diagnostics is
-/// bit-identical between them, and the strategy is excluded from
-/// result-cache fingerprints.
+/// bit-identical between them. [`SigmaStrategy::Pruned`] is the production
+/// path; [`SigmaStrategy::Flat`] is kept as the reference the σ fuzz
+/// oracle and the tests compare the pruned walk against. No CLI flag or
+/// service option selects it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SigmaStrategy {
     /// Materialize every combination of `Φ = Π_i [lo_i, hi_i]` through the
@@ -130,14 +131,6 @@ pub struct MctOptions {
     /// Φ-enumeration strategy for variable delays. Never changes the
     /// report — see [`SigmaStrategy`].
     pub sigma: SigmaStrategy,
-    /// When [`MctOptions::ordering`] is [`VarOrder::Sift`], decides *when*
-    /// dynamic reordering fires (see [`ReorderSchedule`]). The default
-    /// [`ReorderSchedule::Adaptive`] is resolved per-request from circuit
-    /// size and delay-class count before the sweep starts, so parallel
-    /// workers and decomposed cones inherit one concrete schedule. A
-    /// performance lever only — excluded from result-cache fingerprints
-    /// like `ordering` and `sigma`.
-    pub reorder_schedule: ReorderSchedule,
     /// Run the clock-skew optimization tier after the sweep: solve the
     /// Fishburn-style feasibility programs over per-register skews,
     /// binary-search the minimum structurally feasible period, certify it
@@ -176,7 +169,6 @@ impl Default for MctOptions {
             ordering: VarOrder::default(),
             decompose: false,
             sigma: SigmaStrategy::default(),
-            reorder_schedule: ReorderSchedule::Adaptive,
             skew: false,
             skew_bound: None,
         }
@@ -196,31 +188,6 @@ impl MctOptions {
     /// The paper's Section-8 evaluation setting (alias of `default`).
     pub fn paper() -> Self {
         MctOptions::default()
-    }
-}
-
-/// Resolves [`ReorderSchedule::Adaptive`] to a concrete schedule from the
-/// circuit's leaf count and delay-class count; concrete schedules pass
-/// through unchanged. Deterministic in the circuit, so every manager the
-/// request spawns (workers, cones, warm starts) lands on the same choice:
-/// small state spaces reorder eagerly once (the pass is cheap and the
-/// order sticks), mid-size circuits keep the growth trigger, and large
-/// many-class circuits get a wall-clock budget so sifting cannot eat the
-/// sweep.
-pub(crate) fn resolve_schedule(
-    requested: ReorderSchedule,
-    num_leaves: usize,
-    num_classes: usize,
-) -> ReorderSchedule {
-    if requested != ReorderSchedule::Adaptive {
-        return requested;
-    }
-    if num_leaves <= 16 && num_classes <= 8 {
-        ReorderSchedule::GrowthRatio(2.0)
-    } else if num_leaves <= 64 {
-        ReorderSchedule::AlwaysOnce
-    } else {
-        ReorderSchedule::TimeBudget(50)
     }
 }
 
@@ -347,37 +314,6 @@ impl<'c> MctAnalyzer<'c> {
         &self.view
     }
 
-    /// Pre-loads a learned variable order (typically a persisted, sifted
-    /// one) into the analyzer's table before any BDD is built, so the run
-    /// starts from that layout instead of re-deriving or re-learning it.
-    ///
-    /// The order is validated against this circuit first — a stale or
-    /// corrupt on-disk order is rejected with a structured error and the
-    /// analyzer is left untouched. Ordering is a performance lever only:
-    /// the report is bit-identical with or without a preload.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::ArtifactError`] on duplicate variables or leaves outside
-    /// this circuit's leaf range.
-    pub fn preload_order(
-        &mut self,
-        order: &crate::artifact::OrderData,
-    ) -> Result<(), crate::artifact::ArtifactError> {
-        crate::artifact::validate_timed_order(&order.vars, self.view.leaves().len())?;
-        self.table.preregister(order.vars.iter().copied());
-        Ok(())
-    }
-
-    /// Exports the analyzer's current variable order (the static order
-    /// refined by any sifting the run triggered), root-most first — the
-    /// payload of the persisted order-artifact class.
-    pub fn learned_order(&self) -> crate::artifact::OrderData {
-        crate::artifact::OrderData {
-            vars: export_order(&self.manager, &self.table),
-        }
-    }
-
     /// Runs the sweep and returns the report.
     ///
     /// # Errors
@@ -427,13 +363,6 @@ impl<'c> MctAnalyzer<'c> {
         validate_skew_holds(view, &classes, opts.delay_variation)?;
         let l_millis = classes.iter().map(|c| c.delay).max().unwrap_or(0);
         let circuit_name = view.circuit().name().to_owned();
-
-        // Pin `Adaptive` to a concrete schedule up front so the sweep
-        // workers (which clone the options) inherit the same decision.
-        let mut opts = opts.clone();
-        opts.reorder_schedule =
-            resolve_schedule(opts.reorder_schedule, view.leaves().len(), classes.len());
-        let opts = &opts;
 
         let mut report = MctReport {
             circuit: circuit_name,
@@ -489,21 +418,11 @@ impl<'c> MctAnalyzer<'c> {
             }
             .clamp(1, 128);
             if let Some(snap) = warm {
-                // Inherit the snapshot's (possibly sifted) order for the
-                // variables it knows; the structural order fills the rest.
+                // Inherit the snapshot's order for the variables it knows;
+                // the structural order fills the rest.
                 table.preregister(snap.table.iter().map(|(tv, _)| tv));
             }
             StaticOrder::compute(view, max_shift).apply(table);
-        }
-        if opts.ordering == VarOrder::Sift {
-            manager.set_auto_reorder(true);
-            manager.set_reorder_schedule(opts.reorder_schedule);
-            // Tag sift groups by leaf so a fired pass moves each signal's
-            // timed copies as one block (the static order's interleaving
-            // invariant, preserved under dynamic reorder). Allocating the
-            // variables here follows the table's registration order, which
-            // *is* the static order just applied.
-            mct_tbf::apply_sift_groups(manager, table);
         }
 
         let mut ctx = DecisionContext::new(&extractor, manager, table)?;
@@ -529,8 +448,8 @@ impl<'c> MctAnalyzer<'c> {
             // past this analyzer's lifetime.
             let mut snap_manager = BddManager::new();
             let mut snap_table = TimedVarTable::new();
-            // The snapshot carries the current level order (learned by
-            // sifting, if any) so warm starts inherit it.
+            // The snapshot carries the main table's order so warm starts
+            // inherit it.
             snap_table.preregister(export_order(manager, table));
             let snap_set = transfer_bdd(manager, table, r, &mut snap_manager, &mut snap_table)?;
             snapshot = Some(ReachSnapshot {
@@ -548,9 +467,8 @@ impl<'c> MctAnalyzer<'c> {
             intervals,
             class_ix,
             l_millis,
-            // Workers pre-register the main manager's current level order
-            // (the static order, refined by any sifting reachability
-            // triggered) instead of re-deriving it.
+            // Workers pre-register the main manager's order instead of
+            // re-deriving it.
             order: if opts.ordering == VarOrder::Alloc {
                 Vec::new()
             } else {
@@ -1133,9 +1051,7 @@ mod tests {
         };
         let alloc = run(VarOrder::Alloc);
         let fixed = run(VarOrder::Static);
-        let sift = run(VarOrder::Sift);
         assert_eq!(format!("{alloc:?}"), format!("{fixed:?}"));
-        assert_eq!(format!("{alloc:?}"), format!("{sift:?}"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Plain-data forms of the hot analysis artifacts, for on-disk persistence
 //! and cross-replica transport.
 //!
-//! The three artifact classes the service caches in memory —
-//! [`ReachSnapshot`]s, learned (sifted) variable orders, and per-cone
-//! [`ConeCacheEntry`] replay seeds — each get a fully plain-data mirror
-//! here (`ReachData`, `OrderData`, `ConeData`) built from
+//! The two symbolic artifact classes the service caches in memory —
+//! [`ReachSnapshot`]s and per-cone [`ConeCacheEntry`] replay seeds — each
+//! get a fully plain-data mirror here (`ReachData`, `ConeData`) built from
 //! [`mct_bdd::BddSnapshot`] plus [`TimedVar`] vectors. The mirrors contain
 //! no handles, no managers and no maps with nondeterministic iteration
 //! order, so a byte codec (the `mct-store` crate) can serialize them
@@ -64,13 +63,6 @@ pub enum ArtifactError {
         /// The unrecognized kind tag.
         kind: String,
     },
-    /// A timed variable names a leaf outside the circuit's leaf range.
-    LeafOutOfRange {
-        /// Display form of the offending variable.
-        var: String,
-        /// Number of leaves the circuit actually has.
-        num_leaves: usize,
-    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -102,12 +94,6 @@ impl fmt::Display for ArtifactError {
             ),
             ArtifactError::BadOutcome { kind } => {
                 write!(f, "unknown decision-outcome kind {kind:?}")
-            }
-            ArtifactError::LeafOutOfRange { var, num_leaves } => {
-                write!(
-                    f,
-                    "timed variable {var} names a leaf outside 0..{num_leaves}"
-                )
             }
         }
     }
@@ -175,14 +161,6 @@ pub struct ReachData {
     pub states: f64,
 }
 
-/// Plain-data mirror of a learned variable order (the third artifact
-/// class): timed variables root-most level first.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct OrderData {
-    /// The order, root-most first.
-    pub vars: Vec<TimedVar>,
-}
-
 /// Plain-data mirror of a [`ConeCacheEntry`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct ConeData {
@@ -225,10 +203,11 @@ fn check_vars(vars: &[TimedVar], snapshot: &BddSnapshot) -> Result<(), ArtifactE
 }
 
 /// Rebuilds a manager + table from a validated `(vars, snapshot)` pair:
-/// the table is preregistered in the snapshot's level order (reproducing
-/// the learned order — fresh managers assign identity levels in allocation
-/// order), trailing variables the snapshot never touched keep their
-/// relative position, and the snapshot's roots are imported bottom-up.
+/// the table is preregistered in the snapshot's level order (the identity
+/// for current exports; a permuted order from an older artifact imports
+/// just as correctly), trailing variables the snapshot never touched keep
+/// their relative position, and the snapshot's roots are imported
+/// bottom-up.
 fn rebuild(
     vars: &[TimedVar],
     snapshot: &BddSnapshot,
@@ -289,14 +268,6 @@ impl ReachSnapshot {
     /// Approximate in-memory footprint, for byte-accounted cache admission.
     pub fn approx_bytes(&self) -> u64 {
         approx_symbolic_bytes(&self.manager, &self.table)
-    }
-
-    /// The snapshot's learned variable order (allocation order of its
-    /// private table, root-most first) — the order-artifact payload.
-    pub fn learned_order(&self) -> OrderData {
-        OrderData {
-            vars: self.table.iter().map(|(tv, _)| tv).collect(),
-        }
     }
 }
 
@@ -421,37 +392,6 @@ impl ConeCacheEntry {
                 .sum::<u64>();
         approx_symbolic_bytes(&self.manager, &self.table) + outcome_bytes
     }
-}
-
-/// Validates an on-disk variable order against a circuit before it is let
-/// near a live table: no duplicates, every leaf within `num_leaves`.
-///
-/// A stale order (from a different circuit revision) is an error — callers
-/// treat it as a cache miss — never a debug assert or a silent corruption.
-pub fn validate_timed_order(vars: &[TimedVar], num_leaves: usize) -> Result<(), ArtifactError> {
-    let mut seen = HashSet::with_capacity(vars.len());
-    for tv in vars {
-        if !seen.insert(*tv) {
-            return Err(ArtifactError::DuplicateTimedVar {
-                var: tv.to_string(),
-            });
-        }
-        let leaf = match *tv {
-            TimedVar::Shifted { leaf, .. }
-            | TimedVar::Absolute { leaf, .. }
-            | TimedVar::Next { leaf }
-            | TimedVar::Old { leaf }
-            | TimedVar::Arbitrary { leaf, .. }
-            | TimedVar::Primed { leaf, .. } => leaf,
-        };
-        if leaf >= num_leaves {
-            return Err(ArtifactError::LeafOutOfRange {
-                var: tv.to_string(),
-                num_leaves,
-            });
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -619,23 +559,5 @@ mod tests {
                 Err(ArtifactError::BadOutcome { .. })
             ));
         }
-    }
-
-    #[test]
-    fn timed_order_validation() {
-        let vars = [
-            TimedVar::Next { leaf: 0 },
-            TimedVar::Shifted { leaf: 1, shift: 2 },
-        ];
-        assert!(validate_timed_order(&vars, 2).is_ok());
-        assert!(matches!(
-            validate_timed_order(&vars, 1),
-            Err(ArtifactError::LeafOutOfRange { .. })
-        ));
-        let dup = [TimedVar::Next { leaf: 0 }, TimedVar::Next { leaf: 0 }];
-        assert!(matches!(
-            validate_timed_order(&dup, 2),
-            Err(ArtifactError::DuplicateTimedVar { .. })
-        ));
     }
 }

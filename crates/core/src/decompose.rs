@@ -248,11 +248,6 @@ impl FreshCone {
         if opts.ordering != VarOrder::Alloc {
             StaticOrder::compute(view, max_shift_hint).apply(&mut table);
         }
-        if opts.ordering == VarOrder::Sift {
-            manager.set_auto_reorder(true);
-            manager.set_reorder_schedule(opts.reorder_schedule);
-            mct_tbf::apply_sift_groups(&mut manager, &table);
-        }
         let ns = view.num_state_bits();
         let machine = DiscreteMachine::functional(extractor, &mut manager, &mut table)?;
         let cur_vars: Vec<Var> = (0..ns)
@@ -366,17 +361,6 @@ pub(crate) fn run(
     let classes = extractor.delay_classes_at(&view.sink_starts())?;
     crate::analyzer::validate_skew_holds(view, &classes, opts.delay_variation)?;
     let l_millis = classes.iter().map(|c| c.delay).max().unwrap_or(0);
-
-    // Resolve `Adaptive` once from the *whole* circuit (same inputs as the
-    // monolithic analyzer) so every cone manager fires on the same concrete
-    // schedule the monolithic run would use.
-    let mut opts = opts.clone();
-    opts.reorder_schedule = crate::analyzer::resolve_schedule(
-        opts.reorder_schedule,
-        view.leaves().len(),
-        classes.len(),
-    );
-    let opts = &opts;
 
     let mut report = MctReport {
         circuit: view.circuit().name().to_owned(),
@@ -807,11 +791,6 @@ fn ensure_env<'v>(
     let mut table = TimedVarTable::new();
     if cx.shared.opts.ordering != VarOrder::Alloc {
         StaticOrder::compute(view, cx.max_shift_hint).apply(&mut table);
-    }
-    if cx.shared.opts.ordering == VarOrder::Sift {
-        manager.set_auto_reorder(true);
-        manager.set_reorder_schedule(cx.shared.opts.reorder_schedule);
-        mct_tbf::apply_sift_groups(&mut manager, &table);
     }
     let mut ctx = DecisionContext::new(extractor, &mut manager, &mut table)?;
     if cx.use_reach && view.num_state_bits() > 0 {
@@ -1406,14 +1385,7 @@ mod tests {
     }
 
     #[test]
-    fn identity_sifted_ordering() {
-        assert_identity(
-            &tri(),
-            &MctOptions {
-                ordering: VarOrder::Sift,
-                ..MctOptions::fixed_delays()
-            },
-        );
+    fn identity_alloc_ordering() {
         assert_identity(
             &tri(),
             &MctOptions {

@@ -86,15 +86,12 @@ mod proptests;
 pub use analyzer::{
     MctAnalyzer, MctOptions, MctReport, ReachSnapshot, SigmaStrategy, ValidityRegion, VarOrder,
 };
-pub use artifact::{
-    validate_timed_order, ArtifactError, ConeData, ExactPartData, OrderData, OutcomeData, ReachData,
-};
+pub use artifact::{ArtifactError, ConeData, ExactPartData, OutcomeData, ReachData};
 pub use breakpoints::BreakpointIter;
 pub use decision::{DecisionContext, DecisionOutcome};
 pub use decompose::{ConeCacheEntry, DecomposeArtifacts};
 pub use error::MctError;
 pub use exact::decide_exact;
 pub use mct_bdd::BddStats;
-pub use mct_bdd::ReorderSchedule;
 pub use sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats};
 pub use skew::SkewReport;

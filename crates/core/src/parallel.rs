@@ -34,7 +34,7 @@
 //! simply discarded by the reconciler (and mostly avoided by the shared
 //! stop-index the workers publish).
 
-use crate::analyzer::{lp_max_tau, MctOptions, MctReport, SigmaStrategy, ValidityRegion, VarOrder};
+use crate::analyzer::{lp_max_tau, MctOptions, MctReport, SigmaStrategy, ValidityRegion};
 use crate::breakpoints::BreakpointIter;
 use crate::decision::{DecisionContext, DecisionOutcome};
 use crate::error::MctError;
@@ -65,9 +65,9 @@ pub(crate) struct SweepShared {
     pub class_ix: HashMap<(usize, i64), usize>,
     /// The steady-state delay `L` in milli-units.
     pub l_millis: i64,
-    /// Level order of the main manager at sweep start, for workers to
+    /// Variable order of the main manager at sweep start, for workers to
     /// pre-register into their private tables (empty under
-    /// [`VarOrder::Alloc`]).
+    /// [`crate::VarOrder::Alloc`]).
     pub order: Vec<TimedVar>,
     /// The analysis options.
     pub opts: MctOptions,
@@ -704,18 +704,8 @@ fn worker_loop(
     let extractor = ConeExtractor::new(view).with_node_limit(shared.opts.cone_node_limit);
     let mut manager = BddManager::new();
     let mut table = TimedVarTable::new();
-    if shared.opts.ordering == VarOrder::Sift {
-        manager.set_auto_reorder(true);
-        // The schedule was resolved (Adaptive → concrete) before the pool
-        // launched, so every worker fires on the same policy.
-        manager.set_reorder_schedule(shared.opts.reorder_schedule);
-    }
-    // Inherit the main manager's level order (static order, refined by any
-    // sifting it already did) before building anything.
+    // Inherit the main manager's variable order before building anything.
     table.preregister(shared.order.iter().copied());
-    if shared.opts.ordering == VarOrder::Sift {
-        mct_tbf::apply_sift_groups(&mut manager, &table);
-    }
     let mut ctx = DecisionContext::new(&extractor, &mut manager, &mut table)?;
     if let Some(r) = reach {
         // Import the restriction computed once on the main manager — a

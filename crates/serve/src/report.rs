@@ -12,16 +12,16 @@
 //! are reported per-request in the server log instead.
 //!
 //! The options encoding is a *partial overlay*: a request carries only the
-//! fields it wants to change, applied over [`MctOptions::default()`]. The
+//! fields it wants to change, applied over [`MctOptions::default()`].
+//! Requests always run the production variable order and Φ walk; the
+//! retired `ordering`, `sigma` and `reorder_schedule` keys that older
+//! clients send are accepted and ignored. The
 //! fingerprint folds in every semantic field but deliberately skips
 //! `num_threads` and `time_budget_ms` — the sweep is deterministic at any
 //! thread count, and a longer budget can only produce the same (or a more
 //! complete) report, so neither should split the cache.
 
-use mct_core::{
-    DecisionOutcome, MctOptions, MctReport, ReorderSchedule, SigmaStrategy, SkewReport,
-    ValidityRegion, VarOrder,
-};
+use mct_core::{DecisionOutcome, MctOptions, MctReport, SkewReport, ValidityRegion};
 use mct_lp::Rat;
 
 use crate::json::Json;
@@ -269,75 +269,14 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
         ("decompose".into(), Json::Bool(opts.decompose)),
         ("skew".into(), Json::Bool(opts.skew)),
         ("skew_bound".into(), opt_float(opts.skew_bound)),
-        (
-            "ordering".into(),
-            Json::Str(
-                match opts.ordering {
-                    VarOrder::Alloc => "alloc",
-                    VarOrder::Static => "static",
-                    VarOrder::Sift => "sift",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "sigma".into(),
-            Json::Str(
-                match opts.sigma {
-                    SigmaStrategy::Flat => "flat",
-                    SigmaStrategy::Pruned => "pruned",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "reorder_schedule".into(),
-            Json::Str(match opts.reorder_schedule {
-                ReorderSchedule::GrowthRatio(r) => format!("growth:{r}"),
-                ReorderSchedule::AlwaysOnce => "always-once".into(),
-                ReorderSchedule::TimeBudget(ms) => format!("time-budget:{ms}"),
-                ReorderSchedule::Adaptive => "adaptive".into(),
-            }),
-        ),
     ])
-}
-
-/// Parses the `reorder_schedule` wire/CLI spelling:
-/// `growth[:ratio]`, `always-once`, `time-budget[:ms]`, or `adaptive`.
-///
-/// # Errors
-///
-/// A human-readable message for unknown spellings or bad numbers.
-pub fn parse_reorder_schedule(s: &str) -> Result<ReorderSchedule, String> {
-    match s {
-        "adaptive" => return Ok(ReorderSchedule::Adaptive),
-        "always-once" => return Ok(ReorderSchedule::AlwaysOnce),
-        "growth" => return Ok(ReorderSchedule::GrowthRatio(2.0)),
-        "time-budget" => return Ok(ReorderSchedule::TimeBudget(50)),
-        _ => {}
-    }
-    if let Some(r) = s.strip_prefix("growth:") {
-        let ratio = r
-            .parse::<f64>()
-            .ok()
-            .filter(|r| r.is_finite() && *r > 1.0)
-            .ok_or_else(|| format!("growth ratio must be a finite number > 1, got `{r}`"))?;
-        return Ok(ReorderSchedule::GrowthRatio(ratio));
-    }
-    if let Some(ms) = s.strip_prefix("time-budget:") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("time budget must be a non-negative integer (ms), got `{ms}`"))?;
-        return Ok(ReorderSchedule::TimeBudget(ms));
-    }
-    Err(format!(
-        "reorder schedule must be `growth[:ratio]`, `always-once`, `time-budget[:ms]`, or `adaptive`, got `{s}`"
-    ))
 }
 
 /// Applies a partial options object over `base`. Unknown keys are
 /// rejected (typos should not silently fall back to defaults); `null`
-/// resets an optional field.
+/// resets an optional field. The retired lever keys `ordering`, `sigma`
+/// and `reorder_schedule` are accepted with any value and ignored, so
+/// clients that still send them keep working.
 ///
 /// # Errors
 ///
@@ -420,25 +359,7 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                     other => Some(other.as_f64().ok_or("skew_bound must be a number")?),
                 };
             }
-            "ordering" => {
-                opts.ordering = match v.as_str() {
-                    Some("alloc") => VarOrder::Alloc,
-                    Some("static") => VarOrder::Static,
-                    Some("sift") => VarOrder::Sift,
-                    _ => return Err("ordering must be \"alloc\", \"static\", or \"sift\"".into()),
-                };
-            }
-            "sigma" => {
-                opts.sigma = match v.as_str() {
-                    Some("flat") => SigmaStrategy::Flat,
-                    Some("pruned") => SigmaStrategy::Pruned,
-                    _ => return Err("sigma must be \"flat\" or \"pruned\"".into()),
-                };
-            }
-            "reorder_schedule" => {
-                let s = v.as_str().ok_or("reorder_schedule must be a string")?;
-                opts.reorder_schedule = parse_reorder_schedule(s)?;
-            }
+            "ordering" | "sigma" | "reorder_schedule" => {}
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -458,15 +379,11 @@ fn usize_field(v: &Json, name: &str) -> Result<usize, String> {
 /// deterministic — identical report at any thread count),
 /// `time_budget_ms` (timed-out reports are never cached, and among
 /// non-timed-out runs the budget does not affect the result), `ordering`
-/// (variable order changes node counts and wall time, never the report —
-/// see [`VarOrder`]), `decompose` (the recombined cone-sliced report
-/// is bit-identical to the monolithic one, so a decomposed run may answer
-/// a monolithic request and vice versa), `sigma` (the pruned Φ walk
-/// visits exactly the feasible subsequence the flat odometer would have
-/// examined, so both strategies produce bit-identical reports), and
-/// `reorder_schedule` (like `ordering`, schedules only decide *when* the
-/// kernel sifts — node counts and wall time change, the report never
-/// does).
+/// and `sigma` (variable order and Φ walk change node counts and wall
+/// time, never the report — see [`mct_core::VarOrder`] and
+/// [`mct_core::SigmaStrategy`]), and `decompose` (the recombined
+/// cone-sliced report is bit-identical to the monolithic one, so a
+/// decomposed run may answer a monolithic request and vice versa).
 ///
 /// Deliberately *included*, unlike the knobs above: `skew` and
 /// `skew_bound`. The skew-optimization tier appends a `skew` object to
@@ -629,19 +546,14 @@ mod tests {
         let err = options_overlay(&base, &bad).unwrap_err();
         assert!(err.contains("dalay_variation"), "{err}");
 
-        let order = Json::parse(r#"{"ordering":"sift"}"#).unwrap();
-        let opts = options_overlay(&base, &order).unwrap();
-        assert_eq!(opts.ordering, VarOrder::Sift);
-        let bad_order = Json::parse(r#"{"ordering":"random"}"#).unwrap();
-        let err = options_overlay(&base, &bad_order).unwrap_err();
-        assert!(err.contains("ordering"), "{err}");
-
-        let sigma = Json::parse(r#"{"sigma":"flat"}"#).unwrap();
-        let opts = options_overlay(&base, &sigma).unwrap();
-        assert_eq!(opts.sigma, SigmaStrategy::Flat);
-        let bad_sigma = Json::parse(r#"{"sigma":"odometer"}"#).unwrap();
-        let err = options_overlay(&base, &bad_sigma).unwrap_err();
-        assert!(err.contains("sigma"), "{err}");
+        // Retired lever keys are accepted with any value and ignored.
+        let retired =
+            Json::parse(r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5"}"#)
+                .unwrap();
+        let opts = options_overlay(&base, &retired).unwrap();
+        assert_eq!(format!("{opts:?}"), format!("{base:?}"));
+        let odd = Json::parse(r#"{"ordering":7,"sigma":null}"#).unwrap();
+        assert!(options_overlay(&base, &odd).is_ok());
     }
 
     #[test]
@@ -651,9 +563,6 @@ mod tests {
             exhaustive_floor: Some(1.25),
             time_budget_ms: Some(500),
             num_threads: 3,
-            ordering: VarOrder::Sift,
-            sigma: SigmaStrategy::Flat,
-            reorder_schedule: ReorderSchedule::TimeBudget(75),
             skew: true,
             skew_bound: Some(2.5),
             ..MctOptions::default()
@@ -664,41 +573,14 @@ mod tests {
     }
 
     #[test]
-    fn reorder_schedule_spellings_parse() {
-        assert_eq!(
-            parse_reorder_schedule("growth").unwrap(),
-            ReorderSchedule::GrowthRatio(2.0)
-        );
-        assert_eq!(
-            parse_reorder_schedule("growth:3.5").unwrap(),
-            ReorderSchedule::GrowthRatio(3.5)
-        );
-        assert_eq!(
-            parse_reorder_schedule("always-once").unwrap(),
-            ReorderSchedule::AlwaysOnce
-        );
-        assert_eq!(
-            parse_reorder_schedule("time-budget:120").unwrap(),
-            ReorderSchedule::TimeBudget(120)
-        );
-        assert_eq!(
-            parse_reorder_schedule("adaptive").unwrap(),
-            ReorderSchedule::Adaptive
-        );
-        assert!(parse_reorder_schedule("growth:0.5").is_err());
-        assert!(parse_reorder_schedule("sift-harder").is_err());
-    }
-
-    #[test]
     fn fingerprint_ignores_threads_and_budget() {
         let mut a = MctOptions::default();
         let b = MctOptions {
             num_threads: 8,
             time_budget_ms: Some(10),
-            ordering: VarOrder::Sift,
+            ordering: mct_core::VarOrder::Alloc,
             decompose: true,
-            sigma: SigmaStrategy::Flat,
-            reorder_schedule: ReorderSchedule::AlwaysOnce,
+            sigma: mct_core::SigmaStrategy::Flat,
             ..MctOptions::default()
         };
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));

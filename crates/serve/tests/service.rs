@@ -192,61 +192,53 @@ fn ordering_option_does_not_split_the_cache() {
     });
     let mut client = Client::connect(addr).unwrap();
 
-    // Variable ordering only changes node counts and wall time, never the
-    // report, so every policy must share one cache entry.
-    let alloc = Json::parse(r#"{"ordering":"alloc"}"#).unwrap();
-    let sift = Json::parse(r#"{"ordering":"sift"}"#).unwrap();
-    let first = client
-        .analyze(FIG2, "bench", Some("fig2"), Some(&alloc))
-        .unwrap();
+    // Older clients still send the retired lever keys `ordering`, `sigma`
+    // and `reorder_schedule`. The server ignores their values, so such a
+    // request must replay the cached report byte for byte.
+    let first = client.analyze(FIG2, "bench", Some("fig2"), None).unwrap();
     assert_eq!(cache_label(&first), "miss");
+    let legacy =
+        Json::parse(r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5"}"#)
+            .unwrap();
     let second = client
-        .analyze(FIG2, "bench", Some("fig2"), Some(&sift))
+        .analyze(FIG2, "bench", Some("fig2"), Some(&legacy))
         .unwrap();
     assert_eq!(
         cache_label(&second),
         "hit",
-        "a different ordering must replay the cached report"
+        "retired lever keys must replay the cached report"
     );
     assert_eq!(first.get("key"), second.get("key"));
     assert_eq!(report_text(&first), report_text(&second));
+
+    // Any other unknown key is still an error.
+    let bogus = Json::parse(r#"{"bogus":1}"#).unwrap();
+    let third = client
+        .analyze(FIG2, "bench", Some("fig2"), Some(&bogus))
+        .unwrap();
+    assert_eq!(third.get("type").and_then(Json::as_str), Some("error"));
 
     client.shutdown().unwrap();
     thread.join().unwrap().unwrap();
 }
 
 #[test]
-fn sigma_strategies_share_one_cache_entry_and_counters_surface_in_stats() {
+fn sigma_counters_surface_in_stats_not_in_the_report() {
     let (addr, thread) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
 
-    // The pruned Φ walk visits exactly the feasible subsequence the flat
-    // odometer examines, so the strategy is a performance lever, never a
-    // semantic one: both requests must share one cache entry and replay
-    // byte for byte.
-    let pruned = Json::parse(r#"{"sigma":"pruned","exhaustive_floor":1.0}"#).unwrap();
-    let flat = Json::parse(r#"{"sigma":"flat","exhaustive_floor":1.0}"#).unwrap();
+    let exhaustive = Json::parse(r#"{"exhaustive_floor":1.0}"#).unwrap();
     let first = client
-        .analyze(FIG2, "bench", Some("fig2"), Some(&pruned))
+        .analyze(FIG2, "bench", Some("fig2"), Some(&exhaustive))
         .unwrap();
     assert_eq!(cache_label(&first), "miss");
-    let second = client
-        .analyze(FIG2, "bench", Some("fig2"), Some(&flat))
-        .unwrap();
-    assert_eq!(
-        cache_label(&second),
-        "hit",
-        "a different sigma strategy must replay the cached report"
-    );
-    assert_eq!(first.get("key"), second.get("key"));
-    assert_eq!(report_text(&first), report_text(&second));
 
     // The scheduling-dependent counters stay out of the serialized
-    // report (they would break bit-identical replay across strategies
-    // and thread counts)...
+    // report (they would break bit-identical replay across thread
+    // counts)...
     let report = first.get("report").unwrap();
     assert!(report.get("sigma_pruned").is_none());
     assert!(report.get("sigma_pruned_subtrees").is_none());

@@ -4,10 +4,10 @@
 //! hangs, or outsized allocations — and must never corrupt a live manager.
 
 use mct_bdd::{BddManager, BddSnapshot, SnapshotNode, Var};
-use mct_core::{OrderData, ReachData, ReachSnapshot};
+use mct_core::{ConeData, ReachData, ReachSnapshot};
 use mct_store::{
-    decode_cone, decode_order, decode_reach, encode_reach, ArtifactKind, Store, StoreError,
-    FORMAT_VERSION, MAGIC,
+    cone_name, decode_cone, decode_reach, encode_reach, peek_kind, reach_name, ArtifactKind, Store,
+    StoreError, FORMAT_VERSION, MAGIC,
 };
 use mct_tbf::TimedVar;
 use std::fs;
@@ -140,15 +140,11 @@ fn wrong_var_count_fails_import() {
 fn kind_confusion_is_rejected() {
     let reach_bytes = encode_reach(&valid_reach());
     assert!(matches!(
-        decode_order(&reach_bytes).unwrap_err(),
-        StoreError::WrongKind {
-            expected: ArtifactKind::Order,
-            ..
-        }
-    ));
-    assert!(matches!(
         decode_cone(&reach_bytes).unwrap_err(),
-        StoreError::WrongKind { .. }
+        StoreError::WrongKind {
+            expected: ArtifactKind::Cone,
+            got: 1,
+        }
     ));
 }
 
@@ -184,7 +180,6 @@ fn corrupt_files_are_misses_and_gc_prunes_them() {
     assert!(store.load_reach("good").is_some());
     assert!(store.load_reach("bad0").is_none());
     assert!(store.load_reach("bad1").is_none());
-    assert!(store.load_order("bad2").is_none());
 
     let outcome = store.gc(None);
     assert_eq!(outcome.removed, 3, "all three corrupt files pruned");
@@ -203,25 +198,81 @@ fn deleted_store_directory_degrades_to_misses() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A learned-order file as older stores wrote it: valid magic, version
+/// and flags, artifact kind byte 2, and one timed variable
+/// (`Next { leaf: 0 }`: tag 2, leaf 0, aux 0).
+fn retired_order_file() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(MAGIC);
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    bytes.push(2); // kind: the retired learned order
+    bytes.push(1); // flags: complement edges
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.push(2);
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&0i64.to_le_bytes());
+    bytes
+}
+
+fn valid_cone() -> ConeData {
+    ConeData {
+        vars: vec![TimedVar::Next { leaf: 0 }],
+        snapshot: BddSnapshot {
+            num_vars: 1,
+            order: vec![0],
+            nodes: vec![SnapshotNode {
+                var: 0,
+                lo: -1,
+                hi: 1,
+            }],
+            roots: vec![2],
+        },
+        tail: 0,
+        period: 1,
+        has_reach: false,
+        outcomes_cx: Vec::new(),
+        outcomes_exact: Vec::new(),
+    }
+}
+
 #[test]
-fn stale_order_artifact_cannot_corrupt_an_analyzer() {
-    // An order file with duplicate variables (e.g. written by a buggy or
-    // malicious producer) must be rejected by the analyzer preload with a
-    // structured error, leaving the analyzer usable.
-    let dup = OrderData {
-        vars: vec![TimedVar::Next { leaf: 0 }, TimedVar::Next { leaf: 0 }],
-    };
-    let bytes = mct_store::encode_order(&dup);
-    let decoded = decode_order(&bytes).unwrap();
-    use mct_netlist::{Circuit, GateKind, Time};
-    let mut c = Circuit::new("t");
-    let q = c.add_dff("q", false, Time::ZERO);
-    let n = c.add_gate("n", GateKind::Not, &[q], Time::UNIT);
-    c.connect_dff_data("q", n).unwrap();
-    c.set_output(q);
-    let mut analyzer = mct_core::MctAnalyzer::new(&c).unwrap();
-    assert!(analyzer.preload_order(&decoded).is_err());
-    // The analyzer still runs fine afterwards.
-    let report = analyzer.run(&mct_core::MctOptions::default()).unwrap();
-    assert!(report.mct_upper_bound > 0.0);
+fn retired_order_kind_is_refused_listed_and_collected() {
+    let bytes = retired_order_file();
+    assert!(matches!(
+        decode_reach(&bytes).unwrap_err(),
+        StoreError::WrongKind { got: 2, .. }
+    ));
+    assert!(matches!(
+        decode_cone(&bytes).unwrap_err(),
+        StoreError::WrongKind { got: 2, .. }
+    ));
+    assert!(peek_kind(&bytes).is_err());
+
+    // A directory an older writer left behind: an order file beside a
+    // reach snapshot and a cone seed.
+    let dir = tmpdir("retired-order");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join("order-00ff.mctb"), &bytes).unwrap();
+    let mut store = Store::open(&dir, None).unwrap();
+    store.save_reach("00ff", &valid_reach()).unwrap();
+    store.save_cone("00ff", 7, &valid_cone()).unwrap();
+
+    let entries = store.ls();
+    let kind_of = |file: &str| entries.iter().find(|e| e.file == file).map(|e| e.kind);
+    assert_eq!(kind_of("order-00ff.mctb"), Some(None), "listed as other");
+    assert_eq!(
+        kind_of(&reach_name("00ff")),
+        Some(Some(ArtifactKind::Reach))
+    );
+    assert_eq!(
+        kind_of(&cone_name("00ff", 7)),
+        Some(Some(ArtifactKind::Cone))
+    );
+
+    let outcome = store.gc(None);
+    assert_eq!(outcome.removed, 1, "only the order file goes");
+    assert!(!dir.join("order-00ff.mctb").exists());
+    assert!(store.load_reach("00ff").is_some(), "reach file survives");
+    assert!(store.load_cone("00ff", 7).is_some(), "cone file survives");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -69,22 +69,6 @@ pub enum TimedVar {
     },
 }
 
-impl TimedVar {
-    /// The dense leaf index this timed copy refers to. Every variant is a
-    /// timed view of exactly one leaf, so the accessor is total — it is what
-    /// lets group sifting treat all copies of one signal as a single block.
-    pub fn leaf(&self) -> usize {
-        match *self {
-            TimedVar::Shifted { leaf, .. }
-            | TimedVar::Absolute { leaf, .. }
-            | TimedVar::Next { leaf }
-            | TimedVar::Old { leaf }
-            | TimedVar::Arbitrary { leaf, .. }
-            | TimedVar::Primed { leaf, .. } => leaf,
-        }
-    }
-}
-
 impl fmt::Display for TimedVar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -7,7 +7,7 @@
 //! when a report change is intentional and called out in CHANGES.md.
 
 use mct_serve::report::report_to_json;
-use mct_suite::core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_suite::core::{MctAnalyzer, MctOptions};
 use mct_suite::gen::families;
 use mct_suite::netlist::{parse_bench, Circuit, DelayModel};
 use std::fmt::Write as _;
@@ -51,10 +51,9 @@ fn corpus() -> Vec<(String, Circuit, MctOptions)> {
 
 /// A run that errors (budget caps) must error identically on every kernel,
 /// so error text participates in the golden capture too.
-fn report_line(circuit: &Circuit, threads: usize, ordering: VarOrder, base: &MctOptions) -> String {
+fn report_line(circuit: &Circuit, threads: usize, base: &MctOptions) -> String {
     let opts = MctOptions {
         num_threads: threads,
-        ordering,
         ..base.clone()
     };
     let outcome = MctAnalyzer::new(circuit)
@@ -66,42 +65,44 @@ fn report_line(circuit: &Circuit, threads: usize, ordering: VarOrder, base: &Mct
     }
 }
 
-/// Reports must be identical at 1, 2, and 4 worker threads and under every
-/// variable-ordering policy (ordering only changes node counts, never
-/// results), and must match the golden capture from the previous kernel
-/// byte for byte.
-#[test]
-fn reports_replay_byte_identical() {
+/// Renders the corpus under `mode` on one thread, asserting along the way
+/// that 2 and 4 worker threads reproduce each report byte for byte.
+fn render_across_threads(mode: &str, mode_opts: impl Fn(MctOptions) -> MctOptions) -> String {
     let mut rendered = String::new();
     for (name, circuit, opts) in corpus() {
-        let base = report_line(&circuit, 1, VarOrder::Alloc, &opts);
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
-            for threads in [1usize, 2, 4] {
-                if (ordering, threads) == (VarOrder::Alloc, 1) {
-                    continue;
-                }
-                let got = report_line(&circuit, threads, ordering, &opts);
-                assert_eq!(
-                    base, got,
-                    "{name}: report at {threads} threads / {ordering:?} ordering \
-                     differs from the single-threaded alloc-order run"
-                );
-            }
+        let opts = mode_opts(opts);
+        let base = report_line(&circuit, 1, &opts);
+        for threads in [2usize, 4] {
+            let got = report_line(&circuit, threads, &opts);
+            assert_eq!(
+                base, got,
+                "{name}: {mode} report at {threads} threads differs from the \
+                 single-threaded run"
+            );
         }
         writeln!(rendered, "{name}\t{base}").unwrap();
     }
+    rendered
+}
 
-    let path = golden_file();
+/// Compares `rendered` against the capture at `path`, or rewrites the
+/// capture under `MCT_BLESS`.
+fn replay_or_bless(path: &std::path::Path, rendered: &str) {
     if std::env::var_os("MCT_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).expect("write golden file");
+        std::fs::write(path, rendered).expect("write golden file");
         return;
     }
-    let golden = std::fs::read_to_string(&path)
+    let golden = std::fs::read_to_string(path)
         .expect("golden file missing; run with MCT_BLESS=1 to capture");
     for (want, got) in golden.lines().zip(rendered.lines()) {
         let name = want.split('\t').next().unwrap_or("?");
-        assert_eq!(want, got, "golden replay mismatch for {name}");
+        assert_eq!(
+            want,
+            got,
+            "{}: golden replay mismatch for {name}",
+            path.display()
+        );
     }
     assert_eq!(
         golden.lines().count(),
@@ -110,44 +111,14 @@ fn reports_replay_byte_identical() {
     );
 }
 
-/// Every reorder schedule must replay the *existing* golden capture byte
-/// for byte under sifting, across thread counts and both σ-enumeration
-/// strategies. Deliberately never re-blessed: a schedule-only divergence
-/// can never be blessed away.
+/// Reports must be identical at 1, 2, and 4 worker threads and must match
+/// the golden capture from the previous kernel byte for byte. (The capture
+/// was taken under allocation order; `order_invariance.rs` checks that the
+/// production static order reproduces it.)
 #[test]
-fn scheduled_reports_replay_byte_identical() {
-    let golden = std::fs::read_to_string(golden_file())
-        .expect("golden file missing; run reports_replay_byte_identical with MCT_BLESS=1 first");
-    let golden: std::collections::HashMap<&str, &str> =
-        golden.lines().filter_map(|l| l.split_once('\t')).collect();
-    let schedules = [
-        ReorderSchedule::GrowthRatio(1.5),
-        ReorderSchedule::AlwaysOnce,
-        ReorderSchedule::TimeBudget(20),
-        ReorderSchedule::Adaptive,
-    ];
-    for (name, circuit, opts) in corpus() {
-        let want = *golden
-            .get(name.as_str())
-            .expect("circuit missing from golden file");
-        for schedule in schedules {
-            for threads in [1usize, 2, 4] {
-                for sigma in [SigmaStrategy::Flat, SigmaStrategy::Pruned] {
-                    let run = MctOptions {
-                        reorder_schedule: schedule,
-                        sigma,
-                        ..opts.clone()
-                    };
-                    let got = report_line(&circuit, threads, VarOrder::Sift, &run);
-                    assert_eq!(
-                        want, got,
-                        "{name}: report under {schedule:?} schedule at {threads} threads \
-                         with {sigma:?} σ differs from the golden capture"
-                    );
-                }
-            }
-        }
-    }
+fn reports_replay_byte_identical() {
+    let rendered = render_across_threads("monolithic", |opts| opts);
+    replay_or_bless(&golden_file(), &rendered);
 }
 
 /// Skew mode (`MctOptions::skew`) has its own golden capture — the skew
@@ -155,55 +126,20 @@ fn scheduled_reports_replay_byte_identical() {
 /// the cache fingerprint changes), so it gets its own file rather than a
 /// re-bless of the base goldens, which must stay byte-identical to their
 /// pre-skew capture. The skew-mode report must itself be byte-identical
-/// across every ordering policy and thread count.
+/// across thread counts.
 ///
 /// Regenerate with `MCT_BLESS=1 cargo test --test golden_replay`.
 #[test]
 fn skew_mode_reports_replay_byte_identical() {
-    let mut rendered = String::new();
-    for (name, circuit, opts) in corpus() {
-        let skew_opts = MctOptions { skew: true, ..opts };
-        let base = report_line(&circuit, 1, VarOrder::Alloc, &skew_opts);
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
-            for threads in [1usize, 2, 4] {
-                if (ordering, threads) == (VarOrder::Alloc, 1) {
-                    continue;
-                }
-                let got = report_line(&circuit, threads, ordering, &skew_opts);
-                assert_eq!(
-                    base, got,
-                    "{name}: skew-mode report at {threads} threads / {ordering:?} \
-                     ordering differs from the single-threaded alloc-order run"
-                );
-            }
-        }
-        writeln!(rendered, "{name}\t{base}").unwrap();
-    }
-
-    let path = skew_golden_file();
-    if std::env::var_os("MCT_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).expect("write skew golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path)
-        .expect("skew golden file missing; run with MCT_BLESS=1 to capture");
-    for (want, got) in golden.lines().zip(rendered.lines()) {
-        let name = want.split('\t').next().unwrap_or("?");
-        assert_eq!(want, got, "skew golden replay mismatch for {name}");
-    }
-    assert_eq!(
-        golden.lines().count(),
-        rendered.lines().count(),
-        "skew golden corpus size changed"
-    );
+    let rendered = render_across_threads("skew-mode", |opts| MctOptions { skew: true, ..opts });
+    replay_or_bless(&skew_golden_file(), &rendered);
 }
 
 /// The cone-decomposed path must reproduce the same golden capture byte
 /// for byte — decomposition is an execution strategy, not a semantic
-/// change — under every ordering policy and thread count. Deliberately
-/// replays against the *existing* golden file: a decomposed-only
-/// divergence can never be blessed away.
+/// change — at every thread count. Deliberately replays against the
+/// *existing* golden file: a decomposed-only divergence can never be
+/// blessed away.
 #[test]
 fn decomposed_reports_replay_byte_identical() {
     let golden = std::fs::read_to_string(golden_file())
@@ -218,15 +154,13 @@ fn decomposed_reports_replay_byte_identical() {
             decompose: true,
             ..opts
         };
-        for ordering in [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift] {
-            for threads in [1usize, 2, 4] {
-                let got = report_line(&circuit, threads, ordering, &base);
-                assert_eq!(
-                    want, got,
-                    "{name}: decomposed report at {threads} threads / {ordering:?} \
-                     ordering differs from the golden monolithic capture"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let got = report_line(&circuit, threads, &base);
+            assert_eq!(
+                want, got,
+                "{name}: decomposed report at {threads} threads differs from the \
+                 golden monolithic capture"
+            );
         }
     }
 }

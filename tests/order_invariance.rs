@@ -1,28 +1,18 @@
 //! Order invariance: the serialized analysis report is byte-identical
-//! under every variable-ordering policy — allocation order, the structural
-//! static order, and static + growth-triggered sifting — and survives
-//! *forced* mid-analysis reordering (`MCT_BDD_SIFT_STRESS=1`, which sifts
-//! at every garbage collection).
+//! under both variable-ordering policies — allocation order (the reference
+//! the golden reports were captured under) and the structural static order
+//! every analysis runs in production — and through the cone-decomposed and
+//! warm-start paths.
 //!
 //! This is the hard correctness bar of the ordering subsystem: variable
 //! order may change node counts and wall time, never results. The analyses
-//! earn this by comparing canonical function handles only; these tests
-//! guard that property end to end, through the parallel sweep and the
-//! warm-start path.
+//! earn this by comparing canonical function handles only. Thread-count
+//! invariance is checked against the golden capture in `golden_replay.rs`.
 
 use mct_serve::report::report_to_json;
-use mct_suite::core::{MctAnalyzer, MctOptions, ReorderSchedule, SigmaStrategy, VarOrder};
+use mct_suite::core::{MctAnalyzer, MctOptions, VarOrder};
 use mct_suite::gen::{families, paper_figure2, s27};
 use mct_suite::netlist::{Circuit, DelayModel, Time};
-
-const POLICIES: [VarOrder; 3] = [VarOrder::Alloc, VarOrder::Static, VarOrder::Sift];
-
-const SCHEDULES: [ReorderSchedule; 4] = [
-    ReorderSchedule::GrowthRatio(1.5),
-    ReorderSchedule::AlwaysOnce,
-    ReorderSchedule::TimeBudget(20),
-    ReorderSchedule::Adaptive,
-];
 
 /// The invariance corpus: the paper's Figure 2, the ISCAS'89 s27, and
 /// twenty seeded random FSMs (same family parameters as the golden-replay
@@ -39,48 +29,43 @@ fn corpus() -> Vec<(String, Circuit, MctOptions)> {
     out
 }
 
-fn serialized(circuit: &Circuit, ordering: VarOrder, threads: usize, base: &MctOptions) -> String {
-    let opts = MctOptions {
-        ordering,
-        num_threads: threads,
-        ..base.clone()
-    };
-    match MctAnalyzer::new(circuit).expect("analyzable").run(&opts) {
+fn serialized(circuit: &Circuit, opts: &MctOptions) -> String {
+    match MctAnalyzer::new(circuit).expect("analyzable").run(opts) {
         Ok(report) => report_to_json(&report).to_compact(),
         Err(e) => format!("error: {e}"),
     }
 }
 
-fn check_corpus(circuits: &[(String, Circuit, MctOptions)], threads: &[usize]) {
+/// One single-thread allocation-order vs static-order comparison per
+/// circuit.
+fn check_alloc_matches_static(circuits: &[(String, Circuit, MctOptions)]) {
     for (name, circuit, opts) in circuits {
-        let reference = serialized(circuit, VarOrder::Alloc, 1, opts);
-        for &ordering in &POLICIES {
-            for &t in threads {
-                if (ordering, t) == (VarOrder::Alloc, 1) {
-                    continue;
-                }
-                let got = serialized(circuit, ordering, t, opts);
-                assert_eq!(
-                    reference, got,
-                    "{name}: report under {ordering:?} ordering at {t} threads \
-                     differs from the alloc-order sequential run"
-                );
-            }
-        }
+        let alloc = MctOptions {
+            ordering: VarOrder::Alloc,
+            ..opts.clone()
+        };
+        let fixed = MctOptions {
+            ordering: VarOrder::Static,
+            ..opts.clone()
+        };
+        assert_eq!(
+            serialized(circuit, &alloc),
+            serialized(circuit, &fixed),
+            "{name}: static-order report differs from the alloc-order run"
+        );
     }
 }
 
 #[test]
 fn reports_identical_across_ordering_policies() {
-    check_corpus(&corpus(), &[1, 2, 4]);
+    check_alloc_matches_static(&corpus());
 }
 
 /// Skew mode runs the optimization tier — the LP binary search, the exact
 /// Bellman–Ford certification, and up to two exact sub-sweeps (the zeroed
 /// baseline and the witness machine) — and all of it must be just as
-/// order- and thread-invariant as the base sweep: byte-identical reports
-/// across {alloc, static, sift} × {1, 2, 4}. The corpus includes the
-/// `skew/*` families, where the tier genuinely improves the bound and a
+/// order-invariant as the base sweep. The corpus includes the `skew/*`
+/// families, where the tier genuinely improves the bound and a
 /// non-trivial witness participates in the serialized report.
 #[test]
 fn skew_mode_reports_identical_across_ordering_policies() {
@@ -103,88 +88,50 @@ fn skew_mode_reports_identical_across_ordering_policies() {
         .into_iter()
         .map(|(name, c, opts)| (name, c, MctOptions { skew: true, ..opts }))
         .collect();
-    check_corpus(&skewed, &[1, 2, 4]);
+    check_alloc_matches_static(&skewed);
 }
 
 /// The cone-decomposed path must agree byte for byte with the monolithic
-/// alloc-order sequential reference under every ordering policy and
-/// thread count — including on a genuinely multi-cone machine (the
-/// three-component composite), where decomposition actually splits the
-/// analysis instead of degenerating to the single-cone fallback.
+/// sequential reference at every thread count — including on a genuinely
+/// multi-cone machine (the three-component composite), where decomposition
+/// actually splits the analysis instead of degenerating to the single-cone
+/// fallback. (The random machines of the corpus get the same check
+/// against the golden capture in `golden_replay.rs`.)
 #[test]
 fn decomposed_reports_match_monolithic_reference() {
-    let mut circuits = corpus();
-    circuits.push((
-        "composite".into(),
-        families::composite(4, 3, 3, Time::from_f64(6.0), Time::from_f64(8.0)),
-        MctOptions::paper(),
-    ));
+    let circuits = [
+        ("s27", s27(&DelayModel::Mapped), MctOptions::paper()),
+        (
+            "composite",
+            families::composite(4, 3, 3, Time::from_f64(6.0), Time::from_f64(8.0)),
+            MctOptions::paper(),
+        ),
+    ];
     for (name, circuit, base) in &circuits {
-        let reference = serialized(circuit, VarOrder::Alloc, 1, base);
-        for &ordering in &POLICIES {
-            for &t in &[1usize, 2, 4] {
-                let opts = MctOptions {
-                    decompose: true,
-                    ordering,
-                    num_threads: t,
-                    ..base.clone()
-                };
-                let got = match MctAnalyzer::new(circuit).expect("analyzable").run(&opts) {
-                    Ok(report) => report_to_json(&report).to_compact(),
-                    Err(e) => format!("error: {e}"),
-                };
-                assert_eq!(
-                    reference, got,
-                    "{name}: decomposed report under {ordering:?} ordering at {t} \
-                     threads differs from the monolithic alloc-order sequential run"
-                );
-            }
+        let reference = serialized(circuit, base);
+        for threads in [1usize, 2, 4] {
+            let opts = MctOptions {
+                decompose: true,
+                num_threads: threads,
+                ..base.clone()
+            };
+            assert_eq!(
+                reference,
+                serialized(circuit, &opts),
+                "{name}: decomposed report at {threads} threads differs from the \
+                 monolithic sequential run"
+            );
         }
     }
 }
 
-/// Every reorder schedule — crossed with thread counts and both
-/// σ-enumeration strategies — must reproduce the alloc-order sequential
-/// report byte for byte. Schedules change *when* sifting pays, never
-/// *what* comes out; this is the matrix the serve tier's cache-fingerprint
-/// exclusion of `reorder_schedule` relies on.
-#[test]
-fn reports_identical_across_reorder_schedules() {
-    let circuits: Vec<_> = corpus().into_iter().take(10).collect();
-    for (name, circuit, base) in &circuits {
-        let reference = serialized(circuit, VarOrder::Alloc, 1, base);
-        for &schedule in &SCHEDULES {
-            for &threads in &[1usize, 2, 4] {
-                for &sigma in &[SigmaStrategy::Flat, SigmaStrategy::Pruned] {
-                    let opts = MctOptions {
-                        ordering: VarOrder::Sift,
-                        reorder_schedule: schedule,
-                        num_threads: threads,
-                        sigma,
-                        ..base.clone()
-                    };
-                    let got = match MctAnalyzer::new(circuit).expect("analyzable").run(&opts) {
-                        Ok(report) => report_to_json(&report).to_compact(),
-                        Err(e) => format!("error: {e}"),
-                    };
-                    assert_eq!(
-                        reference, got,
-                        "{name}: report under {schedule:?} schedule at {threads} threads \
-                         with {sigma:?} σ differs from the alloc-order sequential run"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Warm starts must reproduce the cold report under every policy — the
-/// snapshot carries the learned variable order, and importing it must not
-/// perturb any answer.
+/// Warm starts must reproduce the cold report under both policies — the
+/// snapshot carries the analyzer's variable order, and importing it must
+/// not perturb any answer.
 #[test]
 fn warm_start_is_order_invariant() {
     let c = paper_figure2();
-    for &ordering in &POLICIES {
+    for ordering in [VarOrder::Alloc, VarOrder::Static] {
         let opts = MctOptions {
             ordering,
             ..MctOptions::paper()
@@ -201,34 +148,4 @@ fn warm_start_is_order_invariant() {
             "{ordering:?}: warm-started report differs from cold"
         );
     }
-}
-
-/// Re-runs the invariance check in a child process with
-/// `MCT_BDD_SIFT_STRESS=1`, so the kernel reorders at *every* garbage
-/// collection mid-analysis. The env var is latched once per process, which
-/// is why this needs a child rather than `set_var` in-process.
-#[test]
-fn reports_survive_forced_mid_analysis_reordering() {
-    if std::env::var_os("MCT_ORDER_STRESS_CHILD").is_some() {
-        // We are the child: stress sifting is active. A smaller corpus
-        // keeps the run affordable (every GC now pays a full sift pass).
-        let circuits: Vec<_> = corpus().into_iter().take(8).collect();
-        check_corpus(&circuits, &[1, 4]);
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let status = std::process::Command::new(exe)
-        .args([
-            "--exact",
-            "reports_survive_forced_mid_analysis_reordering",
-            "--nocapture",
-        ])
-        .env("MCT_BDD_SIFT_STRESS", "1")
-        .env("MCT_ORDER_STRESS_CHILD", "1")
-        .status()
-        .expect("spawn stress child");
-    assert!(
-        status.success(),
-        "order invariance violated under MCT_BDD_SIFT_STRESS=1"
-    );
 }
