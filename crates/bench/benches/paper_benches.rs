@@ -14,11 +14,11 @@
 //! * `ablation/*` — reachability restriction on/off, path-coupled LP
 //!   on/off, Φ-signature cache effectiveness (exhaustive sweep);
 //! * `parallel/*` — the breakpoint sweep at 1 vs 4 worker threads;
-//! * `decompose/*` — monolithic vs cone-of-influence-decomposed analysis
-//!   on the multi-cone composite machines, plus the seeded replay path
-//!   (`BENCH_6.json`);
-//! * `persist/*` — cold analysis vs a warm start from a disk-stored reach
-//!   snapshot, plus store codec export/import throughput
+//! * `decompose/*` — the unsliced reference vs the cone-sliced production
+//!   path on the multi-cone composite machines, plus the seeded replay
+//!   path (`BENCH_6.json`);
+//! * `persist/*` — cold analysis vs a warm start from disk-stored cone
+//!   entries, plus store codec export/import throughput
 //!   (`BENCH_7.json`);
 //! * `sigma/*` — flat-odometer vs LP-pruned Φ enumeration on the
 //!   shared-trunk sigma-star family, at 1 and 4 threads, with
@@ -606,16 +606,16 @@ fn bench_ordering(h: &mut Harness) {
     }
 }
 
-/// Monolithic vs cone-decomposed analysis on the multi-cone composite
-/// machines (three independent cones each). Peak arena nodes are printed
-/// per scenario from a deterministic single-thread probe run —
-/// `BENCH_6.json` is transcribed from this output. The decomposed peak
+/// The unsliced reference (the whole circuit as one cone) vs the sliced
+/// production path on the multi-cone composite machines (three
+/// independent cones each). Peak arena nodes are printed per scenario
+/// from a deterministic single-thread probe run — `BENCH_6.json` was
+/// transcribed from an earlier form of this output. The sliced peak
 /// column sums the per-cone peaks (each cone runs in a private manager),
 /// so it upper-bounds live nodes even if every cone were resident at
-/// once; a decomposed total below the monolithic peak is therefore a
-/// strict win. The `replay` scenario times the incremental path: every
-/// cone seeded from a previous run's cached artifacts, the workload an
-/// ECO pays on its untouched cones.
+/// once. The `replay` scenario times the incremental path: every cone
+/// seeded from a previous run's cached artifacts, the workload an ECO
+/// pays on its untouched cones.
 fn bench_decompose(h: &mut Harness) {
     use mct_core::ConeCacheEntry;
     let suite = standard_suite();
@@ -624,7 +624,7 @@ fn bench_decompose(h: &mut Harness) {
             .iter()
             .find(|e| e.circuit.name() == name)
             .expect("suite circuit");
-        for (label, decompose) in [("mono", false), ("cones", true)] {
+        for (label, decompose) in [("unsliced", false), ("cones", true)] {
             let scenario = format!("decompose/{name}/{label}");
             if !h.wants(&scenario) {
                 continue;
@@ -649,10 +649,7 @@ fn bench_decompose(h: &mut Harness) {
         }
         let scenario = format!("decompose/{name}/replay");
         if h.wants(&scenario) {
-            let opts = MctOptions {
-                decompose: true,
-                ..MctOptions::paper()
-            };
+            let opts = MctOptions::paper();
             let (_, artifacts) = MctAnalyzer::new(&entry.circuit)
                 .unwrap()
                 .run_decomposed(&opts, &[])
@@ -672,12 +669,13 @@ fn bench_decompose(h: &mut Harness) {
 }
 
 /// Persistence round trips on the reach-dominated composite machines:
-/// cold analysis vs a warm start whose reach snapshot is loaded from the
+/// cold analysis vs a warm start whose cone entries are loaded from the
 /// disk store (the restarted-daemon path), plus raw export/import
 /// throughput of the store codec. The artifact size is printed per
-/// machine — `BENCH_7.json` is transcribed from this output.
+/// machine — `BENCH_7.json` was transcribed from an earlier form of this
+/// output, when the persisted artifact was a whole-circuit reach set.
 fn bench_persist(h: &mut Harness) {
-    use mct_core::ReachSnapshot;
+    use mct_core::{ConeCacheEntry, ConeData};
     let suite = standard_suite();
     for name in ["syn-s5378x", "syn-s15850x"] {
         if !["cold", "disk-warm", "export", "import"]
@@ -691,14 +689,23 @@ fn bench_persist(h: &mut Harness) {
             .find(|e| e.circuit.name() == name)
             .expect("suite circuit");
         let opts = MctOptions::paper();
-        // One cold run produces the snapshot every other scenario reuses.
-        let (_, snapshot) = MctAnalyzer::new(&entry.circuit)
+        // One cold run harvests the entries every other scenario reuses.
+        let (_, artifacts) = MctAnalyzer::new(&entry.circuit)
             .unwrap()
-            .run_warm(&opts, None)
+            .run_decomposed(&opts, &[])
             .unwrap();
-        let snapshot = snapshot.expect("reachability produces a snapshot");
-        let bytes = mct_store::encode_reach(&snapshot.export_data());
-        println!("persist/{name}/artifact{:>21} bytes", bytes.len());
+        let data: Vec<ConeData> = artifacts
+            .entries
+            .iter()
+            .map(|e| {
+                e.as_ref()
+                    .expect("a cold run harvests every cone")
+                    .export_data()
+            })
+            .collect();
+        let encoded: Vec<Vec<u8>> = data.iter().map(mct_store::encode_cone).collect();
+        let bytes: usize = encoded.iter().map(Vec::len).sum();
+        println!("persist/{name}/artifact{bytes:>21} bytes");
 
         h.bench(&format!("persist/{name}/cold"), || {
             MctAnalyzer::new(&entry.circuit)
@@ -707,35 +714,55 @@ fn bench_persist(h: &mut Harness) {
                 .unwrap()
                 .mct_upper_bound
         });
-        // The restarted-daemon path: read the artifact back from a store
-        // directory, decode and import it, then warm-start the analysis —
-        // the reachability fixpoint is replaced by a transfer walk.
+        // The restarted-daemon path: read the entries back from a store
+        // directory, decode and import them, then seed the analysis —
+        // every reachability fixpoint is replaced by replay.
         let dir =
             std::env::temp_dir().join(format!("mct-bench-persist-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = mct_store::Store::open(&dir, None).expect("open store dir");
-        store
-            .save_reach("bench", &snapshot.export_data())
-            .expect("persist artifact");
+        let key = ConeCacheEntry::key(&opts);
+        for (i, d) in data.iter().enumerate() {
+            store
+                .save_cone(&format!("{i:032x}"), key, d)
+                .expect("persist artifact");
+        }
         h.bench(&format!("persist/{name}/disk-warm"), || {
-            let data = store.load_reach("bench").expect("persisted artifact");
-            let snap = ReachSnapshot::import_data(&data).expect("well-formed artifact");
+            let seeds: Vec<ConeCacheEntry> = (0..data.len())
+                .map(|i| {
+                    let d = store
+                        .load_cone(&format!("{i:032x}"), key)
+                        .expect("persisted artifact");
+                    ConeCacheEntry::import_data(&d).expect("well-formed artifact")
+                })
+                .collect();
+            let refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Some).collect();
             MctAnalyzer::new(&entry.circuit)
                 .unwrap()
-                .run_warm(&opts, Some(&snap))
+                .run_decomposed(&opts, &refs)
                 .unwrap()
                 .0
                 .mct_upper_bound
         });
         let _ = std::fs::remove_dir_all(&dir);
         h.bench(&format!("persist/{name}/export"), || {
-            mct_store::encode_reach(&snapshot.export_data()).len()
+            artifacts
+                .entries
+                .iter()
+                .flatten()
+                .map(|e| mct_store::encode_cone(&e.export_data()).len())
+                .sum::<usize>()
         });
         h.bench(&format!("persist/{name}/import"), || {
-            let data = mct_store::decode_reach(&bytes).expect("round-trip");
-            ReachSnapshot::import_data(&data)
-                .expect("round-trip")
-                .approx_bytes()
+            encoded
+                .iter()
+                .map(|b| {
+                    let d = mct_store::decode_cone(b).expect("round-trip");
+                    ConeCacheEntry::import_data(&d)
+                        .expect("round-trip")
+                        .approx_bytes()
+                })
+                .sum::<u64>()
         });
     }
 }

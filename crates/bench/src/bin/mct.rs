@@ -20,12 +20,11 @@
 //!   --exact           exact product-machine equivalence check
 //!   --lp              Section-7 path-coupled linear programs
 //!   --threads N       sweep worker threads (0 = all CPUs; default 1);
-//!                     the report is identical at every thread count
-//!   --decompose       slice into independent cones of influence and
-//!                     analyze each with its own BDD manager; the
-//!                     recombined report is bit-identical, usually with a
-//!                     lower peak node count (and, on the server, an
-//!                     incrementally replayable per-cone cache)
+//!                     the report is identical at every thread count.
+//!                     Every analysis is sliced into independent cones of
+//!                     influence, each decided with its own BDD managers
+//!                     (on the server, an incrementally replayable
+//!                     per-cone cache)
 //!   --mode M          zero (default) | skew: `skew` additionally runs the
 //!                     clock-skew optimization tier — an LP over per-register
 //!                     capture offsets plus an exact re-sweep of the witness
@@ -40,9 +39,9 @@
 //!   --listen ADDR        bind address (default 127.0.0.1:7934; port 0 = ephemeral)
 //!   --workers N          worker threads (default 2)
 //!   --cache-capacity N   in-memory result-cache entries (default 64)
-//!   --cache-dir DIR      persist results, reachability snapshots, and cone
-//!                        replay seeds across restarts (a restarted daemon
-//!                        warm-starts from disk)
+//!   --cache-dir DIR      persist results and cone replay seeds (reach
+//!                        layers plus verdicts) across restarts (a
+//!                        restarted daemon warm-starts from disk)
 //!   --cache-max-bytes N  byte budget, applied to the in-memory cache and
 //!                        the disk store each (LRU eviction; artifacts
 //!                        larger than the budget bypass admission)
@@ -60,8 +59,8 @@
 //!
 //! cache actions (offline, against a --cache-dir store):
 //!   ls                   list artifacts with class and size (files no
-//!                        lookup reads, such as retired `order-*.mctb`
-//!                        ones, list as `other`)
+//!                        lookup reads, such as retired `reach-*.mctb` and
+//!                        `order-*.mctb` ones, list as `other`)
 //!   gc                   drop foreign/corrupt/retired files, then evict LRU
 //!                        until under --cache-max-bytes (when given)
 //!   rm <digest>          remove every artifact keyed by a layout digest
@@ -101,7 +100,6 @@ struct Flags {
     exact: bool,
     lp: bool,
     threads: usize,
-    decompose: bool,
     skew: bool,
     skew_bound: Option<f64>,
     period: Option<f64>,
@@ -140,7 +138,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         exact: false,
         lp: false,
         threads: 1,
-        decompose: false,
         skew: false,
         skew_bound: None,
         period: None,
@@ -178,7 +175,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--no-reachability" => f.no_reachability = true,
             "--exact" => f.exact = true,
             "--lp" => f.lp = true,
-            "--decompose" => f.decompose = true,
             "--threads" => {
                 f.threads = it
                     .next()
@@ -344,7 +340,6 @@ fn mct_options(flags: &Flags) -> MctOptions {
         path_coupled_lp: flags.lp,
         exact_check: flags.exact,
         num_threads: flags.threads,
-        decompose: flags.decompose,
         skew: flags.skew,
         skew_bound: flags.skew_bound,
         ..MctOptions::paper()
@@ -723,7 +718,6 @@ fn build_analyze_request(
         ("path_coupled_lp".into(), Json::Bool(opts.path_coupled_lp)),
         ("exact_check".into(), Json::Bool(opts.exact_check)),
         ("num_threads".into(), Json::Int(opts.num_threads as i64)),
-        ("decompose".into(), Json::Bool(opts.decompose)),
         // Unlike the execution-strategy knobs above, `--mode skew`
         // changes the report (and the cache fingerprint), so the query
         // path must carry it to the server.
@@ -798,7 +792,6 @@ fn cmd_cache(flags: &Flags) -> Result<(), String> {
             let mut out = std::io::stdout().lock();
             for entry in store.ls() {
                 let kind = match entry.kind {
-                    Some(mct_store::ArtifactKind::Reach) => "reach",
                     Some(mct_store::ArtifactKind::Cone) => "cone",
                     None => "other",
                 };
@@ -930,7 +923,7 @@ fn main() -> ExitCode {
     if cmd == "--help" || cmd == "-h" {
         eprintln!(
             "mct analyze <file> [--blif] [--model unit|mapped] [--fixed] \
-             [--no-reachability] [--exact] [--lp] [--threads N] [--decompose] \
+             [--no-reachability] [--exact] [--lp] [--threads N] \
              [--json]\n\
              mct delays <file> [--blif] [--model unit|mapped]\n\
              mct simulate <file> --period X [--cycles N] [--seed S] [--vcd out.vcd]\n\

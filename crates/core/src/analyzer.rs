@@ -1,21 +1,19 @@
-//! The minimum-cycle-time sweep: breakpoints, Φ enumeration, feasibility,
-//! and the final bound `D̄_s = max_{σ ∈ Ω} τ(σ)`.
+//! The minimum-cycle-time analysis: options, the report, and the
+//! [`MctAnalyzer`] entry points.
 //!
-//! The sweep itself (candidate planning, per-candidate evaluation, and the
-//! τ-order reconciliation that both the 1-thread path and the worker pool
-//! share) lives in [`crate::parallel`]; this module owns the option/report
-//! types and the circuit-level setup.
+//! The sweep itself — breakpoints, Φ enumeration, feasibility, decisions
+//! per cone of influence, and the final bound `D̄_s = max_{σ ∈ Ω} τ(σ)` —
+//! lives in [`crate::sweep`]; this module owns the option/report types and
+//! the slicing.
 
-use crate::decision::{DecisionContext, DecisionOutcome};
+use crate::artifact::ConeCacheEntry;
+use crate::decision::DecisionOutcome;
 use crate::error::MctError;
-use crate::parallel::{self, EvalEnv, SigmaMemo, SweepShared};
-use mct_bdd::{Bdd, BddManager, BddStats};
+use crate::sweep::{self, DecomposeArtifacts};
+use mct_bdd::BddStats;
 use mct_lp::{LpOutcome, Rat, Simplex};
-use mct_netlist::{Circuit, FsmView, NetId};
-use mct_tbf::{
-    count_states, export_order, reachable_states, transfer_bdd, ConeExtractor, DelayClass,
-    StaticOrder, TimedVarTable,
-};
+use mct_netlist::{Circuit, Cone, FsmView, NetId};
+use mct_tbf::DelayClass;
 use std::collections::HashMap;
 
 /// Variable-ordering policy for the symbolic kernel.
@@ -103,30 +101,32 @@ pub struct MctOptions {
     pub exact_check: bool,
     /// Bit budget for the exact check's expanded product state.
     pub max_product_bits: usize,
-    /// Wall-clock budget for the sweep, in milliseconds. When exceeded the
-    /// report carries the best *partial* result with
-    /// [`MctReport::timed_out`] set — the same convention as the paper's
-    /// table, which reports the last value with a `†` for runs that
-    /// exhausted memory.
+    /// Wall-clock budget for the analysis, in milliseconds, armed when the
+    /// analysis starts and polled between reachability image steps and
+    /// between candidates. When exceeded the report carries the best
+    /// *partial* result with [`MctReport::timed_out`] set — the same
+    /// convention as the paper's table, which reports the last value with
+    /// a `†` for runs that exhausted memory.
     pub time_budget_ms: Option<u64>,
     /// Number of sweep worker threads. `1` (the default) evaluates
     /// candidates on the calling thread; `0` means one worker per available
     /// CPU. Each worker owns a private BDD manager and timed-variable
-    /// table (the managers are deliberately single-threaded); workers share
-    /// only the Φ-signature memo. The report is bit-identical at every
-    /// thread count.
+    /// table per cone (the managers are deliberately single-threaded);
+    /// workers share only the σ memos. The report is bit-identical at
+    /// every thread count.
     pub num_threads: usize,
     /// Variable-ordering policy for every BDD manager the analysis builds.
     /// Never changes the report — see [`VarOrder`].
     pub ordering: VarOrder,
     /// Slice the circuit into independent cones of influence
-    /// ([`mct_netlist::decompose`]) and analyze each cone with its own
+    /// ([`mct_netlist::decompose`]) and decide each cone with its own
     /// symbolic stack, recombining per-cone verdicts into the whole-circuit
-    /// report. Like `num_threads` and `ordering` this is a performance
-    /// lever only: the recombined report is bit-identical to the monolithic
-    /// one, so the flag is excluded from result-cache fingerprints. With
-    /// `num_threads > 1` the decomposed sweep parallelizes across cones
-    /// (one worker per cone) instead of across candidates.
+    /// report — the production path (the default). `false` analyzes the
+    /// whole circuit as one cone: the unsliced reference that tests check
+    /// recombination against, like [`VarOrder::Alloc`] and
+    /// [`SigmaStrategy::Flat`]. The report is bit-identical either way, so
+    /// the field is excluded from result-cache fingerprints, and no CLI
+    /// flag or service option selects the reference.
     pub decompose: bool,
     /// Φ-enumeration strategy for variable delays. Never changes the
     /// report — see [`SigmaStrategy`].
@@ -167,7 +167,7 @@ impl Default for MctOptions {
             time_budget_ms: None,
             num_threads: 1,
             ordering: VarOrder::default(),
-            decompose: false,
+            decompose: true,
             sigma: SigmaStrategy::default(),
             skew: false,
             skew_bound: None,
@@ -238,9 +238,9 @@ pub struct MctReport {
     /// examined period was valid and `mct_upper_bound` is the smallest
     /// period examined.
     pub exhausted: bool,
-    /// The wall-clock budget expired mid-sweep; the bound is partial (the
-    /// smallest period certified before the deadline), like the paper's
-    /// `†` rows.
+    /// The wall-clock budget expired mid-analysis; the bound is partial
+    /// (the smallest period certified before the deadline, or the steady
+    /// delay `L` when nothing was), like the paper's `†` rows.
     pub timed_out: bool,
     /// Interval-by-interval validity (populated when
     /// [`MctOptions::exhaustive_floor`] is set; otherwise only the
@@ -251,7 +251,7 @@ pub struct MctReport {
     /// [`kernel`](Self::kernel)).
     pub skew: Option<crate::skew::SkewReport>,
     /// Symbolic-kernel diagnostics, aggregated across every BDD manager the
-    /// analysis used (the main manager plus one per pool worker): live/peak
+    /// analysis used (one per cone per pool worker, plus reachability): live/peak
     /// node counts, garbage-collection runs, and operation-cache hit rates.
     ///
     /// Unlike every other field, this is **not** part of the deterministic
@@ -261,37 +261,9 @@ pub struct MctReport {
     pub kernel: BddStats,
 }
 
-/// A reachable-state set exported into its own private manager and
-/// timed-variable table, so it can outlive the analyzer that computed it
-/// and seed future analyses of the same circuit.
-///
-/// Produced by [`MctAnalyzer::run_warm`]; feed it back to a later
-/// `run_warm` (of an analyzer over the *same* circuit, e.g. one looked up
-/// by canonical hash) to replace the image fixpoint with a linear
-/// [`transfer_bdd`] walk. The warm-started report is identical to the cold
-/// one: the transferred set denotes the same function, and the decision
-/// algorithm only ever compares functions.
-pub struct ReachSnapshot {
-    pub(crate) manager: BddManager,
-    pub(crate) table: TimedVarTable,
-    pub(crate) set: Bdd,
-    pub(crate) states: f64,
-}
-
-impl ReachSnapshot {
-    /// Number of reachable states the snapshot denotes (as counted when it
-    /// was first computed).
-    pub fn num_states(&self) -> f64 {
-        self.states
-    }
-}
-
-/// Orchestrates the full analysis of one circuit. Owns the BDD manager and
-/// the timed-variable table so repeated runs share symbolic work.
+/// Orchestrates the analysis of one circuit.
 pub struct MctAnalyzer<'c> {
     view: FsmView<'c>,
-    manager: BddManager,
-    table: TimedVarTable,
 }
 
 impl<'c> MctAnalyzer<'c> {
@@ -304,8 +276,6 @@ impl<'c> MctAnalyzer<'c> {
     pub fn new(circuit: &'c Circuit) -> Result<Self, MctError> {
         Ok(MctAnalyzer {
             view: FsmView::new(circuit)?,
-            manager: BddManager::new(),
-            table: TimedVarTable::new(),
         })
     }
 
@@ -322,228 +292,20 @@ impl<'c> MctAnalyzer<'c> {
     /// [`MctError::SigmaExplosion`] when one interval has too many shift
     /// combinations.
     pub fn run(&mut self, opts: &MctOptions) -> Result<MctReport, MctError> {
-        self.run_warm(opts, None).map(|(report, _)| report)
+        sweep::run(&self.view, &self.cones(opts), opts, &[], false).map(|(report, _)| report)
     }
 
-    /// Like [`run`](Self::run), but can warm-start from a reachable-state
-    /// set computed by an earlier analysis of the same circuit, and exports
-    /// the set it used as a [`ReachSnapshot`] for the next caller.
+    /// Runs the analysis, replaying per-cone results from `seeds`, and
+    /// harvests fresh [`ConeCacheEntry`] values for the cones that did new
+    /// work — one-cone circuits included.
     ///
-    /// When `warm` is provided (and reachability is enabled), the image
-    /// fixpoint is replaced by a [`transfer_bdd`] import — a single linear
-    /// walk of the cached set. The report is identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run); additionally propagates transfer failures
-    /// when `warm` does not belong to this circuit's variable universe.
-    pub fn run_warm(
-        &mut self,
-        opts: &MctOptions,
-        warm: Option<&ReachSnapshot>,
-    ) -> Result<(MctReport, Option<ReachSnapshot>), MctError> {
-        if opts.decompose {
-            let cones = mct_netlist::decompose(self.view.circuit());
-            if cones.len() > 1 {
-                // Decomposed analyses build per-cone managers and never
-                // touch the analyzer's own symbolic state; warm snapshots
-                // (whole-circuit reach sets) are neither consumed nor
-                // produced — the per-cone cache tier replaces them.
-                let (report, _) = crate::decompose::run(&self.view, cones, opts, &[], false)?;
-                return Ok((report, None));
-            }
-            // A single cone is the monolithic machine: fall through so the
-            // report (and the warm-start path) is trivially identical.
-        }
-        let view = &self.view;
-        let manager = &mut self.manager;
-        let table = &mut self.table;
-        let extractor = ConeExtractor::new(view).with_node_limit(opts.cone_node_limit);
-        let classes = extractor.delay_classes_at(&view.sink_starts())?;
-        validate_skew_holds(view, &classes, opts.delay_variation)?;
-        let l_millis = classes.iter().map(|c| c.delay).max().unwrap_or(0);
-        let circuit_name = view.circuit().name().to_owned();
-
-        let mut report = MctReport {
-            circuit: circuit_name,
-            steady_delay: l_millis as f64 / 1000.0,
-            mct_upper_bound: 0.0,
-            bound_exact: Rat::ZERO,
-            first_failing_tau: None,
-            failure: None,
-            candidates_checked: 0,
-            sigma_checked: 0,
-            sigma_cache_hits: 0,
-            used_reachability: false,
-            reachable_states: None,
-            exhausted: false,
-            timed_out: false,
-            regions: Vec::new(),
-            skew: None,
-            kernel: BddStats::default(),
-        };
-        if l_millis == 0 {
-            // No combinational paths at all: any positive period works.
-            if opts.skew {
-                crate::skew::run_tier(view, opts, &mut report)?;
-            }
-            return Ok((report, None));
-        }
-
-        // Delay intervals per class (kmin rounded down: conservative).
-        let intervals: Vec<(i64, i64)> = classes
-            .iter()
-            .map(|c| (skewed_k_min(c, opts.delay_variation), c.delay))
-            .collect();
-        let class_ix: HashMap<(usize, i64), usize> = classes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ((c.leaf, c.delay), i))
-            .collect();
-
-        let floor = match opts.exhaustive_floor {
-            Some(tau) => Rat::new((tau * 1000.0).round() as i64, 1),
-            None => Rat::new(l_millis, opts.floor_divisor.max(1)),
-        };
-        if opts.ordering != VarOrder::Alloc {
-            // Pin the structural order before any BDD is built. The largest
-            // shift a sweep can reference appears at the floor period:
-            // ⌈L/floor⌉ (+1 slack); shifts past the clamp fall back to
-            // allocation order at the bottom of the table.
-            let floor_millis = floor.as_f64();
-            let max_shift = if floor_millis > 0.0 {
-                (l_millis as f64 / floor_millis).ceil() as i64 + 1
-            } else {
-                64
-            }
-            .clamp(1, 128);
-            if let Some(snap) = warm {
-                // Inherit the snapshot's order for the variables it knows;
-                // the structural order fills the rest.
-                table.preregister(snap.table.iter().map(|(tv, _)| tv));
-            }
-            StaticOrder::compute(view, max_shift).apply(table);
-        }
-
-        let mut ctx = DecisionContext::new(&extractor, manager, table)?;
-        let mut restriction = None;
-        let mut snapshot = None;
-        if opts.use_reachability && view.num_state_bits() > 0 {
-            let (r, states) = match warm {
-                // Import the cached set instead of re-running the fixpoint.
-                Some(snap) => {
-                    let local = transfer_bdd(&snap.manager, &snap.table, snap.set, manager, table)?;
-                    (local, snap.states)
-                }
-                None => {
-                    let r = reachable_states(&extractor, manager, table)?;
-                    (r, count_states(manager, r, view.num_state_bits()))
-                }
-            };
-            report.reachable_states = Some(states);
-            report.used_reachability = true;
-            ctx = ctx.with_restriction(r);
-            restriction = Some(r);
-            // Export the set to a private manager so the caller can cache it
-            // past this analyzer's lifetime.
-            let mut snap_manager = BddManager::new();
-            let mut snap_table = TimedVarTable::new();
-            // The snapshot carries the main table's order so warm starts
-            // inherit it.
-            snap_table.preregister(export_order(manager, table));
-            let snap_set = transfer_bdd(manager, table, r, &mut snap_manager, &mut snap_table)?;
-            snapshot = Some(ReachSnapshot {
-                manager: snap_manager,
-                table: snap_table,
-                set: snap_set,
-                states,
-            });
-        }
-
-        let bp_delays: Vec<i64> = intervals.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-
-        let shared = SweepShared {
-            classes,
-            intervals,
-            class_ix,
-            l_millis,
-            // Workers pre-register the main manager's order instead of
-            // re-deriving it.
-            order: if opts.ordering == VarOrder::Alloc {
-                Vec::new()
-            } else {
-                export_order(manager, table)
-            },
-            opts: opts.clone(),
-        };
-        let sweep = parallel::plan(&bp_delays, floor, &shared);
-        let deadline = opts
-            .time_budget_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        let threads = match opts.num_threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        let memo = SigmaMemo::new(if threads <= 1 { 1 } else { 4 * threads });
-        let states = if threads <= 1 {
-            let mut env = EvalEnv {
-                view,
-                extractor: &extractor,
-                ctx: &mut ctx,
-                manager,
-                table,
-            };
-            parallel::run_single(&shared, &sweep, &mut env, &memo, deadline)
-        } else {
-            let reach = restriction.map(|set| parallel::SharedReach {
-                manager: &*manager,
-                table: &*table,
-                set,
-            });
-            let (states, worker_kernel) = parallel::run_pool(
-                &shared,
-                &sweep,
-                view,
-                reach.as_ref(),
-                threads,
-                &memo,
-                deadline,
-            )?;
-            report.kernel.absorb(&worker_kernel);
-            states
-        };
-        parallel::reconcile(&shared, &sweep, states, &mut report)?;
-        // Kernel-level diagnostics the reconciler cannot reconstruct: how
-        // many decisions were answered by the cross-thread σ memo, how much
-        // of Φ the pruned walk cut, and how many sink cones the σ-neighbor
-        // cache reused.
-        report.kernel.mvec_memo_hits = memo.hits();
-        report.kernel.sigma_pruned_subtrees = memo.pruned_subtrees();
-        report.kernel.sigma_pruned = memo.pruned_combos();
-        report.kernel.sigma_reused = memo.reused();
-        // The main manager contributed the steady machine and (when enabled)
-        // the reachability fixpoint; on the 1-thread path it also ran the
-        // whole sweep.
-        report.kernel.absorb(&manager.stats());
-        if opts.skew {
-            crate::skew::run_tier(view, opts, &mut report)?;
-        }
-        Ok((report, snapshot))
-    }
-
-    /// Runs the cone-decomposed analysis, optionally replaying per-cone
-    /// results from `seeds`, and harvests fresh [`ConeCacheEntry`] values
-    /// for the cones that had to be (re)analyzed.
-    ///
-    /// `seeds` is either empty or one entry per cone in
-    /// [`mct_netlist::decompose`] order; a seed must come from an earlier
-    /// `run_decomposed` of a cone with the **same layout digest** under the
-    /// same semantic options (every cached artifact — outcomes, layer sets,
-    /// reach sets — is positional on the cone's local leaf indices). The
-    /// report is bit-identical to [`run`](Self::run) with or without seeds.
-    ///
-    /// On a single-cone circuit this falls back to the monolithic path and
-    /// returns no cache entries.
+    /// `seeds` is either empty or one entry per cone in slicing order
+    /// ([`mct_netlist::decompose`] order); a seed must come from an earlier
+    /// `run_decomposed` of a cone with the **same layout digest** under
+    /// options with the same [`ConeCacheEntry::key`] (every cached artifact
+    /// — outcomes, layer sets, reach sets — is positional on the cone's
+    /// local leaf indices). The report is bit-identical to
+    /// [`run`](Self::run) with or without seeds.
     ///
     /// # Errors
     ///
@@ -551,26 +313,24 @@ impl<'c> MctAnalyzer<'c> {
     pub fn run_decomposed(
         &mut self,
         opts: &MctOptions,
-        seeds: &[Option<&crate::decompose::ConeCacheEntry>],
-    ) -> Result<(MctReport, crate::decompose::DecomposeArtifacts), MctError> {
-        let cones = mct_netlist::decompose(self.view.circuit());
-        if cones.len() > 1 {
-            return crate::decompose::run(&self.view, cones, opts, seeds, true);
+        seeds: &[Option<&ConeCacheEntry>],
+    ) -> Result<(MctReport, DecomposeArtifacts), MctError> {
+        sweep::run(&self.view, &self.cones(opts), opts, seeds, true)
+    }
+
+    /// The slicing `opts` selects: the cones of influence, or the whole
+    /// circuit as one cone (the unsliced reference).
+    fn cones(&self, opts: &MctOptions) -> Vec<Cone> {
+        let circuit = self.view.circuit();
+        if opts.decompose {
+            return mct_netlist::decompose(circuit);
         }
-        let total = cones.len();
-        let mono = MctOptions {
-            decompose: false,
-            ..opts.clone()
-        };
-        let (report, _) = self.run_warm(&mono, None)?;
-        Ok((
-            report,
-            crate::decompose::DecomposeArtifacts {
-                cones_total: total,
-                cones_replayed: 0,
-                entries: (0..total).map(|_| None).collect(),
-            },
-        ))
+        vec![Cone {
+            circuit: circuit.clone(),
+            dffs: (0..self.view.num_state_bits()).collect(),
+            inputs: (0..self.view.num_input_bits()).collect(),
+            outputs: (0..circuit.outputs().len()).collect(),
+        }]
     }
 }
 
@@ -834,9 +594,32 @@ mod tests {
         };
         let report = MctAnalyzer::new(&c).unwrap().run(&opts).unwrap();
         assert!(report.timed_out, "{report:?}");
-        // The partial bound is whatever was certified (possibly nothing);
-        // it must never exceed the steady-state delay.
-        assert!(report.mct_upper_bound <= report.steady_delay);
+        // Nothing was certified, so the sound partial bound is the steady
+        // machine's: the first candidate τ = L has every shift equal to 1.
+        assert_eq!(report.mct_upper_bound, report.steady_delay, "{report:?}");
+    }
+
+    #[test]
+    fn deadline_covers_reachability() {
+        // A 16-bit counter's fixpoint takes 65,536 image steps; the
+        // deadline is polled between them, so the run stops promptly with
+        // the same partial report a deadline at the first candidate gives.
+        let c = mct_gen::families::binary_counter(16, Time::from_f64(1.0));
+        let started = std::time::Instant::now();
+        let report = MctAnalyzer::new(&c)
+            .unwrap()
+            .run(&MctOptions {
+                time_budget_ms: Some(20),
+                ..MctOptions::default()
+            })
+            .unwrap();
+        assert!(report.timed_out, "{report:?}");
+        assert_eq!(report.mct_upper_bound, report.steady_delay);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -852,40 +635,48 @@ mod tests {
     }
 
     /// Kernel diagnostics are explicitly outside the deterministic report
-    /// contract (a warm start skips the fixpoint, so its node counters
-    /// differ): zero them before comparing.
+    /// contract (a seeded run skips work, so its node counters differ):
+    /// zero them before comparing.
     fn strip_kernel(mut r: MctReport) -> MctReport {
         r.kernel = Default::default();
         r
     }
 
     #[test]
-    fn warm_start_report_identical_to_cold() {
+    fn seeded_runs_match_cold_runs_across_options() {
         let c = figure2();
         let opts = MctOptions::default();
-        let (cold, snapshot) = MctAnalyzer::new(&c).unwrap().run_warm(&opts, None).unwrap();
-        let snapshot = snapshot.expect("reachability on ⇒ snapshot exported");
-        assert_eq!(snapshot.num_states(), 2.0);
+        let (cold, first) = MctAnalyzer::new(&c)
+            .unwrap()
+            .run_decomposed(&opts, &[])
+            .unwrap();
+        assert_eq!(first.cones_total, 1);
+        let seeds: Vec<Option<&ConeCacheEntry>> =
+            first.entries.iter().map(Option::as_ref).collect();
+        assert!(seeds[0].is_some(), "one-cone circuits harvest too");
 
-        // A fresh analyzer warm-started from the snapshot: same report.
+        // The same options replay every decision from the seed.
         let (warm, again) = MctAnalyzer::new(&c)
             .unwrap()
-            .run_warm(&opts, Some(&snapshot))
+            .run_decomposed(&opts, &seeds)
             .unwrap();
+        assert_eq!(again.cones_replayed, 1);
         let (cold, warm) = (strip_kernel(cold), strip_kernel(warm));
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-        assert_eq!(again.expect("snapshot re-exported").num_states(), 2.0);
 
-        // Warm-starting a *different-options* run of the same circuit also
-        // reproduces its cold report.
+        // Different delay options share the key: the seed's reach set and
+        // verdicts warm-start them, and the report is the cold one.
         let fixed = MctOptions::fixed_delays();
+        assert_eq!(ConeCacheEntry::key(&opts), ConeCacheEntry::key(&fixed));
         let cold_fixed = strip_kernel(MctAnalyzer::new(&c).unwrap().run(&fixed).unwrap());
         let (warm_fixed, _) = MctAnalyzer::new(&c)
             .unwrap()
-            .run_warm(&fixed, Some(&snapshot))
+            .run_decomposed(&fixed, &seeds)
             .unwrap();
-        let warm_fixed = strip_kernel(warm_fixed);
-        assert_eq!(format!("{cold_fixed:?}"), format!("{warm_fixed:?}"));
+        assert_eq!(
+            format!("{cold_fixed:?}"),
+            format!("{:?}", strip_kernel(warm_fixed))
+        );
     }
 
     #[test]

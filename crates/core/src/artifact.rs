@@ -1,28 +1,145 @@
-//! Plain-data forms of the hot analysis artifacts, for on-disk persistence
+//! The one persisted analysis artifact — the per-cone replay seed
+//! [`ConeCacheEntry`] — and its plain-data form, for on-disk persistence
 //! and cross-replica transport.
 //!
-//! The two symbolic artifact classes the service caches in memory —
-//! [`ReachSnapshot`]s and per-cone [`ConeCacheEntry`] replay seeds — each
-//! get a fully plain-data mirror here (`ReachData`, `ConeData`) built from
-//! [`mct_bdd::BddSnapshot`] plus [`TimedVar`] vectors. The mirrors contain
-//! no handles, no managers and no maps with nondeterministic iteration
-//! order, so a byte codec (the `mct-store` crate) can serialize them
-//! without reaching into symbolic state.
+//! The mirror ([`ConeData`]) is built from [`mct_bdd::BddSnapshot`] plus
+//! [`TimedVar`] vectors. It contains no handles, no managers and no maps
+//! with nondeterministic iteration order, so a byte codec (the `mct-store`
+//! crate) can serialize it without reaching into symbolic state.
 //!
-//! Import is paranoid by design: these structs come from disk, possibly
-//! from another replica, possibly stale, possibly corrupted. Every import
+//! Import is paranoid by design: the data comes from disk, possibly from
+//! another replica, possibly stale, possibly corrupted. Every import
 //! validates shape before any symbolic reconstruction happens and returns
 //! a structured [`ArtifactError`] instead of panicking — a bad artifact is
 //! a cache miss, never a crash, and never corrupts a live manager.
 
-use crate::analyzer::ReachSnapshot;
+use crate::analyzer::MctOptions;
 use crate::decision::DecisionOutcome;
-use crate::decompose::{ConeCacheEntry, ExactPart};
+use crate::error::MctError;
 use crate::exact::ExactRun;
 use mct_bdd::{validate_order, Bdd, BddImportError, BddManager, BddSnapshot, Var};
-use mct_tbf::{TimedVar, TimedVarTable};
-use std::collections::HashSet;
+use mct_tbf::{transfer_bdd, TimedVar, TimedVarTable};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+
+/// Cached per-cone analysis results, replayable into a later seeded run
+/// ([`crate::MctAnalyzer::run_decomposed`]) of a cone with identical
+/// content under options with the same [`key`](Self::key).
+///
+/// Everything is stored in the cone's *local* coordinate system (leaf
+/// indices of the sliced circuit, σ projected to the cone's delay-class
+/// positions), so an entry stays valid when *other* cones of the parent
+/// change — only the owning cone's content and the key select it. A
+/// one-cone circuit's entry carries the whole machine's reachable set.
+pub struct ConeCacheEntry {
+    /// Private manager holding the layer and reach BDDs.
+    pub(crate) manager: BddManager,
+    pub(crate) table: TimedVarTable,
+    /// Exactly-`k`-step reachable layers over local
+    /// `TimedVar::Shifted { leaf, shift: 0 }` state variables, for
+    /// `k < tail + period`; deeper layers repeat with period `period` from
+    /// `tail` (the ρ shape of a deterministic set recurrence).
+    pub(crate) layers: Vec<Bdd>,
+    pub(crate) tail: usize,
+    pub(crate) period: usize,
+    /// Union of all layers — the cone's full reachable set.
+    pub(crate) reach: Option<Bdd>,
+    /// `C_x` verdicts keyed by (local σ projection, global induction depth).
+    pub(crate) outcomes_cx: HashMap<(Vec<i64>, i64), DecisionOutcome>,
+    /// Exact-check parts keyed by local σ projection.
+    pub(crate) outcomes_exact: HashMap<Vec<i64>, ExactPart>,
+}
+
+/// One cone's contribution to the exact check at one σ: the history depths
+/// that enter the global bit budget, and the local verdict when the *local*
+/// product fit the budget.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ExactPart {
+    pub(crate) m_state: i64,
+    pub(crate) m_input: i64,
+    /// `None` iff the cone's own product already exceeded the budget (then
+    /// the global product certainly does, and the merge reports the
+    /// whole-machine error without any cone running a fixpoint).
+    pub(crate) fix: Option<ExactRun>,
+}
+
+impl ConeCacheEntry {
+    pub(crate) fn empty() -> Self {
+        ConeCacheEntry {
+            manager: BddManager::new(),
+            table: TimedVarTable::new(),
+            layers: Vec::new(),
+            tail: 0,
+            period: 0,
+            reach: None,
+            outcomes_cx: HashMap::new(),
+            outcomes_exact: HashMap::new(),
+        }
+    }
+
+    /// The cache key of entries produced under `opts`: it covers exactly
+    /// what an entry's content depends on. `use_reachability` sets the
+    /// restriction behind every `C_x` verdict, and `max_product_bits`
+    /// decides which exact-check parts are `None`. Delay variation, LP
+    /// coupling, floors, and budgets only change *which* σ a run visits,
+    /// so entries warm-start runs under any of them.
+    pub fn key(opts: &MctOptions) -> u64 {
+        let mut h: u64 = 0x6d63_745f_636f_6e65; // "mct_cone"
+        for v in [opts.use_reachability as u64, opts.max_product_bits as u64] {
+            h = mix64(h ^ mix64(v));
+        }
+        h
+    }
+
+    /// Whether the entry carries a replayable layer sequence.
+    pub(crate) fn has_layers(&self) -> bool {
+        self.period > 0 && !self.layers.is_empty()
+    }
+
+    /// The exactly-`k`-step layer, unfolding the ρ tail/period for depths
+    /// past the stored prefix.
+    pub(crate) fn layer(&self, k: usize) -> Bdd {
+        if k < self.layers.len() {
+            self.layers[k]
+        } else {
+            self.layers[self.tail + (k - self.tail) % self.period]
+        }
+    }
+
+    /// A fresh entry carrying this one's layers and reach set (no
+    /// outcomes).
+    pub(crate) fn copy_layers(&self) -> Result<ConeCacheEntry, MctError> {
+        let mut entry = ConeCacheEntry::empty();
+        let copy = |b: Bdd, entry: &mut ConeCacheEntry| {
+            transfer_bdd(
+                &self.manager,
+                &self.table,
+                b,
+                &mut entry.manager,
+                &mut entry.table,
+            )
+        };
+        for &l in &self.layers {
+            let t = copy(l, &mut entry)?;
+            entry.layers.push(t);
+        }
+        entry.tail = self.tail;
+        entry.period = self.period;
+        entry.reach = match self.reach {
+            Some(r) => Some(copy(r, &mut entry)?),
+            None => None,
+        };
+        Ok(entry)
+    }
+}
+
+/// `splitmix64` finalizer.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
 
 /// Why a plain-data artifact failed to import.
 #[derive(Clone, PartialEq, Debug)]
@@ -137,7 +254,7 @@ impl OutcomeData {
     }
 }
 
-/// Plain-data mirror of one exact-check part (see `decompose::ExactPart`).
+/// Plain-data mirror of one exact-check part.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ExactPartData {
     /// State history depth entering the global bit budget.
@@ -147,18 +264,6 @@ pub struct ExactPartData {
     /// Local verdict and divergence iteration; `None` when the local
     /// product already blew the bit budget.
     pub fix: Option<(OutcomeData, Option<u64>)>,
-}
-
-/// Plain-data mirror of a [`ReachSnapshot`].
-#[derive(Clone, PartialEq, Debug)]
-pub struct ReachData {
-    /// Timed variables in snapshot-table allocation order: index `i` is
-    /// BDD variable `i` of the embedded snapshot.
-    pub vars: Vec<TimedVar>,
-    /// The reachable set, as a single-root snapshot.
-    pub snapshot: BddSnapshot,
-    /// Reachable-state count carried alongside the set.
-    pub states: f64,
 }
 
 /// Plain-data mirror of a [`ConeCacheEntry`].
@@ -230,45 +335,6 @@ fn rebuild(
 /// table entries; map overhead is modelled with a flat per-entry cost).
 fn approx_symbolic_bytes(manager: &BddManager, table: &TimedVarTable) -> u64 {
     manager.num_nodes() as u64 * 24 + table.len() as u64 * 48
-}
-
-impl ReachSnapshot {
-    /// Exports the snapshot to its plain-data mirror.
-    pub fn export_data(&self) -> ReachData {
-        ReachData {
-            vars: self.table.iter().map(|(tv, _)| tv).collect(),
-            snapshot: self.manager.export_bdd(&[self.set]),
-            states: self.states,
-        }
-    }
-
-    /// Rebuilds a snapshot from its plain-data mirror, validating
-    /// everything first.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError`] on any malformed shape; the error never leaves a
-    /// partially-built snapshot behind.
-    pub fn import_data(data: &ReachData) -> Result<ReachSnapshot, ArtifactError> {
-        let (manager, table, roots) = rebuild(&data.vars, &data.snapshot)?;
-        if roots.len() != 1 {
-            return Err(ArtifactError::RootCount {
-                expected: 1,
-                got: roots.len(),
-            });
-        }
-        Ok(ReachSnapshot {
-            manager,
-            table,
-            set: roots[0],
-            states: data.states,
-        })
-    }
-
-    /// Approximate in-memory footprint, for byte-accounted cache admission.
-    pub fn approx_bytes(&self) -> u64 {
-        approx_symbolic_bytes(&self.manager, &self.table)
-    }
 }
 
 impl ConeCacheEntry {
@@ -397,90 +463,10 @@ impl ConeCacheEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::{MctAnalyzer, MctOptions};
+    use crate::analyzer::MctAnalyzer;
     use mct_netlist::{Circuit, GateKind, Time};
 
-    fn counter_circuit() -> Circuit {
-        let mut c = Circuit::new("counter");
-        let q0 = c.add_dff("q0", false, Time::ZERO);
-        let q1 = c.add_dff("q1", false, Time::ZERO);
-        let n0 = c.add_gate("n0", GateKind::Not, &[q0], Time::UNIT);
-        let x1 = c.add_gate("x1", GateKind::Xor, &[q0, q1], Time::UNIT);
-        c.connect_dff_data("q0", n0).unwrap();
-        c.connect_dff_data("q1", x1).unwrap();
-        c.set_output(q1);
-        c
-    }
-
-    fn snapshot_of(c: &Circuit) -> (crate::analyzer::MctReport, ReachSnapshot) {
-        let opts = MctOptions::default();
-        let (report, snap) = MctAnalyzer::new(c).unwrap().run_warm(&opts, None).unwrap();
-        (report, snap.expect("reachability enabled"))
-    }
-
-    #[test]
-    fn reach_data_round_trip_warm_starts_identically() {
-        let c = counter_circuit();
-        let (cold, snap) = snapshot_of(&c);
-        let data = snap.export_data();
-        let back = ReachSnapshot::import_data(&data).unwrap();
-        assert_eq!(back.num_states(), snap.num_states());
-        let opts = MctOptions::default();
-        let (mut warm, _) = MctAnalyzer::new(&c)
-            .unwrap()
-            .run_warm(&opts, Some(&back))
-            .unwrap();
-        // Kernel stats are diagnostics excluded from serialized reports; a
-        // warm start legitimately does less symbolic work.
-        let mut cold = cold;
-        cold.kernel = Default::default();
-        warm.kernel = Default::default();
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-    }
-
-    #[test]
-    fn reach_data_rejects_malformed() {
-        let c = counter_circuit();
-        let (_, snap) = snapshot_of(&c);
-        let good = snap.export_data();
-
-        let mut bad = good.clone();
-        bad.vars.truncate(1.min(bad.vars.len()));
-        if (bad.vars.len() as u32) < bad.snapshot.num_vars {
-            assert!(matches!(
-                ReachSnapshot::import_data(&bad),
-                Err(ArtifactError::VarCount { .. })
-            ));
-        }
-
-        let mut bad = good.clone();
-        if bad.vars.len() >= 2 {
-            bad.vars[1] = bad.vars[0];
-            assert!(matches!(
-                ReachSnapshot::import_data(&bad),
-                Err(ArtifactError::DuplicateTimedVar { .. })
-            ));
-        }
-
-        let mut bad = good.clone();
-        bad.snapshot.roots.push(1);
-        assert!(matches!(
-            ReachSnapshot::import_data(&bad),
-            Err(ArtifactError::RootCount { .. })
-        ));
-
-        let mut bad = good.clone();
-        if !bad.snapshot.order.is_empty() {
-            bad.snapshot.order[0] = u32::MAX;
-            assert!(matches!(
-                ReachSnapshot::import_data(&bad),
-                Err(ArtifactError::Bdd(_))
-            ));
-        }
-    }
-
-    /// Three independent cones (two togglers and a stateless buffer), the
-    /// same shape as the decompose fixtures.
+    /// Three independent cones: two togglers and a stateless buffer.
     fn tri_circuit() -> Circuit {
         let t = Time::from_f64;
         let mut c = Circuit::new("tri");
@@ -498,47 +484,64 @@ mod tests {
         c
     }
 
-    #[test]
-    fn cone_data_round_trip() {
-        let c = tri_circuit();
-        let opts = MctOptions {
-            decompose: true,
-            ..MctOptions::default()
-        };
-        let mut analyzer = MctAnalyzer::new(&c).unwrap();
-        let (report, artifacts) = analyzer.run_decomposed(&opts, &[]).unwrap();
-        assert!(artifacts.cones_total > 1, "counter should decompose");
-        let seeds: Vec<ConeCacheEntry> = artifacts
-            .entries
-            .iter()
-            .map(|e| {
-                let entry = e.as_ref().expect("fresh run fills every slot");
-                ConeCacheEntry::import_data(&entry.export_data()).unwrap()
-            })
-            .collect();
-        let seed_refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Some).collect();
-        let mut analyzer2 = MctAnalyzer::new(&c).unwrap();
-        let (mut replayed, arts2) = analyzer2.run_decomposed(&opts, &seed_refs).unwrap();
-        let mut report = report;
-        report.kernel = Default::default();
-        replayed.kernel = Default::default();
-        assert_eq!(format!("{report:?}"), format!("{replayed:?}"));
-        assert_eq!(
-            arts2.cones_replayed, arts2.cones_total,
-            "imported seeds must replay every cone"
-        );
+    /// A 2-bit counter: one stateful cone whose entry carries the whole
+    /// machine's reachable set.
+    fn counter_circuit() -> Circuit {
+        let mut c = Circuit::new("counter");
+        let q0 = c.add_dff("q0", false, Time::ZERO);
+        let q1 = c.add_dff("q1", false, Time::ZERO);
+        let n0 = c.add_gate("n0", GateKind::Not, &[q0], Time::UNIT);
+        let x1 = c.add_gate("x1", GateKind::Xor, &[q0, q1], Time::UNIT);
+        c.connect_dff_data("q0", n0).unwrap();
+        c.connect_dff_data("q1", x1).unwrap();
+        c.set_output(q1);
+        c
+    }
+
+    fn strip(mut r: crate::analyzer::MctReport) -> String {
+        r.kernel = Default::default();
+        format!("{r:?}")
     }
 
     #[test]
-    fn cone_data_rejects_bad_rho() {
-        let c = tri_circuit();
-        let opts = MctOptions {
-            decompose: true,
-            ..MctOptions::default()
-        };
-        let mut analyzer = MctAnalyzer::new(&c).unwrap();
-        let (_, artifacts) = analyzer.run_decomposed(&opts, &[]).unwrap();
+    fn cone_data_round_trip() {
+        for c in [tri_circuit(), counter_circuit()] {
+            let opts = MctOptions::default();
+            let (report, artifacts) = MctAnalyzer::new(&c)
+                .unwrap()
+                .run_decomposed(&opts, &[])
+                .unwrap();
+            let seeds: Vec<ConeCacheEntry> = artifacts
+                .entries
+                .iter()
+                .map(|e| {
+                    let entry = e.as_ref().expect("fresh run fills every slot");
+                    ConeCacheEntry::import_data(&entry.export_data()).unwrap()
+                })
+                .collect();
+            let seed_refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Some).collect();
+            let (replayed, arts2) = MctAnalyzer::new(&c)
+                .unwrap()
+                .run_decomposed(&opts, &seed_refs)
+                .unwrap();
+            assert_eq!(strip(report), strip(replayed), "{}", c.name());
+            assert_eq!(
+                arts2.cones_replayed, arts2.cones_total,
+                "imported seeds must replay every cone"
+            );
+        }
+    }
+
+    #[test]
+    fn cone_data_rejects_malformed() {
+        let c = counter_circuit();
+        let (_, artifacts) = MctAnalyzer::new(&c)
+            .unwrap()
+            .run_decomposed(&MctOptions::default(), &[])
+            .unwrap();
         let good = artifacts.entries[0].as_ref().unwrap().export_data();
+        assert!(good.has_reach && good.period > 0, "{good:?}");
+
         let mut bad = good.clone();
         bad.period = 10_000;
         assert!(matches!(
@@ -551,13 +554,67 @@ mod tests {
             ConeCacheEntry::import_data(&bad),
             Err(ArtifactError::BadRho { .. })
         ));
+        let mut bad = good.clone();
+        bad.vars.truncate(1);
+        assert!(matches!(
+            ConeCacheEntry::import_data(&bad),
+            Err(ArtifactError::VarCount { .. })
+        ));
+        let mut bad = good.clone();
+        bad.vars[1] = bad.vars[0];
+        assert!(matches!(
+            ConeCacheEntry::import_data(&bad),
+            Err(ArtifactError::DuplicateTimedVar { .. })
+        ));
+        let mut bad = good.clone();
+        bad.snapshot.roots.clear();
+        assert!(matches!(
+            ConeCacheEntry::import_data(&bad),
+            Err(ArtifactError::RootCount { .. })
+        ));
+        let mut bad = good.clone();
+        bad.snapshot.order[0] = u32::MAX;
+        assert!(matches!(
+            ConeCacheEntry::import_data(&bad),
+            Err(ArtifactError::Bdd(_))
+        ));
         let mut bad = good;
-        if let Some((_, _, o)) = bad.outcomes_cx.first_mut() {
-            o.kind = "mystery".into();
-            assert!(matches!(
-                ConeCacheEntry::import_data(&bad),
-                Err(ArtifactError::BadOutcome { .. })
-            ));
+        bad.outcomes_cx[0].2.kind = "mystery".into();
+        assert!(matches!(
+            ConeCacheEntry::import_data(&bad),
+            Err(ArtifactError::BadOutcome { .. })
+        ));
+    }
+
+    #[test]
+    fn key_covers_only_what_entries_depend_on() {
+        let base = MctOptions::default();
+        let same = [
+            MctOptions::fixed_delays(),
+            MctOptions {
+                path_coupled_lp: true,
+                exhaustive_floor: Some(0.5),
+                exact_check: true,
+                time_budget_ms: Some(7),
+                num_threads: 4,
+                ..base.clone()
+            },
+        ];
+        for opts in &same {
+            assert_eq!(ConeCacheEntry::key(&base), ConeCacheEntry::key(opts));
+        }
+        let split = [
+            MctOptions {
+                use_reachability: false,
+                ..base.clone()
+            },
+            MctOptions {
+                max_product_bits: 12,
+                ..base.clone()
+            },
+        ];
+        for opts in &split {
+            assert_ne!(ConeCacheEntry::key(&base), ConeCacheEntry::key(opts));
         }
     }
 }

@@ -211,9 +211,9 @@ impl<'c> DecisionContext<'c> {
     ///
     /// The basis unrolls `m` cycles and the induction frontier sits at
     /// `x̂(n − m)`, exactly as if the machine contained a shift-`m`
-    /// reference. Used by the decomposed analysis: each cone is decided at
+    /// reference. Used by the sweep: each cone of influence is decided at
     /// the *whole machine's* depth so that per-cone outcomes (mismatch
-    /// cycles in particular) land on the same cycles the monolithic run
+    /// cycles in particular) land on the same cycles an unsliced run
     /// reports.
     pub fn decide_with_depth(
         &self,

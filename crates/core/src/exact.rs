@@ -51,11 +51,10 @@ pub fn decide_exact(
 /// Result of [`decide_exact_detail`]: the outcome plus the fixpoint
 /// iteration at which divergence first became reachable.
 ///
-/// The iteration index makes per-cone exact verdicts mergeable: on a
-/// decomposed machine the monolithic check reports the lowest-indexed
-/// diverging output of the *earliest* diverging fixpoint frontier, so the
-/// recombined diagnostic must order cone verdicts by `(bad_iteration,
-/// parent output index)`.
+/// The iteration index makes per-cone exact verdicts mergeable: the
+/// whole machine's check reports the lowest-indexed diverging output of the
+/// *earliest* diverging fixpoint frontier, so the recombined diagnostic
+/// must order cone verdicts by `(bad_iteration, parent output index)`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ExactRun {
     /// The equivalence verdict.

@@ -73,25 +73,22 @@ mod analyzer;
 mod artifact;
 mod breakpoints;
 mod decision;
-mod decompose;
 mod error;
 mod exact;
-mod parallel;
 mod sigma;
 mod skew;
+mod sweep;
 
 #[cfg(test)]
 mod proptests;
 
-pub use analyzer::{
-    MctAnalyzer, MctOptions, MctReport, ReachSnapshot, SigmaStrategy, ValidityRegion, VarOrder,
-};
-pub use artifact::{ArtifactError, ConeData, ExactPartData, OutcomeData, ReachData};
+pub use analyzer::{MctAnalyzer, MctOptions, MctReport, SigmaStrategy, ValidityRegion, VarOrder};
+pub use artifact::{ArtifactError, ConeCacheEntry, ConeData, ExactPartData, OutcomeData};
 pub use breakpoints::BreakpointIter;
 pub use decision::{DecisionContext, DecisionOutcome};
-pub use decompose::{ConeCacheEntry, DecomposeArtifacts};
 pub use error::MctError;
 pub use exact::decide_exact;
 pub use mct_bdd::BddStats;
 pub use sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats};
 pub use skew::SkewReport;
+pub use sweep::DecomposeArtifacts;

@@ -19,14 +19,15 @@
 //!   bytes.
 //! * **robustness** — serialization round-trips: the timed `.bench` corpus
 //!   format reproduces the circuit exactly (both canonical digests), the
-//!   BLIF round-trip preserves sequential behaviour, and the
-//!   reachable-state snapshot survives the persistent store's binary
-//!   encoding (export → encode → decode → import into a fresh manager)
-//!   with a byte-identical warm-start report. Panics anywhere in the stack
-//!   are caught by the runner and reported as robustness failures.
-//! * **decompose** — cone-of-influence decomposition is a pure performance
-//!   lever: the recombined per-cone report must be byte-identical to the
-//!   monolithic one, at one worker and with the cone pool parallelized.
+//!   BLIF round-trip preserves sequential behaviour, and the cone entries
+//!   a seeded run harvests survive the persistent store's binary encoding
+//!   (export → encode → decode → import into a fresh manager) with a
+//!   byte-identical warm-start report. Panics anywhere in the stack are
+//!   caught by the runner and reported as robustness failures.
+//! * **decompose** — slicing into cones of influence is a pure
+//!   performance lever: the recombined report must be byte-identical to
+//!   the unsliced reference (the whole circuit as one cone), at one worker
+//!   and with the candidate pool parallelized.
 //! * **sigma** — the pruned variable-delay Φ walk is a pure performance
 //!   lever too: it must visit exactly the feasible subsequence the flat
 //!   odometer examines, so the report is byte-identical across
@@ -39,7 +40,7 @@
 //!   claims; and explicitly-zero `# .skew` annotations are an arithmetic
 //!   identity — the report is byte-identical to the unannotated baseline.
 
-use mct_core::{MctAnalyzer, MctOptions, MctReport, ReachSnapshot, SigmaStrategy, VarOrder};
+use mct_core::{ConeCacheEntry, MctAnalyzer, MctOptions, MctReport, SigmaStrategy, VarOrder};
 use mct_lp::Rat;
 use mct_netlist::{circuit_digests, parse_blif, write_blif, Circuit, DelayModel, Time};
 use mct_serve::report::{options_fingerprint, report_to_json};
@@ -61,7 +62,7 @@ pub enum OracleSelect {
     Metamorphic,
     /// Only the serialization/robustness checks.
     Robustness,
-    /// Only the mono-vs-decomposed identity check.
+    /// Only the sliced-vs-unsliced identity check.
     Decompose,
     /// Only the flat-vs-pruned Φ-enumeration identity check.
     Sigma,
@@ -177,10 +178,10 @@ pub struct OracleStats {
     pub sharp_confirmed: u64,
     /// Canonical cache replays exercised.
     pub cache_replays: u64,
-    /// Reach-snapshot store round-trips completed (export → encode →
-    /// decode → import → warm start, byte-identical report).
+    /// Cone-entry store round-trips completed (export → encode → decode →
+    /// import → seeded run, byte-identical report).
     pub snapshot_roundtrips: u64,
-    /// Mono-vs-decomposed identity comparisons completed.
+    /// Sliced-vs-unsliced identity comparisons completed.
     pub decompose_checks: u64,
     /// Flat-vs-pruned Φ-enumeration identity comparisons completed.
     pub sigma_checks: u64,
@@ -512,40 +513,46 @@ fn skew_soundness(
 }
 
 /// The decompose oracle: slicing into cones of influence and recombining
-/// must reproduce the monolithic report byte for byte — sequentially and
-/// with the cone pool parallelized. An engine error on the decomposed path
-/// is also a failure: the monolithic analysis already succeeded, and the
-/// two paths must refuse identically.
+/// must reproduce the unsliced reference (the whole circuit as one cone,
+/// one worker) byte for byte — the production run and the candidate pool
+/// parallelized alike. An engine error on either side is also a failure:
+/// the production analysis already succeeded, and every slicing must
+/// refuse identically.
 fn decompose_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Option<Failure> {
-    for threads in [1, 3] {
-        let opts = MctOptions {
-            decompose: true,
-            num_threads: threads,
-            ..ctx.opts.analysis.clone()
-        };
+    let reference = MctOptions {
+        decompose: false,
+        num_threads: 1,
+        ..ctx.opts.analysis.clone()
+    };
+    let sliced = MctOptions {
+        num_threads: 3,
+        ..ctx.opts.analysis.clone()
+    };
+    let mut reports = vec![("production".to_string(), base_json.to_string())];
+    for (label, opts) in [("unsliced", &reference), ("sliced, threads=3", &sliced)] {
         ctx.stats.analyses += 1;
-        match analyze(c, &opts) {
-            Ok(r) => {
-                let j = report_to_json(&r).to_compact();
-                if j != base_json {
-                    return Some(Failure {
-                        oracle: "decompose",
-                        detail: format!(
-                            "decomposed report differs from monolithic (threads={threads}):\n  \
-                             mono: {base_json}\n  cone: {j}"
-                        ),
-                    });
-                }
-            }
+        match analyze(c, opts) {
+            Ok(r) => reports.push((label.into(), report_to_json(&r).to_compact())),
             Err(e) => {
                 return Some(Failure {
                     oracle: "decompose",
                     detail: format!(
-                        "decomposed analysis errored where monolithic succeeded \
-                         (threads={threads}): {e}"
+                        "{label} analysis errored where the production run succeeded: {e}"
                     ),
                 })
             }
+        }
+    }
+    let (_, unsliced) = &reports[1];
+    for (label, j) in &reports {
+        if j != unsliced {
+            return Some(Failure {
+                oracle: "decompose",
+                detail: format!(
+                    "{label} report differs from the unsliced reference:\n  \
+                     unsliced: {unsliced}\n  {label}: {j}"
+                ),
+            });
         }
     }
     ctx.stats.decompose_checks += 1;
@@ -874,78 +881,83 @@ fn robustness(ctx: &mut OracleCtx, c: &Circuit, stim_seed: u64) -> Option<Failur
             })
         }
     }
-    // Reach-snapshot persistence round trip: the snapshot the analysis
-    // produces must survive the store's binary encoding, import into a
-    // *fresh* manager (identity variable order), and warm-start a repeat
-    // analysis to the byte-identical report.
-    if ctx.opts.analysis.use_reachability {
-        ctx.stats.analyses += 1;
-        let cold = MctAnalyzer::new(c)
-            .map_err(|e| format!("analyzer construction: {e:?}"))
-            .and_then(|mut an| {
-                an.run_warm(&ctx.opts.analysis, None)
-                    .map_err(|e| format!("analysis: {e:?}"))
-            });
-        match cold {
-            Ok((cold_report, Some(snap))) if !cold_report.timed_out => {
-                let bytes = mct_store::encode_reach(&snap.export_data());
-                let decoded = match mct_store::decode_reach(&bytes) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        return Some(Failure {
-                            oracle: "robustness",
-                            detail: format!(
-                                "reach snapshot failed to decode its own encoding: {e}"
-                            ),
-                        })
-                    }
-                };
-                let imported = match ReachSnapshot::import_data(&decoded) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        return Some(Failure {
-                            oracle: "robustness",
-                            detail: format!("round-tripped reach snapshot failed to import: {e:?}"),
-                        })
-                    }
-                };
-                ctx.stats.analyses += 1;
-                let warm = MctAnalyzer::new(c)
-                    .map_err(|e| format!("analyzer construction: {e:?}"))
-                    .and_then(|mut an| {
-                        an.run_warm(&ctx.opts.analysis, Some(&imported))
-                            .map_err(|e| format!("analysis: {e:?}"))
-                    });
-                match warm {
-                    Ok((warm_report, _)) => {
-                        let cold_j = report_to_json(&cold_report).to_compact();
-                        let warm_j = report_to_json(&warm_report).to_compact();
-                        if warm_j != cold_j {
-                            return Some(Failure {
-                                oracle: "robustness",
-                                detail: format!(
-                                    "warm start from a round-tripped snapshot changed the \
-                                     report:\n  cold: {cold_j}\n  warm: {warm_j}"
-                                ),
-                            });
-                        }
-                        ctx.stats.snapshot_roundtrips += 1;
-                    }
-                    Err(e) => {
-                        return Some(Failure {
-                            oracle: "robustness",
-                            detail: format!(
-                                "warm start from a round-tripped snapshot errored where the \
-                                 cold run succeeded: {e}"
-                            ),
-                        })
-                    }
-                }
+    // Cone-entry persistence round trip: the entries a seeded run harvests
+    // must survive the store's binary encoding, import into *fresh*
+    // managers (identity variable order), and seed a repeat analysis to
+    // the byte-identical report.
+    ctx.stats.analyses += 1;
+    let cold = MctAnalyzer::new(c)
+        .map_err(|e| format!("analyzer construction: {e:?}"))
+        .and_then(|mut an| {
+            an.run_decomposed(&ctx.opts.analysis, &[])
+                .map_err(|e| format!("analysis: {e:?}"))
+        });
+    let (cold_report, artifacts) = match cold {
+        Ok(ok) if !ok.0.timed_out => ok,
+        // A partial report has nothing complete to round-trip.
+        Ok(_) => return None,
+        Err(_) => {
+            ctx.stats.analysis_errors += 1;
+            return None;
+        }
+    };
+    let mut seeds = Vec::with_capacity(artifacts.entries.len());
+    for entry in &artifacts.entries {
+        let Some(entry) = entry else {
+            seeds.push(None);
+            continue;
+        };
+        let bytes = mct_store::encode_cone(&entry.export_data());
+        let decoded = match mct_store::decode_cone(&bytes) {
+            Ok(d) => d,
+            Err(e) => {
+                return Some(Failure {
+                    oracle: "robustness",
+                    detail: format!("cone entry failed to decode its own encoding: {e}"),
+                })
             }
-            // No snapshot (early exit before reachability) or a partial
-            // report — nothing to round-trip.
-            Ok(_) => {}
-            Err(_) => ctx.stats.analysis_errors += 1,
+        };
+        match ConeCacheEntry::import_data(&decoded) {
+            Ok(imported) => seeds.push(Some(imported)),
+            Err(e) => {
+                return Some(Failure {
+                    oracle: "robustness",
+                    detail: format!("round-tripped cone entry failed to import: {e:?}"),
+                })
+            }
+        }
+    }
+    ctx.stats.analyses += 1;
+    let seed_refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Option::as_ref).collect();
+    let warm = MctAnalyzer::new(c)
+        .map_err(|e| format!("analyzer construction: {e:?}"))
+        .and_then(|mut an| {
+            an.run_decomposed(&ctx.opts.analysis, &seed_refs)
+                .map_err(|e| format!("analysis: {e:?}"))
+        });
+    match warm {
+        Ok((warm_report, _)) => {
+            let cold_j = report_to_json(&cold_report).to_compact();
+            let warm_j = report_to_json(&warm_report).to_compact();
+            if warm_j != cold_j {
+                return Some(Failure {
+                    oracle: "robustness",
+                    detail: format!(
+                        "a seeded run from round-tripped cone entries changed the \
+                         report:\n  cold: {cold_j}\n  warm: {warm_j}"
+                    ),
+                });
+            }
+            ctx.stats.snapshot_roundtrips += 1;
+        }
+        Err(e) => {
+            return Some(Failure {
+                oracle: "robustness",
+                detail: format!(
+                    "a seeded run from round-tripped cone entries errored where the cold \
+                     run succeeded: {e}"
+                ),
+            })
         }
     }
     None

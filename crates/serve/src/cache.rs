@@ -9,39 +9,31 @@
 //! Tiers, fastest first:
 //!
 //! 1. **Memory** — an LRU of up to `capacity` report texts, plus (when a
-//!    byte budget is configured) a byte account shared with the symbolic
-//!    tiers below: the memory tier as a whole stays under
+//!    byte budget is configured) a byte account shared with the cone tier
+//!    below: the memory tier as a whole stays under
 //!    `--cache-max-bytes`, evicting least-recently-used items across all
 //!    maps, and an item bigger than the whole budget bypasses admission.
 //! 2. **Disk** — optional (`--cache-dir`): an [`mct_store::Store`]
 //!    directory surviving server restarts and shareable between replicas.
 //!    Reports keep their text format (`<key>.json`: the producer's layout
-//!    digest on the first line, the report JSON after); the symbolic
-//!    artifacts below are persisted in the versioned binary store format.
+//!    digest on the first line, the report JSON after); cone entries are
+//!    persisted in the versioned binary store format.
 //!    The store is byte-accounted under the same `--cache-max-bytes`
 //!    budget with its own LRU. Entries are promoted back into memory on
 //!    read; corrupt, truncated, or mis-versioned files are misses.
-//! 3. **Warm start** — keyed per circuit *layout* digest
-//!    (`mct_netlist::circuit_digests().layout` — the content hash plus
-//!    register declaration order): the reachable-state BDD exported into
-//!    a private manager. A request for a known circuit with different
-//!    options skips the fixed-point reachability computation entirely.
-//!    The layout key is essential for soundness: snapshot BDD variables
-//!    are register *positions*, so a canonically-equal circuit whose
-//!    flip-flops are declared in a different order must never import a
-//!    foreign snapshot — its bits would land on the wrong registers.
-//!    With a disk store, snapshots are also persisted (reach-*.mctb), so
-//!    a restarted daemon warm-starts from disk without re-running the
-//!    fixpoint.
-//! 4. **Cones** — per-cone replay seeds ([`mct_core::ConeCacheEntry`] —
+//! 3. **Cones** — per-cone replay seeds ([`mct_core::ConeCacheEntry`] —
 //!    reach layers plus decision outcomes for one cone of influence),
-//!    keyed by the cone's *layout* digest and the options fingerprint,
-//!    memory first with a disk fallback (cone-*.mctb). An ECO that edits
-//!    one cone leaves every other cone's digest unchanged, so a
-//!    re-analysis replays the untouched cones and only recomputes the
-//!    edited one. The layout digest (not the content digest) is required
-//!    for the same reason as warm starts: cached outcomes are positional
-//!    on the cone's local leaf indices.
+//!    keyed by the cone's *layout* digest and the entry key
+//!    ([`mct_core::ConeCacheEntry::key`]), memory first with a disk
+//!    fallback (cone-*.mctb). An ECO that edits one cone leaves every
+//!    other cone's digest unchanged, so a re-analysis replays the
+//!    untouched cones and only recomputes the edited one; a request with
+//!    different options for a known circuit reuses its reach sets without
+//!    re-running any fixpoint. The layout digest (not the content digest)
+//!    is essential for soundness: entry BDD variables and outcomes are
+//!    positional on the cone's local register indices, so a
+//!    canonically-equal cone whose flip-flops are declared in a different
+//!    order must never import a foreign entry.
 //!
 //! Report entries also remember the layout digest of the circuit that
 //! produced them (first line of each disk file), so the server can flag
@@ -51,7 +43,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use mct_core::{ConeCacheEntry, ReachSnapshot};
+use mct_core::ConeCacheEntry;
 use mct_netlist::CanonicalHash;
 use mct_store::Store;
 
@@ -112,10 +104,6 @@ pub struct PersistStats {
     pub report_hits: u64,
     /// Report loads that consulted the store and missed.
     pub report_misses: u64,
-    /// Reach-snapshot (`reach-*.mctb`) loads answered from disk.
-    pub reach_hits: u64,
-    /// Reach-snapshot loads that consulted the store and missed.
-    pub reach_misses: u64,
     /// Cone replay-seed (`cone-*.mctb`) loads answered from disk.
     pub cone_hits: u64,
     /// Cone replay-seed loads that consulted the store and missed.
@@ -126,8 +114,7 @@ pub struct PersistStats {
     pub disk_files: u64,
     /// Files evicted from the store to keep it under budget.
     pub disk_evictions: u64,
-    /// Approximate bytes held by the memory tier (reports + snapshots +
-    /// cone entries).
+    /// Approximate bytes held by the memory tier (reports + cone entries).
     pub mem_bytes: u64,
 }
 
@@ -143,7 +130,6 @@ struct Entry {
 /// item could evict itself and thrash).
 enum Protect {
     Entry(CacheKey),
-    Reach(CanonicalHash),
     Cone((CanonicalHash, u64)),
 }
 
@@ -154,7 +140,6 @@ pub struct ResultCache {
     max_bytes: Option<u64>,
     store: Option<Store>,
     entries: HashMap<CacheKey, Entry>,
-    reach: HashMap<CanonicalHash, (ReachSnapshot, u64, u64)>,
     cones: HashMap<(CanonicalHash, u64), (ConeCacheEntry, u64, u64)>,
     mem_bytes: u64,
     tick: u64,
@@ -181,7 +166,6 @@ impl ResultCache {
             },
             store,
             entries: HashMap::new(),
-            reach: HashMap::new(),
             cones: HashMap::new(),
             mem_bytes: 0,
             tick: 0,
@@ -199,8 +183,8 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Total memory-tier evictions since startup (reports, snapshots, and
-    /// cone entries alike).
+    /// Total memory-tier evictions since startup (reports and cone entries
+    /// alike).
     pub fn evictions(&self) -> u64 {
         self.evictions
     }
@@ -328,139 +312,59 @@ impl ResultCache {
         }
     }
 
-    fn remove_reach(&mut self, key: &CanonicalHash) {
-        if let Some((_, _, bytes)) = self.reach.remove(key) {
-            self.mem_bytes -= bytes;
-        }
-    }
-
     fn remove_cone(&mut self, key: &(CanonicalHash, u64)) {
         if let Some((_, _, bytes)) = self.cones.remove(key) {
             self.mem_bytes -= bytes;
         }
     }
 
-    /// Evicts least-recently-used items — across reports, snapshots, and
-    /// cone entries alike — until the memory tier fits its byte budget.
+    /// Evicts least-recently-used items — across reports and cone entries
+    /// alike — until the memory tier fits its byte budget.
     fn evict_to_mem_budget(&mut self, protect: &Protect) {
         let Some(max) = self.max_bytes else { return };
         while self.mem_bytes > max {
-            // The oldest tick across the three maps, skipping the item
-            // being admitted.
+            // The oldest tick across both maps, skipping the item being
+            // admitted.
             let entry = self
                 .entries
                 .iter()
                 .filter(|(k, _)| !matches!(protect, Protect::Entry(p) if p == *k))
                 .min_by_key(|(_, e)| e.tick)
                 .map(|(k, e)| (e.tick, *k));
-            let reach = self
-                .reach
-                .iter()
-                .filter(|(k, _)| !matches!(protect, Protect::Reach(p) if p == *k))
-                .min_by_key(|(_, (_, tick, _))| *tick)
-                .map(|(k, (_, tick, _))| (*tick, *k));
             let cone = self
                 .cones
                 .iter()
                 .filter(|(k, _)| !matches!(protect, Protect::Cone(p) if p == *k))
                 .min_by_key(|(_, (_, tick, _))| *tick)
                 .map(|(k, (_, tick, _))| (*tick, *k));
-            let best = [
-                entry.map(|(t, _)| t),
-                reach.map(|(t, _)| t),
-                cone.map(|(t, _)| t),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let Some(best) = best else { break };
-            if let Some(k) = entry.filter(|(t, _)| *t == best).map(|(_, k)| k) {
-                self.remove_entry(&k);
-            } else if let Some(k) = reach.filter(|(t, _)| *t == best).map(|(_, k)| k) {
-                self.remove_reach(&k);
-            } else if let Some(k) = cone.filter(|(t, _)| *t == best).map(|(_, k)| k) {
-                self.remove_cone(&k);
-            } else {
-                break;
+            match (entry, cone) {
+                (None, None) => break,
+                (Some((te, k)), Some((tc, _))) if te <= tc => self.remove_entry(&k),
+                (Some((_, k)), None) => self.remove_entry(&k),
+                (_, Some((_, k))) => self.remove_cone(&k),
             }
             self.evictions += 1;
         }
     }
 
-    /// Takes the reachable-state snapshot for a circuit *layout* (content
-    /// hash + register declaration order), if one is held in memory or in
-    /// the disk store. Ownership moves to the caller so the analysis can
-    /// run outside the cache lock; pass the fresh snapshot back via
-    /// [`store_reach`](Self::store_reach). The returned tier says where it
-    /// came from (the envelope's warm provenance).
-    pub fn take_reach(&mut self, layout: CanonicalHash) -> Option<(ReachSnapshot, CacheTier)> {
-        if let Some((snap, _, bytes)) = self.reach.remove(&layout) {
-            self.mem_bytes -= bytes;
-            return Some((snap, CacheTier::Memory));
-        }
-        let store = self.store.as_mut()?;
-        let imported = store
-            .load_reach(&layout_hex(layout))
-            .and_then(|data| ReachSnapshot::import_data(&data).ok());
-        match imported {
-            Some(snap) => {
-                self.counters.reach_hits += 1;
-                Some((snap, CacheTier::Disk))
-            }
-            None => {
-                self.counters.reach_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a reachable-state snapshot for a circuit layout in memory
-    /// (evicting the least-recently stored one when over capacity) and,
-    /// when a disk store is configured, persists it in the versioned
-    /// binary format so a restarted daemon warm-starts from disk.
-    pub fn store_reach(&mut self, layout: CanonicalHash, snap: ReachSnapshot) {
-        if let Some(store) = &mut self.store {
-            let _ = store.save_reach(&layout_hex(layout), &snap.export_data());
-        }
-        self.tick += 1;
-        let bytes = snap.approx_bytes();
-        if self.max_bytes.is_some_and(|max| bytes > max) {
-            return; // oversized bypass
-        }
-        while self.reach.len() >= self.capacity && !self.reach.contains_key(&layout) {
-            let victim = self
-                .reach
-                .iter()
-                .min_by_key(|(_, (_, tick, _))| *tick)
-                .map(|(k, _)| *k)
-                .expect("non-empty map over capacity");
-            self.remove_reach(&victim);
-        }
-        if let Some((_, _, old)) = self.reach.insert(layout, (snap, self.tick, bytes)) {
-            self.mem_bytes -= old;
-        }
-        self.mem_bytes += bytes;
-        self.evict_to_mem_budget(&Protect::Reach(layout));
-    }
-
     /// Takes the cached per-cone analysis artifacts for a cone *layout*
-    /// digest under an options fingerprint, from memory or the disk
-    /// store. Like [`take_reach`](Self::take_reach), ownership moves out
-    /// so the decomposed analysis can replay the entry outside the cache
-    /// lock; store the (possibly refreshed) entry back via
-    /// [`store_cone`](Self::store_cone).
+    /// digest under an entry key ([`ConeCacheEntry::key`]), from memory or
+    /// the disk store. Ownership moves out so the analysis can replay the
+    /// entry outside the cache lock; store the (possibly refreshed) entry
+    /// back via [`store_cone`](Self::store_cone). The returned tier says
+    /// where it came from (the envelope's warm provenance).
     pub fn take_cone(
         &mut self,
         cone: CanonicalHash,
-        options: u64,
+        key: u64,
     ) -> Option<(ConeCacheEntry, CacheTier)> {
-        if let Some((entry, _, bytes)) = self.cones.remove(&(cone, options)) {
+        if let Some((entry, _, bytes)) = self.cones.remove(&(cone, key)) {
             self.mem_bytes -= bytes;
             return Some((entry, CacheTier::Memory));
         }
         let store = self.store.as_mut()?;
         let imported = store
-            .load_cone(&layout_hex(cone), options)
+            .load_cone(&layout_hex(cone), key)
             .and_then(|data| ConeCacheEntry::import_data(&data).ok());
         match imported {
             Some(entry) => {
@@ -475,13 +379,13 @@ impl ResultCache {
     }
 
     /// Stores per-cone analysis artifacts under the cone's layout digest
-    /// and the options fingerprint, in memory and (when configured) the
-    /// disk store. The memory tier holds up to eight entries per unit of
-    /// report capacity — one circuit contributes several cones — evicting
-    /// the least-recently stored beyond that.
-    pub fn store_cone(&mut self, cone: CanonicalHash, options: u64, entry: ConeCacheEntry) {
+    /// and the entry key, in memory and (when configured) the disk store.
+    /// The memory tier holds up to eight entries per unit of report
+    /// capacity — one circuit contributes several cones — evicting the
+    /// least-recently stored beyond that.
+    pub fn store_cone(&mut self, cone: CanonicalHash, key: u64, entry: ConeCacheEntry) {
         if let Some(store) = &mut self.store {
-            let _ = store.save_cone(&layout_hex(cone), options, &entry.export_data());
+            let _ = store.save_cone(&layout_hex(cone), key, &entry.export_data());
         }
         self.tick += 1;
         let bytes = entry.approx_bytes();
@@ -489,7 +393,7 @@ impl ResultCache {
             return; // oversized bypass
         }
         let cap = self.capacity.saturating_mul(8);
-        let key = (cone, options);
+        let key = (cone, key);
         while self.cones.len() >= cap && !self.cones.contains_key(&key) {
             let victim = self
                 .cones

@@ -18,13 +18,13 @@
 //!   of the semantically relevant options
 //!   ([`report::options_fingerprint`]). Identical resubmissions are
 //!   answered from memory (or a `--cache-dir` disk store across
-//!   restarts) with a byte-identical report; a *different-options*
-//!   request for a known circuit warm-starts from the cached
-//!   reachable-state BDD instead of recomputing the fixed point. With
-//!   `"decompose": true` a fourth tier keys per-cone analysis artifacts
-//!   on each cone-of-influence's layout digest, so an ECO that edits one
-//!   cone replays every untouched cone and re-analyzes only the edited
-//!   one (the response envelope reports `cones_total`/`cones_replayed`).
+//!   restarts) with a byte-identical report. Behind it, a cone tier keys
+//!   per-cone analysis artifacts (reach layers plus verdicts) on each
+//!   cone-of-influence's layout digest: a *different-options* request for
+//!   a known circuit warm-starts from the cached reachable sets instead of
+//!   recomputing the fixed point, and an ECO that edits one cone replays
+//!   every untouched cone and re-analyzes only the edited one (the
+//!   response envelope reports `cones_total`/`cones_replayed`).
 //! * [`client::Client`] — the blocking client behind `mct query`.
 //! * [`json`] — the hand-rolled JSON value/parser/emitter shared by the
 //!   wire protocol, the disk cache, and the CLI's `--json` outputs (the

@@ -266,7 +266,6 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
             },
         ),
         ("num_threads".into(), Json::Int(opts.num_threads as i64)),
-        ("decompose".into(), Json::Bool(opts.decompose)),
         ("skew".into(), Json::Bool(opts.skew)),
         ("skew_bound".into(), opt_float(opts.skew_bound)),
     ])
@@ -274,9 +273,10 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
 
 /// Applies a partial options object over `base`. Unknown keys are
 /// rejected (typos should not silently fall back to defaults); `null`
-/// resets an optional field. The retired lever keys `ordering`, `sigma`
-/// and `reorder_schedule` are accepted with any value and ignored, so
-/// clients that still send them keep working.
+/// resets an optional field. The retired lever keys `ordering`, `sigma`,
+/// `reorder_schedule` and `decompose` are accepted with any value and
+/// ignored, so clients that still send them keep working (every analysis
+/// runs sliced into cones; no option selects the unsliced reference).
 ///
 /// # Errors
 ///
@@ -347,9 +347,6 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
             "num_threads" => {
                 opts.num_threads = usize_field(v, "num_threads")?;
             }
-            "decompose" => {
-                opts.decompose = v.as_bool().ok_or("decompose must be a bool")?;
-            }
             "skew" => {
                 opts.skew = v.as_bool().ok_or("skew must be a bool")?;
             }
@@ -359,7 +356,7 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                     other => Some(other.as_f64().ok_or("skew_bound must be a number")?),
                 };
             }
-            "ordering" | "sigma" | "reorder_schedule" => {}
+            "ordering" | "sigma" | "reorder_schedule" | "decompose" => {}
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -381,9 +378,8 @@ fn usize_field(v: &Json, name: &str) -> Result<usize, String> {
 /// non-timed-out runs the budget does not affect the result), `ordering`
 /// and `sigma` (variable order and Φ walk change node counts and wall
 /// time, never the report — see [`mct_core::VarOrder`] and
-/// [`mct_core::SigmaStrategy`]), and `decompose` (the recombined
-/// cone-sliced report is bit-identical to the monolithic one, so a
-/// decomposed run may answer a monolithic request and vice versa).
+/// [`mct_core::SigmaStrategy`]), and `decompose` (the cone-sliced report
+/// is bit-identical to the unsliced one).
 ///
 /// Deliberately *included*, unlike the knobs above: `skew` and
 /// `skew_bound`. The skew-optimization tier appends a `skew` object to
@@ -547,12 +543,13 @@ mod tests {
         assert!(err.contains("dalay_variation"), "{err}");
 
         // Retired lever keys are accepted with any value and ignored.
-        let retired =
-            Json::parse(r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5"}"#)
-                .unwrap();
+        let retired = Json::parse(
+            r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5","decompose":false}"#,
+        )
+        .unwrap();
         let opts = options_overlay(&base, &retired).unwrap();
         assert_eq!(format!("{opts:?}"), format!("{base:?}"));
-        let odd = Json::parse(r#"{"ordering":7,"sigma":null}"#).unwrap();
+        let odd = Json::parse(r#"{"ordering":7,"sigma":null,"decompose":"yes"}"#).unwrap();
         assert!(options_overlay(&base, &odd).is_ok());
     }
 
@@ -579,7 +576,7 @@ mod tests {
             num_threads: 8,
             time_budget_ms: Some(10),
             ordering: mct_core::VarOrder::Alloc,
-            decompose: true,
+            decompose: false,
             sigma: mct_core::SigmaStrategy::Flat,
             ..MctOptions::default()
         };

@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mct_core::{ConeCacheEntry, MctAnalyzer, MctOptions};
-use mct_netlist::{circuit_digests, parse_bench, parse_blif, Circuit, DelayModel};
+use mct_netlist::{circuit_digests, parse_bench, parse_blif, CanonicalHash, Circuit, DelayModel};
 
 use crate::cache::{CacheHit, CacheKey, CacheTier, ResultCache};
 use crate::json::Json;
@@ -676,24 +676,35 @@ fn analyze_inner(
         // A corrupt entry falls through to an (uncoalesced) analysis.
     }
     let is_leader = matches!(claim, Claim::Leader);
+    lead(shared, key, digests.layout, is_leader, || {
+        analyze(shared, &circuit, &opts, key, digests.layout, peer, started)
+    })
+}
 
-    // Leader: run the analysis (never holding the inflight lock), then
-    // publish to any followers — on success AND on failure, so a follower
-    // can never wait forever.
-    let result = if opts.decompose {
-        // Phase 3 (decomposed): slice into cones of influence, replay the
-        // cones whose layout digests are in the per-cone cache tier, and
-        // analyze only what changed. The recombined report is
-        // bit-identical to the monolithic one, so it lands in the
-        // whole-report cache under the same key (the fingerprint excludes
-        // `decompose`).
-        analyze_decomposed(shared, &circuit, &opts, key, digests.layout, peer, started)
-    } else {
-        analyze_direct(shared, &circuit, &opts, key, &digests, peer, started)
-    };
+/// Runs one analysis (`work`) and, for the leader of `key`, publishes its
+/// result to the coalesced followers — on success, on failure, and on a
+/// panic alike, so a follower can never wait forever and the in-flight
+/// entry is always removed. A panic becomes an error (answered as an error
+/// envelope and counted in `errors`); the worker thread survives.
+fn lead(
+    shared: &Shared,
+    key: CacheKey,
+    layout: CanonicalHash,
+    is_leader: bool,
+    work: impl FnOnce() -> Result<(Json, String), String>,
+) -> Result<Json, String> {
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).unwrap_or_else(|panic| {
+            let what = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string payload".into());
+            Err(format!("analysis panicked: {what}"))
+        });
     if is_leader {
         let published = match &result {
-            Ok((_, report_text)) => Ok((report_text.clone(), digests.layout)),
+            Ok((_, report_text)) => Ok((report_text.clone(), layout)),
             Err(message) => Err(message.clone()),
         };
         let flight = shared.inflight.lock().expect("inflight lock").remove(&key);
@@ -752,90 +763,6 @@ fn follow_inflight(
     }
 }
 
-/// The monolithic analyze path: warm-start from a cached reachable-state
-/// set when one exists for this exact *layout* (content hash + register
-/// declaration order) in memory or the disk store. Keying by content hash
-/// alone would be unsound: snapshot BDD variables are register positions,
-/// and importing them into a register-permuted rebuild would restrict the
-/// wrong bits. Returns the response envelope plus the compact report text
-/// (for the coalescing publication).
-fn analyze_direct(
-    shared: &Shared,
-    circuit: &Circuit,
-    opts: &MctOptions,
-    key: CacheKey,
-    digests: &mct_netlist::CircuitDigests,
-    peer: &str,
-    started: Instant,
-) -> Result<(Json, String), String> {
-    let warm = if opts.use_reachability {
-        shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .take_reach(digests.layout)
-    } else {
-        None
-    };
-    let (warm, warm_source) = match warm {
-        Some((snap, tier)) => (
-            Some(snap),
-            Some(match tier {
-                CacheTier::Memory => "memory",
-                CacheTier::Disk => "disk",
-            }),
-        ),
-        None => (None, None),
-    };
-    let label = if warm.is_some() { "warm" } else { "miss" };
-    let analyze_started = Instant::now();
-    let mut analyzer = MctAnalyzer::new(circuit).map_err(|e| e.to_string())?;
-    let (report, snapshot) = analyzer
-        .run_warm(opts, warm.as_ref())
-        .map_err(|e| e.to_string())?;
-    shared.stats.analyze.record(analyze_started.elapsed());
-    if warm.is_some() {
-        shared.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.stats.kernel.record(&report.kernel);
-    log_kernel(shared, peer, circuit.name(), &report.kernel);
-
-    // Phase 4: store. Timed-out reports are partial — never cached.
-    let report_json = report_to_json(&report);
-    let report_text = report_json.to_compact();
-    {
-        let mut cache = shared.cache.lock().expect("cache lock");
-        match snapshot {
-            Some(snap) => cache.store_reach(digests.layout, snap),
-            // The run ended before reachability (early exit); keep the
-            // snapshot we borrowed instead of losing it.
-            None => {
-                if let Some(w) = warm {
-                    cache.store_reach(digests.layout, w);
-                }
-            }
-        }
-        if !report.timed_out {
-            cache.insert(key, digests.layout, report_text.clone());
-        }
-    }
-    let response = report_response(
-        shared,
-        key,
-        label,
-        report_json,
-        EnvelopeNotes {
-            warm_source,
-            ..EnvelopeNotes::default()
-        },
-        peer,
-        started,
-    );
-    Ok((response, report_text))
-}
-
 /// The kernel stats never enter the serialized report (they are
 /// scheduling-dependent), so the per-request log line is where they
 /// surface on the server side.
@@ -858,47 +785,52 @@ fn log_kernel(shared: &Shared, peer: &str, circuit: &str, k: &mct_core::BddStats
     }
 }
 
-/// The decomposed analyze path: slices the circuit into cones of
-/// influence, takes cached [`ConeCacheEntry`] values keyed on each cone's
-/// layout digest (plus the options fingerprint), replays them through
-/// [`MctAnalyzer::run_decomposed`], and stores the refreshed entries back
-/// so the next request replays every cone this one analyzed. An edit that
-/// touches a single cone therefore re-analyzes exactly that cone.
-fn analyze_decomposed(
+/// The analyze path: slices the circuit into cones of influence, takes
+/// the cached [`ConeCacheEntry`] of each cone — keyed by the cone's layout
+/// digest and [`ConeCacheEntry::key`] — from memory or the disk store,
+/// replays them through [`MctAnalyzer::run_decomposed`], and stores the
+/// refreshed entries back. An edit that touches one cone re-analyzes
+/// exactly that cone; a request with different options for a known
+/// circuit reuses every cone's reachable set and the verdicts its σ share
+/// (a one-cone circuit's entry carries the whole reachable set). The
+/// layout digest, not the content digest, keys entries because their BDD
+/// variables are register *positions*: a register-permuted rebuild must
+/// never import a foreign reach set. Returns the response envelope plus
+/// the compact report text (for the coalescing publication).
+fn analyze(
     shared: &Shared,
     circuit: &Circuit,
     opts: &MctOptions,
     key: CacheKey,
-    layout: mct_netlist::CanonicalHash,
+    layout: CanonicalHash,
     peer: &str,
     started: Instant,
 ) -> Result<(Json, String), String> {
+    let mut analyzer = MctAnalyzer::new(circuit).map_err(|e| e.to_string())?;
     // The slice order here and inside `run_decomposed` is the same
     // deterministic `mct_netlist::decompose` order, so seeds line up
     // positionally. Two identical cones share a digest: the second take
     // misses (ownership moved to the first), which costs a re-analysis but
     // never soundness.
-    let cones = mct_netlist::decompose(circuit);
-    let cone_keys: Vec<_> = cones
+    let entry_key = ConeCacheEntry::key(opts);
+    let cone_digests: Vec<CanonicalHash> = mct_netlist::decompose(circuit)
         .iter()
         .map(|c| circuit_digests(&c.circuit).layout)
         .collect();
     let mut any_disk_seed = false;
     let mut seeds: Vec<Option<ConeCacheEntry>> = {
         let mut cache = shared.cache.lock().expect("cache lock");
-        cone_keys
+        cone_digests
             .iter()
-            .map(|&d| match cache.take_cone(d, key.options) {
-                Some((entry, tier)) => {
-                    any_disk_seed |= tier == CacheTier::Disk;
-                    Some(entry)
-                }
-                None => None,
+            .map(|&d| {
+                let (entry, tier) = cache.take_cone(d, entry_key)?;
+                any_disk_seed |= tier == CacheTier::Disk;
+                Some(entry)
             })
             .collect()
     };
+    let seeded = seeds.iter().any(Option::is_some);
     let analyze_started = Instant::now();
-    let mut analyzer = MctAnalyzer::new(circuit).map_err(|e| e.to_string())?;
     let run = {
         let seed_refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Option::as_ref).collect();
         analyzer.run_decomposed(opts, &seed_refs)
@@ -907,11 +839,11 @@ fn analyze_decomposed(
         Ok(ok) => ok,
         Err(e) => {
             // Put the borrowed seeds back so a failed request does not
-            // evict another circuit's warm state.
+            // evict warm state.
             let mut cache = shared.cache.lock().expect("cache lock");
-            for (digest, seed) in cone_keys.iter().zip(seeds.drain(..)) {
+            for (digest, seed) in cone_digests.iter().zip(seeds.drain(..)) {
                 if let Some(entry) = seed {
-                    cache.store_cone(*digest, key.options, entry);
+                    cache.store_cone(*digest, entry_key, entry);
                 }
             }
             return Err(e.to_string());
@@ -919,12 +851,13 @@ fn analyze_decomposed(
     };
     shared.stats.analyze.record(analyze_started.elapsed());
     let (total, replayed) = (artifacts.cones_total, artifacts.cones_replayed);
-    let label = if replayed > 0 { "warm" } else { "miss" };
-    if replayed > 0 {
+    let label = if seeded {
         shared.stats.warm_starts.fetch_add(1, Ordering::Relaxed);
+        "warm"
     } else {
         shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-    }
+        "miss"
+    };
     shared
         .stats
         .cones_total
@@ -937,37 +870,28 @@ fn analyze_decomposed(
     log_kernel(shared, peer, circuit.name(), &report.kernel);
 
     // Store: every cone comes back — a freshly harvested entry when the
-    // cone was (re)analyzed, the untouched seed when it was replayed.
-    // Timed-out reports stay out of the report cache as usual, but the
-    // per-σ cone outcomes computed before the deadline are each complete
-    // and deterministic, so they are kept.
+    // cone did new work, the untouched seed when it was replayed.
+    // Timed-out reports stay out of the report cache, but the per-σ cone
+    // outcomes computed before the deadline are each complete and
+    // deterministic, so they are kept.
     let report_json = report_to_json(&report);
     let report_text = report_json.to_compact();
     {
         let mut cache = shared.cache.lock().expect("cache lock");
-        for ((digest, seed), fresh) in cone_keys
+        for ((digest, seed), fresh) in cone_digests
             .iter()
             .zip(seeds.drain(..))
             .zip(artifacts.entries.drain(..))
         {
-            match fresh {
-                Some(entry) => cache.store_cone(*digest, key.options, entry),
-                None => {
-                    if let Some(entry) = seed {
-                        cache.store_cone(*digest, key.options, entry);
-                    }
-                }
+            if let Some(entry) = fresh.or(seed) {
+                cache.store_cone(*digest, entry_key, entry);
             }
         }
         if !report.timed_out {
             cache.insert(key, layout, report_text.clone());
         }
     }
-    let warm_source = if replayed > 0 {
-        Some(if any_disk_seed { "disk" } else { "memory" })
-    } else {
-        None
-    };
+    let warm_source = seeded.then_some(if any_disk_seed { "disk" } else { "memory" });
     let response = report_response(
         shared,
         key,
@@ -1005,12 +929,12 @@ struct EnvelopeNotes {
     /// The report was replayed from a differently-declared build of the
     /// same circuit (index-valued diagnostics use that build's order).
     canonical_indices: bool,
-    /// `(cones_total, cones_replayed)` for decomposed runs.
+    /// `(cones_total, cones_replayed)` for analyzed (non-hit) requests.
     cones: Option<(usize, usize)>,
-    /// Where the warm-start artifact came from (`"memory"` or `"disk"`),
-    /// for `cache == "warm"` responses. A `"disk"` source proves the
-    /// analysis warm-started from the persistent store — e.g. across a
-    /// daemon restart — without re-running the reachability fixed point.
+    /// Where the replayed cone entries came from (`"disk"` when any came
+    /// from the store, else `"memory"`), for `cache == "warm"` responses.
+    /// A `"disk"` source proves the analysis warm-started from the
+    /// persistent store — e.g. across a daemon restart.
     warm_source: Option<&'static str>,
 }
 
@@ -1052,9 +976,8 @@ fn report_response(
         fields.push(("canonical_indices".into(), Json::Bool(true)));
     }
     if let Some((total, replayed)) = notes.cones {
-        // Decomposed runs surface the incremental-replay ledger in the
-        // envelope, never inside the report (which must stay bit-identical
-        // to a monolithic analysis).
+        // The incremental-replay ledger rides in the envelope, never inside
+        // the report (which must stay bit-identical to a cold analysis).
         fields.push(("cones_total".into(), Json::Int(total as i64)));
         fields.push(("cones_replayed".into(), Json::Int(replayed as i64)));
     }
@@ -1117,11 +1040,6 @@ fn stats_response(shared: &Shared) -> Json {
                     "report_misses".into(),
                     Json::Int(persist.report_misses as i64),
                 ),
-                ("reach_hits".into(), Json::Int(persist.reach_hits as i64)),
-                (
-                    "reach_misses".into(),
-                    Json::Int(persist.reach_misses as i64),
-                ),
                 ("cone_hits".into(), Json::Int(persist.cone_hits as i64)),
                 ("cone_misses".into(), Json::Int(persist.cone_misses as i64)),
                 ("disk_bytes".into(), Json::Int(persist.disk_bytes as i64)),
@@ -1147,4 +1065,43 @@ fn stats_response(shared: &Shared) -> Json {
         ),
         ("kernel".into(), s.kernel.to_json()),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicking_leader_releases_its_followers() {
+        let shared = Shared {
+            cfg: ServerConfig::default(),
+            cache: Mutex::new(ResultCache::new(4, None, None)),
+            queue: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            stats: Counters::default(),
+            inflight: Mutex::new(std::collections::HashMap::new()),
+        };
+        let key = CacheKey {
+            circuit: CanonicalHash(1),
+            options: 2,
+        };
+        let layout = CanonicalHash(3);
+        let flight = Arc::new(Inflight::default());
+        shared
+            .inflight
+            .lock()
+            .unwrap()
+            .insert(key, Arc::clone(&flight));
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| {
+                follow_inflight(&shared, &flight, key, layout, "c", "peer", Instant::now())
+            });
+            let led = lead(&shared, key, layout, true, || panic!("boom"));
+            assert!(led.unwrap_err().contains("boom"));
+            let followed = follower.join().expect("the follower never panics");
+            assert!(followed.unwrap_err().contains("boom"));
+        });
+        assert!(shared.inflight.lock().unwrap().is_empty());
+    }
 }

@@ -192,14 +192,15 @@ fn ordering_option_does_not_split_the_cache() {
     });
     let mut client = Client::connect(addr).unwrap();
 
-    // Older clients still send the retired lever keys `ordering`, `sigma`
-    // and `reorder_schedule`. The server ignores their values, so such a
-    // request must replay the cached report byte for byte.
+    // Older clients still send the retired lever keys `ordering`, `sigma`,
+    // `reorder_schedule` and `decompose`. The server ignores their values,
+    // so such a request must replay the cached report byte for byte.
     let first = client.analyze(FIG2, "bench", Some("fig2"), None).unwrap();
     assert_eq!(cache_label(&first), "miss");
-    let legacy =
-        Json::parse(r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5"}"#)
-            .unwrap();
+    let legacy = Json::parse(
+        r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5","decompose":false}"#,
+    )
+    .unwrap();
     let second = client
         .analyze(FIG2, "bench", Some("fig2"), Some(&legacy))
         .unwrap();
@@ -266,8 +267,8 @@ fn sigma_counters_surface_in_stats_not_in_the_report() {
 fn different_options_warm_start_matches_a_cold_run() {
     let fixed = Json::parse(r#"{"delay_variation":null}"#).unwrap();
 
-    // Server 1: default-options run populates the reach snapshot, then a
-    // fixed-delay run warm-starts from it.
+    // Server 1: a default-options run populates the cone entry (reach set
+    // plus verdicts), then a fixed-delay run warm-starts from it.
     let (addr, thread) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         ..ServerConfig::default()
@@ -316,13 +317,13 @@ fn reordered_registers_never_import_a_foreign_reach_snapshot() {
     let first = client.analyze(TWO_REG, "bench", Some("m"), None).unwrap();
     assert_eq!(cache_label(&first), "miss");
     // Positive control: same declaration order, different options — the
-    // reachable-state snapshot is reusable.
+    // cone entry and its reachable set are reusable.
     let control = client
         .analyze(TWO_REG, "bench", Some("m"), Some(&lp))
         .unwrap();
     assert_eq!(cache_label(&control), "warm");
     // Same canonical circuit, different options again (so the report
-    // cache misses) but *permuted register declaration*: the snapshot's
+    // cache misses) but *permuted register declaration*: the entry's
     // state bits would land on the wrong registers, so the server must
     // run the fixpoint cold rather than warm-start.
     let swapped = client
@@ -331,7 +332,7 @@ fn reordered_registers_never_import_a_foreign_reach_snapshot() {
     assert_eq!(
         cache_label(&swapped),
         "miss",
-        "a reach snapshot must never cross register declaration orders"
+        "a cone entry must never cross register declaration orders"
     );
     client.shutdown().unwrap();
     thread.join().unwrap().unwrap();
@@ -386,16 +387,15 @@ fn register_reordered_hit_is_flagged_with_canonical_indices() {
 
 #[test]
 fn one_gate_edit_replays_every_untouched_cone() {
-    let decompose = Json::parse(r#"{"decompose":true}"#).unwrap();
     let (addr, thread) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
 
-    // Cold decomposed run: three cones, none replayable yet.
+    // Cold run: three cones, none replayable yet.
     let cold = client
-        .analyze(TRI_CONE, "bench", Some("tri"), Some(&decompose))
+        .analyze(TRI_CONE, "bench", Some("tri"), None)
         .unwrap();
     assert_eq!(cache_label(&cold), "miss");
     assert_eq!(cold.get("cones_total").and_then(Json::as_i64), Some(3));
@@ -405,7 +405,7 @@ fn one_gate_edit_replays_every_untouched_cone() {
     // cache misses (new content hash), but the two state-holding cones'
     // digests are unchanged, so exactly cones_total − 1 replay.
     let eco = client
-        .analyze(TRI_CONE_EDITED, "bench", Some("tri"), Some(&decompose))
+        .analyze(TRI_CONE_EDITED, "bench", Some("tri"), None)
         .unwrap();
     assert_eq!(
         cache_label(&eco),
@@ -425,21 +425,20 @@ fn one_gate_edit_replays_every_untouched_cone() {
     // Two shared cones + the pre-edit and post-edit variants of the third.
     assert_eq!(stats.get("cone_entries").and_then(Json::as_i64), Some(4));
 
-    // `decompose` is excluded from the options fingerprint: a monolithic
-    // request for the edited circuit is answered from the report cache,
-    // byte-identical — the decomposed report IS the monolithic report.
-    let mono = client
+    // A repeat of the edited circuit is a report-cache hit, byte-identical
+    // and without a replay ledger (no analysis ran).
+    let again = client
         .analyze(TRI_CONE_EDITED, "bench", Some("tri"), None)
         .unwrap();
-    assert_eq!(cache_label(&mono), "hit");
-    assert_eq!(report_text(&eco), report_text(&mono));
-    assert!(mono.get("cones_total").is_none());
+    assert_eq!(cache_label(&again), "hit");
+    assert_eq!(report_text(&eco), report_text(&again));
+    assert!(again.get("cones_total").is_none());
 
     client.shutdown().unwrap();
     thread.join().unwrap().unwrap();
 
-    // Cross-check against a fresh server's cold monolithic run: the
-    // incrementally recombined report must match bit for bit.
+    // Cross-check against a fresh server's cold run: the incrementally
+    // recombined report must match bit for bit.
     let (addr2, thread2) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         ..ServerConfig::default()
@@ -578,7 +577,7 @@ fn restarted_server_warm_starts_reachability_from_the_disk_store() {
     let _ = std::fs::remove_dir_all(&dir);
     let fixed = Json::parse(r#"{"delay_variation":null}"#).unwrap();
 
-    // Session 1: a default-options run persists its reach snapshot (and
+    // Session 1: a default-options run persists its cone entry (and
     // report) to the store directory.
     let (addr, thread) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
@@ -592,9 +591,9 @@ fn restarted_server_warm_starts_reachability_from_the_disk_store() {
     thread.join().unwrap().unwrap();
 
     // Session 2 (the "restarted daemon"): different options, so the
-    // report cache misses — but the reachable-state snapshot comes back
-    // from disk and the fixpoint is never re-run. `warm_source: "disk"`
-    // is the envelope's proof of that provenance.
+    // report cache misses — but the cone entry, reachable set included,
+    // comes back from disk and the fixpoint is never re-run.
+    // `warm_source: "disk"` is the envelope's proof of that provenance.
     let (addr2, thread2) = start(ServerConfig {
         listen: "127.0.0.1:0".into(),
         cache_dir: Some(dir.clone()),
@@ -607,12 +606,12 @@ fn restarted_server_warm_starts_reachability_from_the_disk_store() {
     assert_eq!(
         cache_label(&warm),
         "warm",
-        "a restarted daemon must warm-start from the persisted snapshot"
+        "a restarted daemon must warm-start from the persisted entry"
     );
     assert_eq!(
         warm.get("warm_source").and_then(Json::as_str),
         Some("disk"),
-        "the snapshot must come from the store, not this process's memory"
+        "the entry must come from the store, not this process's memory"
     );
     let stats = client2.stats().unwrap();
     let persistence = stats.get("persistence").expect("persistence stats");
@@ -621,10 +620,11 @@ fn restarted_server_warm_starts_reachability_from_the_disk_store() {
         Some(true)
     );
     assert_eq!(
-        persistence.get("reach_hits").and_then(Json::as_i64),
+        persistence.get("cone_hits").and_then(Json::as_i64),
         Some(1),
-        "exactly one snapshot must have been loaded from disk"
+        "exactly one cone entry must have been loaded from disk"
     );
+    assert!(persistence.get("reach_hits").is_none(), "no reach tier");
     client2.shutdown().unwrap();
     thread2.join().unwrap().unwrap();
 

@@ -4,9 +4,8 @@
 //!
 //! ```text
 //! header   := magic "MCTB" | version u16 | kind u8 | flags u8
-//! payload  := reach | cone                    (selected by kind)
+//! payload  := cone                            (selected by kind)
 //!
-//! reach    := tvars | snapshot | states f64bits
 //! cone     := tvars | snapshot | tail u64 | period u64 | has_reach u8
 //!           | cx_count u32  { sub | m i64 | outcome }*
 //!           | ex_count u32  { sub | m_state i64 | m_input i64
@@ -20,9 +19,9 @@
 //! outcome  := kind_len u16 | kind bytes | cyc u8 [i64] | idx u8 [u64]
 //! ```
 //!
-//! Kind byte 1 is a reach snapshot and 3 a cone seed. Kind byte 2 held a
-//! learned variable order in older stores; it is retired, never reused,
-//! and every decoder refuses it.
+//! Kind byte 3 is a cone seed. Kind bytes 1 (a whole-circuit reach
+//! snapshot) and 2 (a learned variable order) were written by older
+//! stores; both are retired, never reused, and every decoder refuses them.
 //!
 //! Snapshot node references are signed: `+1`/`-1` are TRUE/FALSE, node *i*
 //! is `±(i+2)`, negative means a complemented edge; nodes appear children
@@ -36,7 +35,7 @@
 //! allocation.
 
 use mct_bdd::{BddSnapshot, SnapshotNode};
-use mct_core::{ConeData, ExactPartData, OutcomeData, ReachData};
+use mct_core::{ConeData, ExactPartData, OutcomeData};
 use mct_tbf::TimedVar;
 use std::fmt;
 
@@ -51,10 +50,9 @@ const FLAG_COMPLEMENT_EDGES: u8 = 1;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum ArtifactKind {
-    /// A [`ReachData`] reachable-state snapshot.
-    Reach = 1,
-    // Kind byte 2 held a learned variable order. Retired: never reuse it,
-    // so files an older writer left behind can never decode as new data.
+    // Kind bytes 1 (a whole-circuit reach snapshot) and 2 (a learned
+    // variable order) are retired: never reuse them, so files an older
+    // writer left behind can never decode as new data.
     /// A [`ConeData`] cone replay seed.
     Cone = 3,
 }
@@ -62,7 +60,6 @@ pub enum ArtifactKind {
 impl ArtifactKind {
     fn from_u8(v: u8) -> Option<ArtifactKind> {
         match v {
-            1 => Some(ArtifactKind::Reach),
             3 => Some(ArtifactKind::Cone),
             _ => None,
         }
@@ -171,9 +168,6 @@ impl Writer {
     }
     fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     fn timed_var(&mut self, tv: TimedVar) {
@@ -285,9 +279,6 @@ impl<'a> Reader<'a> {
     }
     fn i64(&mut self) -> R<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> R<f64> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a declared element count and rejects it immediately when even
@@ -443,34 +434,6 @@ pub fn peek_kind(bytes: &[u8]) -> R<ArtifactKind> {
 
 // ---------------------------------------------------------------- public
 
-/// Encodes a reachable-state snapshot.
-pub fn encode_reach(data: &ReachData) -> Vec<u8> {
-    let mut w = Writer::new(ArtifactKind::Reach);
-    w.timed_vars(&data.vars);
-    w.snapshot(&data.snapshot);
-    w.f64(data.states);
-    w.buf
-}
-
-/// Decodes a reachable-state snapshot.
-///
-/// # Errors
-///
-/// [`StoreError`] on any malformed, truncated, or mis-versioned input.
-pub fn decode_reach(bytes: &[u8]) -> R<ReachData> {
-    let mut r = Reader::new(bytes);
-    read_header(&mut r, ArtifactKind::Reach)?;
-    let vars = r.timed_vars()?;
-    let snapshot = r.snapshot()?;
-    let states = r.f64()?;
-    r.finish()?;
-    Ok(ReachData {
-        vars,
-        snapshot,
-        states,
-    })
-}
-
 /// Encodes a cone replay seed.
 pub fn encode_cone(data: &ConeData) -> Vec<u8> {
     let mut w = Writer::new(ArtifactKind::Cone);
@@ -579,70 +542,8 @@ pub fn decode_cone(bytes: &[u8]) -> R<ConeData> {
 mod tests {
     use super::*;
 
-    fn sample_reach() -> ReachData {
-        ReachData {
-            vars: vec![
-                TimedVar::Shifted { leaf: 0, shift: 0 },
-                TimedVar::Next { leaf: 0 },
-                TimedVar::Shifted { leaf: 1, shift: 0 },
-            ],
-            snapshot: BddSnapshot {
-                num_vars: 3,
-                order: vec![0, 1, 2],
-                nodes: vec![
-                    SnapshotNode {
-                        var: 2,
-                        lo: -1,
-                        hi: 1,
-                    },
-                    SnapshotNode {
-                        var: 0,
-                        lo: -2,
-                        hi: 2,
-                    },
-                ],
-                roots: vec![-3],
-            },
-            states: 2.0,
-        }
-    }
-
-    #[test]
-    fn reach_round_trip() {
-        let data = sample_reach();
-        let bytes = encode_reach(&data);
-        assert_eq!(&bytes[..4], MAGIC);
-        assert_eq!(peek_kind(&bytes).unwrap(), ArtifactKind::Reach);
-        assert_eq!(decode_reach(&bytes).unwrap(), data);
-    }
-
-    /// A reach artifact with no variables and an empty snapshot.
-    fn empty_reach() -> ReachData {
-        ReachData {
-            vars: Vec::new(),
-            snapshot: BddSnapshot::default(),
-            states: 0.0,
-        }
-    }
-
-    #[test]
-    fn every_timed_var_tag_round_trips() {
-        let data = ReachData {
-            vars: vec![
-                TimedVar::Old { leaf: 5 },
-                TimedVar::Arbitrary { leaf: 2, delay: -7 },
-                TimedVar::Primed { leaf: 1, depth: 3 },
-                TimedVar::Absolute { leaf: 0, cycle: -1 },
-            ],
-            ..empty_reach()
-        };
-        let bytes = encode_reach(&data);
-        assert_eq!(decode_reach(&bytes).unwrap(), data);
-    }
-
-    #[test]
-    fn cone_round_trip() {
-        let data = ConeData {
+    fn sample_cone() -> ConeData {
+        ConeData {
             vars: vec![TimedVar::Shifted { leaf: 0, shift: 0 }],
             snapshot: BddSnapshot {
                 num_vars: 1,
@@ -681,6 +582,42 @@ mod tests {
                     )),
                 },
             )],
+        }
+    }
+
+    /// A cone artifact with no variables and an empty snapshot.
+    fn empty_cone() -> ConeData {
+        ConeData {
+            vars: Vec::new(),
+            snapshot: BddSnapshot::default(),
+            tail: 0,
+            period: 0,
+            has_reach: false,
+            outcomes_cx: Vec::new(),
+            outcomes_exact: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn cone_round_trip() {
+        let data = sample_cone();
+        let bytes = encode_cone(&data);
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(peek_kind(&bytes).unwrap(), ArtifactKind::Cone);
+        assert_eq!(decode_cone(&bytes).unwrap(), data);
+    }
+
+    #[test]
+    fn every_timed_var_tag_round_trips() {
+        let data = ConeData {
+            vars: vec![
+                TimedVar::Old { leaf: 5 },
+                TimedVar::Arbitrary { leaf: 2, delay: -7 },
+                TimedVar::Primed { leaf: 1, depth: 3 },
+                TimedVar::Absolute { leaf: 0, cycle: -1 },
+                TimedVar::Next { leaf: 4 },
+            ],
+            ..empty_cone()
         };
         let bytes = encode_cone(&data);
         assert_eq!(decode_cone(&bytes).unwrap(), data);
@@ -688,29 +625,12 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic() {
-        assert_eq!(encode_reach(&sample_reach()), encode_reach(&sample_reach()));
+        assert_eq!(encode_cone(&sample_cone()), encode_cone(&sample_cone()));
     }
 
     #[test]
     fn every_truncation_errors_cleanly() {
-        let bytes = encode_cone(&ConeData {
-            vars: vec![TimedVar::Next { leaf: 0 }],
-            snapshot: BddSnapshot {
-                num_vars: 1,
-                order: vec![0],
-                nodes: vec![SnapshotNode {
-                    var: 0,
-                    lo: -1,
-                    hi: 1,
-                }],
-                roots: vec![2],
-            },
-            tail: 0,
-            period: 1,
-            has_reach: false,
-            outcomes_cx: Vec::new(),
-            outcomes_exact: Vec::new(),
-        });
+        let bytes = encode_cone(&sample_cone());
         for cut in 0..bytes.len() {
             assert!(
                 decode_cone(&bytes[..cut]).is_err(),
@@ -721,32 +641,26 @@ mod tests {
 
     #[test]
     fn header_violations() {
-        let good = encode_reach(&empty_reach());
+        let good = encode_cone(&empty_cone());
         let mut bad = good.clone();
         bad[0] = b'X';
-        assert_eq!(decode_reach(&bad).unwrap_err(), StoreError::BadMagic);
+        assert_eq!(decode_cone(&bad).unwrap_err(), StoreError::BadMagic);
         let mut bad = good.clone();
         bad[4] = 0xff;
         assert!(matches!(
-            decode_reach(&bad).unwrap_err(),
+            decode_cone(&bad).unwrap_err(),
             StoreError::UnsupportedVersion { .. }
-        ));
-        let mut bad = good.clone();
-        bad[6] = ArtifactKind::Cone as u8;
-        assert!(matches!(
-            decode_reach(&bad).unwrap_err(),
-            StoreError::WrongKind { .. }
         ));
         let mut bad = good.clone();
         bad[7] = 0;
         assert!(matches!(
-            decode_reach(&bad).unwrap_err(),
+            decode_cone(&bad).unwrap_err(),
             StoreError::BadFlags { .. }
         ));
         let mut bad = good;
         bad.push(0);
         assert!(matches!(
-            decode_reach(&bad).unwrap_err(),
+            decode_cone(&bad).unwrap_err(),
             StoreError::TrailingBytes { .. }
         ));
     }
@@ -758,11 +672,11 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.push(ArtifactKind::Reach as u8);
+        bytes.push(ArtifactKind::Cone as u8);
         bytes.push(1);
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_reach(&bytes).unwrap_err(),
+            decode_cone(&bytes).unwrap_err(),
             StoreError::Truncated { .. }
         ));
     }

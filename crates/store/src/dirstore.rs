@@ -5,21 +5,23 @@
 //! and named by artifact class and key:
 //!
 //! ```text
-//! reach-<layout:032x>.mctb            reachable-state snapshot
-//! cone-<layout:032x>-<fp:016x>.mctb   cone replay seed
+//! cone-<layout:032x>-<key:016x>.mctb  cone replay seed
 //! <circuit:032x>-<fp:016x>.json       report (text format owned by the
 //!                                     service's result cache)
 //! ```
 //!
-//! Older stores may also hold `order-<layout:032x>.mctb` files (a retired
-//! artifact kind). Lookups never open them; `ls` lists them with no kind
-//! and `gc` deletes them like any other file that no longer decodes.
+//! Older stores may also hold `reach-<layout:032x>.mctb` and
+//! `order-<layout:032x>.mctb` files (retired artifact kinds), and cone
+//! files written under an older key. Lookups never open the retired kinds
+//! and never compute an old key; `ls` lists retired kinds with no kind,
+//! `gc` deletes them like any other file that no longer decodes, and
+//! stale cone files age out under the LRU budget.
 //!
-//! The binary classes are keyed by the **layout** digest — the canonical
-//! digest that still distinguishes register positions — because snapshot
-//! BDD variables are register positions: a content-digest key would let a
-//! behaviourally-equal circuit with permuted registers import a
-//! positionally wrong reach set. Reports are keyed content-first (they are
+//! Seeds are keyed by the cone's **layout** digest — the canonical digest
+//! that still distinguishes register positions — because snapshot BDD
+//! variables are register positions: a content-digest key would let a
+//! behaviourally-equal cone with permuted registers import a positionally
+//! wrong reach set. Reports are keyed content-first (they are
 //! position-free) exactly as the in-memory tier keys them.
 //!
 //! Writes go to a tempfile and `rename` into place, so a daemon killed
@@ -31,23 +33,17 @@
 //! bigger than the whole budget bypasses admission instead of flushing
 //! everything else.
 
-use crate::codec::{decode_cone, decode_reach, encode_cone, encode_reach, peek_kind, ArtifactKind};
-use mct_core::{ConeData, ReachData};
+use crate::codec::{decode_cone, encode_cone, peek_kind, ArtifactKind};
+use mct_core::ConeData;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// File name of a reach-snapshot artifact for a layout digest (callers
-/// pass the digest pre-formatted as 32 lowercase hex digits).
-pub fn reach_name(layout_hex: &str) -> String {
-    format!("reach-{layout_hex}.mctb")
-}
-
-/// File name of a cone replay seed for a (cone layout digest, options
-/// fingerprint) pair.
-pub fn cone_name(layout_hex: &str, fingerprint: u64) -> String {
-    format!("cone-{layout_hex}-{fingerprint:016x}.mctb")
+/// File name of a cone replay seed for a (cone layout digest, entry key)
+/// pair; callers pass the digest pre-formatted as 32 lowercase hex digits.
+pub fn cone_name(layout_hex: &str, key: u64) -> String {
+    format!("cone-{layout_hex}-{key:016x}.mctb")
 }
 
 /// One directory entry, as reported by [`Store::ls`].
@@ -248,43 +244,21 @@ impl Store {
 
     // ------------------------------------------------- typed artifacts
 
-    /// Persists a reach snapshot for a layout digest. Returns `false` on
-    /// oversized bypass.
+    /// Persists a cone replay seed for a (cone layout digest, entry key)
+    /// pair. Returns `false` on oversized bypass.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn save_reach(&mut self, layout_hex: &str, data: &ReachData) -> io::Result<bool> {
-        self.save(&reach_name(layout_hex), &encode_reach(data))
+    pub fn save_cone(&mut self, layout_hex: &str, key: u64, data: &ConeData) -> io::Result<bool> {
+        self.save(&cone_name(layout_hex, key), &encode_cone(data))
     }
 
-    /// Loads the reach snapshot for a layout digest. Any missing,
-    /// truncated, corrupted, or mis-versioned file is a miss (`None`),
-    /// never a panic.
-    pub fn load_reach(&mut self, layout_hex: &str) -> Option<ReachData> {
-        let bytes = self.load(&reach_name(layout_hex))?;
-        decode_reach(&bytes).ok()
-    }
-
-    /// Persists a cone replay seed for a (cone layout digest, options
-    /// fingerprint) pair. Returns `false` on oversized bypass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_cone(
-        &mut self,
-        layout_hex: &str,
-        fingerprint: u64,
-        data: &ConeData,
-    ) -> io::Result<bool> {
-        self.save(&cone_name(layout_hex, fingerprint), &encode_cone(data))
-    }
-
-    /// Loads the cone replay seed for a (cone layout digest, options
-    /// fingerprint) pair; any bad file is a miss.
-    pub fn load_cone(&mut self, layout_hex: &str, fingerprint: u64) -> Option<ConeData> {
-        let bytes = self.load(&cone_name(layout_hex, fingerprint))?;
+    /// Loads the cone replay seed for a (cone layout digest, entry key)
+    /// pair. Any missing, truncated, corrupted, or mis-versioned file is a
+    /// miss (`None`), never a panic.
+    pub fn load_cone(&mut self, layout_hex: &str, key: u64) -> Option<ConeData> {
+        let bytes = self.load(&cone_name(layout_hex, key))?;
         decode_cone(&bytes).ok()
     }
 
@@ -329,7 +303,6 @@ impl Store {
             let valid = fs::read(self.dir.join(&name))
                 .ok()
                 .map(|bytes| match peek_kind(&bytes) {
-                    Ok(ArtifactKind::Reach) => decode_reach(&bytes).is_ok(),
                     Ok(ArtifactKind::Cone) => decode_cone(&bytes).is_ok(),
                     Err(_) => false,
                 })
@@ -384,12 +357,16 @@ mod tests {
         dir
     }
 
-    /// A reach artifact over `n` timed variables with an empty snapshot.
-    fn reach_of(n: usize) -> ReachData {
-        ReachData {
+    /// A cone artifact over `n` timed variables with an empty snapshot.
+    fn cone_of(n: usize) -> ConeData {
+        ConeData {
             vars: (0..n).map(|leaf| TimedVar::Next { leaf }).collect(),
             snapshot: mct_bdd::BddSnapshot::default(),
-            states: 0.0,
+            tail: 0,
+            period: 0,
+            has_reach: false,
+            outcomes_cx: Vec::new(),
+            outcomes_exact: Vec::new(),
         }
     }
 
@@ -397,34 +374,35 @@ mod tests {
     fn save_load_round_trip_and_reopen() {
         let dir = tmpdir("roundtrip");
         let mut store = Store::open(&dir, None).unwrap();
-        let data = reach_of(4);
-        assert!(store.save_reach("00ff", &data).unwrap());
-        assert_eq!(store.load_reach("00ff"), Some(data.clone()));
-        assert_eq!(store.load_reach("beef"), None);
+        let data = cone_of(4);
+        assert!(store.save_cone("00ff", 7, &data).unwrap());
+        assert_eq!(store.load_cone("00ff", 7), Some(data.clone()));
+        assert_eq!(store.load_cone("00ff", 8), None, "the key splits entries");
+        assert_eq!(store.load_cone("beef", 7), None);
         let expected = store.bytes_in_use();
         drop(store);
         // Reopen: the scan must rebuild the byte account.
         let mut store = Store::open(&dir, None).unwrap();
         assert_eq!(store.bytes_in_use(), expected);
-        assert_eq!(store.load_reach("00ff"), Some(data));
+        assert_eq!(store.load_cone("00ff", 7), Some(data));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn lru_eviction_keeps_directory_under_budget() {
         let dir = tmpdir("lru");
-        let one = encode_reach(&reach_of(4));
+        let one = encode_cone(&cone_of(4));
         let budget = one.len() as u64 * 2;
         let mut store = Store::open(&dir, Some(budget)).unwrap();
-        assert!(store.save_reach("aa", &reach_of(4)).unwrap());
-        assert!(store.save_reach("bb", &reach_of(4)).unwrap());
+        assert!(store.save_cone("aa", 0, &cone_of(4)).unwrap());
+        assert!(store.save_cone("bb", 0, &cone_of(4)).unwrap());
         // Touch "aa" so "bb" is the LRU victim.
-        assert!(store.load_reach("aa").is_some());
-        assert!(store.save_reach("cc", &reach_of(4)).unwrap());
+        assert!(store.load_cone("aa", 0).is_some());
+        assert!(store.save_cone("cc", 0, &cone_of(4)).unwrap());
         assert!(store.bytes_in_use() <= budget);
         assert_eq!(store.evictions(), 1);
-        assert!(store.load_reach("bb").is_none(), "LRU file evicted");
-        assert!(store.load_reach("aa").is_some(), "recently used survives");
+        assert!(store.load_cone("bb", 0).is_none(), "LRU file evicted");
+        assert!(store.load_cone("aa", 0).is_some(), "recently used survives");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -432,7 +410,7 @@ mod tests {
     fn oversized_artifact_bypasses_admission() {
         let dir = tmpdir("oversize");
         let mut store = Store::open(&dir, Some(8)).unwrap();
-        assert!(!store.save_reach("aa", &reach_of(64)).unwrap());
+        assert!(!store.save_cone("aa", 0, &cone_of(64)).unwrap());
         assert_eq!(store.bytes_in_use(), 0);
         assert_eq!(store.num_files(), 0);
         let _ = fs::remove_dir_all(&dir);
@@ -442,9 +420,9 @@ mod tests {
     fn gc_removes_corrupt_and_prunes() {
         let dir = tmpdir("gc");
         let mut store = Store::open(&dir, None).unwrap();
-        store.save_reach("aa", &reach_of(2)).unwrap();
-        store.save_reach("bb", &reach_of(2)).unwrap();
-        store.save("reach-cc.mctb", b"garbage").unwrap();
+        store.save_cone("aa", 0, &cone_of(2)).unwrap();
+        store.save_cone("bb", 0, &cone_of(2)).unwrap();
+        store.save(&cone_name("cc", 0), b"garbage").unwrap();
         drop(store);
         let mut store = Store::open(&dir, None).unwrap();
         assert_eq!(store.num_files(), 3);
@@ -462,8 +440,8 @@ mod tests {
         let dir = tmpdir("rm");
         let mut store = Store::open(&dir, None).unwrap();
         store.save("deadbeef-00.json", b"{}").unwrap();
-        store.save_reach("deadbeef", &sample_reach()).unwrap();
-        store.save_reach("cafe", &reach_of(1)).unwrap();
+        store.save_cone("deadbeef", 1, &cone_of(1)).unwrap();
+        store.save_cone("cafe", 1, &cone_of(1)).unwrap();
         assert_eq!(store.rm("deadbeef"), 2);
         assert_eq!(store.rm(""), 0);
         assert_eq!(store.num_files(), 1);
@@ -474,7 +452,7 @@ mod tests {
     fn ls_classifies() {
         let dir = tmpdir("ls");
         let mut store = Store::open(&dir, None).unwrap();
-        store.save_reach("bb", &sample_reach()).unwrap();
+        store.save_cone("bb", 0, &cone_of(1)).unwrap();
         store.save("cc.json", b"{}").unwrap();
         let entries = store.ls();
         assert_eq!(entries.len(), 2);
@@ -485,25 +463,8 @@ mod tests {
                 .map(|e| e.kind)
                 .unwrap()
         };
-        assert_eq!(kind_of("reach-bb.mctb"), Some(ArtifactKind::Reach));
+        assert_eq!(kind_of(&cone_name("bb", 0)), Some(ArtifactKind::Cone));
         assert_eq!(kind_of("cc.json"), None);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    fn sample_reach() -> ReachData {
-        ReachData {
-            vars: vec![TimedVar::Shifted { leaf: 0, shift: 0 }],
-            snapshot: mct_bdd::BddSnapshot {
-                num_vars: 1,
-                order: vec![0],
-                nodes: vec![mct_bdd::SnapshotNode {
-                    var: 0,
-                    lo: -1,
-                    hi: 1,
-                }],
-                roots: vec![2],
-            },
-            states: 1.0,
-        }
     }
 }

@@ -1,11 +1,12 @@
 //! Versioned on-disk persistence for the analysis service's hot artifacts.
 //!
-//! The service caches two expensive symbolic artifact classes in memory —
-//! reachable-state snapshots and per-cone replay seeds — plus final report
-//! JSON. This crate gives the two symbolic classes a durable form:
+//! The service caches one expensive symbolic artifact class in memory —
+//! per-cone replay seeds, which for a one-cone circuit carry the whole
+//! machine's reachable set — plus final report JSON. This crate gives the
+//! seeds a durable form:
 //!
-//! * a **binary codec** (DDDMP-flavoured) for the plain-data mirrors from
-//!   `mct-core` ([`ReachData`], [`ConeData`]): a fixed
+//! * a **binary codec** (DDDMP-flavoured) for the plain-data mirror from
+//!   `mct-core` ([`ConeData`]): a fixed
 //!   header carrying magic, format version, artifact kind, and a
 //!   complement-edge flag, then little-endian fixed-width payloads whose
 //!   node lists are topologically sorted with signed (negative =
@@ -21,10 +22,10 @@
 //! bounds-checked, every length is validated against the bytes that
 //! remain, and any malformed, truncated, or mis-versioned file surfaces as
 //! a [`StoreError`] the caller treats as a cache miss — never a panic.
-//! Artifacts are keyed by the **layout** digest (plus the options
-//! fingerprint where the in-memory tier uses one): snapshot BDD variables
-//! are register *positions*, so two circuits with equal behaviour but
-//! different register layouts must not share artifacts.
+//! Seeds are keyed by the cone's **layout** digest plus the entry key
+//! (`mct_core::ConeCacheEntry::key`): snapshot BDD variables are register
+//! *positions*, so two cones with equal behaviour but different register
+//! layouts must not share artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +34,8 @@ mod codec;
 mod dirstore;
 
 pub use codec::{
-    decode_cone, decode_reach, encode_cone, encode_reach, peek_kind, ArtifactKind, StoreError,
-    FORMAT_VERSION, MAGIC,
+    decode_cone, encode_cone, peek_kind, ArtifactKind, StoreError, FORMAT_VERSION, MAGIC,
 };
-pub use dirstore::{cone_name, reach_name, GcOutcome, Store, StoreEntry};
+pub use dirstore::{cone_name, GcOutcome, Store, StoreEntry};
 
-pub use mct_core::{ConeData, ReachData};
+pub use mct_core::ConeData;

@@ -4,10 +4,10 @@
 //! hangs, or outsized allocations — and must never corrupt a live manager.
 
 use mct_bdd::{BddManager, BddSnapshot, SnapshotNode, Var};
-use mct_core::{ConeData, ReachData, ReachSnapshot};
+use mct_core::{ConeCacheEntry, ConeData};
 use mct_store::{
-    cone_name, decode_cone, decode_reach, encode_reach, peek_kind, reach_name, ArtifactKind, Store,
-    StoreError, FORMAT_VERSION, MAGIC,
+    cone_name, decode_cone, encode_cone, peek_kind, ArtifactKind, Store, StoreError,
+    FORMAT_VERSION, MAGIC,
 };
 use mct_tbf::TimedVar;
 use std::fs;
@@ -19,8 +19,9 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn valid_reach() -> ReachData {
-    ReachData {
+/// A one-layer cone seed whose layer is also its reach set.
+fn valid_cone() -> ConeData {
+    ConeData {
         vars: vec![
             TimedVar::Shifted { leaf: 0, shift: 0 },
             TimedVar::Next { leaf: 0 },
@@ -40,9 +41,13 @@ fn valid_reach() -> ReachData {
                     hi: -2,
                 },
             ],
-            roots: vec![3],
+            roots: vec![3, 3],
         },
-        states: 2.0,
+        tail: 0,
+        period: 1,
+        has_reach: true,
+        outcomes_cx: Vec::new(),
+        outcomes_exact: Vec::new(),
     }
 }
 
@@ -50,10 +55,10 @@ fn valid_reach() -> ReachData {
 fn zero_length_file_is_a_miss() {
     let dir = tmpdir("zero");
     let mut store = Store::open(&dir, None).unwrap();
-    store.save("reach-00.mctb", b"").unwrap();
-    assert_eq!(store.load_reach("00"), None);
+    store.save(&cone_name("00", 0), b"").unwrap();
+    assert_eq!(store.load_cone("00", 0), None);
     assert!(matches!(
-        decode_reach(b"").unwrap_err(),
+        decode_cone(b"").unwrap_err(),
         StoreError::Truncated { .. }
     ));
     let _ = fs::remove_dir_all(&dir);
@@ -63,20 +68,20 @@ fn zero_length_file_is_a_miss() {
 fn bad_magic_is_a_miss() {
     let dir = tmpdir("magic");
     let mut store = Store::open(&dir, None).unwrap();
-    let mut bytes = encode_reach(&valid_reach());
+    let mut bytes = encode_cone(&valid_cone());
     bytes[..4].copy_from_slice(b"DDMP");
-    store.save("reach-00.mctb", &bytes).unwrap();
-    assert_eq!(store.load_reach("00"), None);
-    assert_eq!(decode_reach(&bytes).unwrap_err(), StoreError::BadMagic);
+    store.save(&cone_name("00", 0), &bytes).unwrap();
+    assert_eq!(store.load_cone("00", 0), None);
+    assert_eq!(decode_cone(&bytes).unwrap_err(), StoreError::BadMagic);
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn future_version_is_a_miss_not_a_guess() {
-    let mut bytes = encode_reach(&valid_reach());
+    let mut bytes = encode_cone(&valid_cone());
     bytes[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     assert_eq!(
-        decode_reach(&bytes).unwrap_err(),
+        decode_cone(&bytes).unwrap_err(),
         StoreError::UnsupportedVersion {
             got: FORMAT_VERSION + 1
         }
@@ -85,10 +90,10 @@ fn future_version_is_a_miss_not_a_guess() {
 
 #[test]
 fn truncated_node_list_every_prefix() {
-    let bytes = encode_reach(&valid_reach());
+    let bytes = encode_cone(&valid_cone());
     for cut in 0..bytes.len() {
         assert!(
-            decode_reach(&bytes[..cut]).is_err(),
+            decode_cone(&bytes[..cut]).is_err(),
             "a {cut}-byte prefix decoded successfully"
         );
     }
@@ -96,15 +101,15 @@ fn truncated_node_list_every_prefix() {
 
 #[test]
 fn every_single_byte_flip_never_panics() {
-    let bytes = encode_reach(&valid_reach());
+    let bytes = encode_cone(&valid_cone());
     for i in 0..bytes.len() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0xff;
         // Any result is fine (some flips produce a different valid value);
         // what this asserts is "no panic, no hang" on every 1-byte corruption,
         // and that a *decoded* artifact still imports or errors cleanly.
-        if let Ok(data) = decode_reach(&mutated) {
-            let _ = ReachSnapshot::import_data(&data);
+        if let Ok(data) = decode_cone(&mutated) {
+            let _ = ConeCacheEntry::import_data(&data);
         }
     }
 }
@@ -113,11 +118,10 @@ fn every_single_byte_flip_never_panics() {
 fn dangling_node_refs_fail_import_not_decode() {
     // Structurally valid bytes whose node references point forward: the
     // codec accepts the shape, the manager-level import must reject it.
-    let mut data = valid_reach();
+    let mut data = valid_cone();
     data.snapshot.nodes[0].lo = 3; // forward ref to node 1 from node 0
-    let bytes = mct_store::encode_reach(&data);
-    let decoded = decode_reach(&bytes).unwrap();
-    assert!(ReachSnapshot::import_data(&decoded).is_err());
+    let decoded = decode_cone(&encode_cone(&data)).unwrap();
+    assert!(ConeCacheEntry::import_data(&decoded).is_err());
     // And via the raw manager API, with a pristine manager untouched.
     let mut m = BddManager::new();
     let map: Vec<Var> = (0..2).map(Var::new).collect();
@@ -129,23 +133,10 @@ fn dangling_node_refs_fail_import_not_decode() {
 fn wrong_var_count_fails_import() {
     // The order says 2 vars but the timed-var vector names only 1: the
     // artifact importer must reject rather than index out of range.
-    let mut data = valid_reach();
+    let mut data = valid_cone();
     data.vars.truncate(1);
-    let bytes = mct_store::encode_reach(&data);
-    let decoded = decode_reach(&bytes).unwrap();
-    assert!(ReachSnapshot::import_data(&decoded).is_err());
-}
-
-#[test]
-fn kind_confusion_is_rejected() {
-    let reach_bytes = encode_reach(&valid_reach());
-    assert!(matches!(
-        decode_cone(&reach_bytes).unwrap_err(),
-        StoreError::WrongKind {
-            expected: ArtifactKind::Cone,
-            got: 1,
-        }
-    ));
+    let decoded = decode_cone(&encode_cone(&data)).unwrap();
+    assert!(ConeCacheEntry::import_data(&decoded).is_err());
 }
 
 #[test]
@@ -155,13 +146,13 @@ fn hostile_lengths_never_allocate_wildly() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.push(1); // kind: reach
+    bytes.push(ArtifactKind::Cone as u8);
     bytes.push(1); // flags
     bytes.extend_from_slice(&0u32.to_le_bytes()); // no timed vars
     bytes.extend_from_slice(&0u32.to_le_bytes()); // snapshot num_vars = 0
     bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // node count: 2^64-1
     assert!(matches!(
-        decode_reach(&bytes).unwrap_err(),
+        decode_cone(&bytes).unwrap_err(),
         StoreError::Truncated { .. } | StoreError::Malformed(_)
     ));
 }
@@ -170,20 +161,20 @@ fn hostile_lengths_never_allocate_wildly() {
 fn corrupt_files_are_misses_and_gc_prunes_them() {
     let dir = tmpdir("gc-prune");
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_reach("good", &valid_reach()).unwrap();
-    let mut corrupt = encode_reach(&valid_reach());
+    store.save_cone("good", 0, &valid_cone()).unwrap();
+    let mut corrupt = encode_cone(&valid_cone());
     corrupt.truncate(corrupt.len() / 2);
-    store.save("reach-bad0.mctb", &corrupt).unwrap();
-    store.save("reach-bad1.mctb", b"MCTB").unwrap();
+    store.save(&cone_name("bad0", 0), &corrupt).unwrap();
+    store.save(&cone_name("bad1", 0), b"MCTB").unwrap();
     store.save("order-bad2.mctb", &[0xff; 64]).unwrap();
 
-    assert!(store.load_reach("good").is_some());
-    assert!(store.load_reach("bad0").is_none());
-    assert!(store.load_reach("bad1").is_none());
+    assert!(store.load_cone("good", 0).is_some());
+    assert!(store.load_cone("bad0", 0).is_none());
+    assert!(store.load_cone("bad1", 0).is_none());
 
     let outcome = store.gc(None);
     assert_eq!(outcome.removed, 3, "all three corrupt files pruned");
-    assert!(store.load_reach("good").is_some(), "valid artifact kept");
+    assert!(store.load_cone("good", 0).is_some(), "valid artifact kept");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -191,21 +182,21 @@ fn corrupt_files_are_misses_and_gc_prunes_them() {
 fn deleted_store_directory_degrades_to_misses() {
     let dir = tmpdir("rmrf");
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_reach("aa", &valid_reach()).unwrap();
+    store.save_cone("aa", 0, &valid_cone()).unwrap();
     fs::remove_dir_all(&dir).unwrap();
     // Accounted but gone: loads miss, saves may error, nothing panics.
-    assert!(store.load_reach("aa").is_none());
+    assert!(store.load_cone("aa", 0).is_none());
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A learned-order file as older stores wrote it: valid magic, version
-/// and flags, artifact kind byte 2, and one timed variable
+/// A file of a retired artifact kind as older stores wrote it: valid
+/// magic, version and flags, the kind byte, and one timed variable
 /// (`Next { leaf: 0 }`: tag 2, leaf 0, aux 0).
-fn retired_order_file() -> Vec<u8> {
+fn retired_kind_file(kind: u8) -> Vec<u8> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(MAGIC);
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.push(2); // kind: the retired learned order
+    bytes.push(kind);
     bytes.push(1); // flags: complement edges
     bytes.extend_from_slice(&1u32.to_le_bytes());
     bytes.push(2);
@@ -214,65 +205,44 @@ fn retired_order_file() -> Vec<u8> {
     bytes
 }
 
-fn valid_cone() -> ConeData {
-    ConeData {
-        vars: vec![TimedVar::Next { leaf: 0 }],
-        snapshot: BddSnapshot {
-            num_vars: 1,
-            order: vec![0],
-            nodes: vec![SnapshotNode {
-                var: 0,
-                lo: -1,
-                hi: 1,
-            }],
-            roots: vec![2],
-        },
-        tail: 0,
-        period: 1,
-        has_reach: false,
-        outcomes_cx: Vec::new(),
-        outcomes_exact: Vec::new(),
-    }
-}
-
 #[test]
 fn retired_order_kind_is_refused_listed_and_collected() {
-    let bytes = retired_order_file();
-    assert!(matches!(
-        decode_reach(&bytes).unwrap_err(),
-        StoreError::WrongKind { got: 2, .. }
-    ));
-    assert!(matches!(
-        decode_cone(&bytes).unwrap_err(),
-        StoreError::WrongKind { got: 2, .. }
-    ));
-    assert!(peek_kind(&bytes).is_err());
+    // Kind 1 held a whole-circuit reach snapshot, kind 2 a learned order.
+    let retired = [(1u8, "reach-00ff.mctb"), (2, "order-00ff.mctb")];
+    for (kind, _) in retired {
+        let bytes = retired_kind_file(kind);
+        assert!(matches!(
+            decode_cone(&bytes).unwrap_err(),
+            StoreError::WrongKind { got, .. } if got == kind
+        ));
+        assert!(peek_kind(&bytes).is_err());
+    }
 
-    // A directory an older writer left behind: an order file beside a
-    // reach snapshot and a cone seed.
-    let dir = tmpdir("retired-order");
+    // A directory an older writer left behind: both retired files beside
+    // a cone seed.
+    let dir = tmpdir("retired-kinds");
     fs::create_dir_all(&dir).unwrap();
-    fs::write(dir.join("order-00ff.mctb"), &bytes).unwrap();
+    for (kind, file) in retired {
+        fs::write(dir.join(file), retired_kind_file(kind)).unwrap();
+    }
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_reach("00ff", &valid_reach()).unwrap();
     store.save_cone("00ff", 7, &valid_cone()).unwrap();
 
     let entries = store.ls();
     let kind_of = |file: &str| entries.iter().find(|e| e.file == file).map(|e| e.kind);
-    assert_eq!(kind_of("order-00ff.mctb"), Some(None), "listed as other");
-    assert_eq!(
-        kind_of(&reach_name("00ff")),
-        Some(Some(ArtifactKind::Reach))
-    );
+    for (_, file) in retired {
+        assert_eq!(kind_of(file), Some(None), "{file} listed as other");
+    }
     assert_eq!(
         kind_of(&cone_name("00ff", 7)),
         Some(Some(ArtifactKind::Cone))
     );
 
     let outcome = store.gc(None);
-    assert_eq!(outcome.removed, 1, "only the order file goes");
-    assert!(!dir.join("order-00ff.mctb").exists());
-    assert!(store.load_reach("00ff").is_some(), "reach file survives");
+    assert_eq!(outcome.removed, 2, "only the retired files go");
+    for (_, file) in retired {
+        assert!(!dir.join(file).exists(), "{file} collected");
+    }
     assert!(store.load_cone("00ff", 7).is_some(), "cone file survives");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -27,7 +27,6 @@
 //! function handles, so any order produces bit-identical reports.
 
 use crate::vars::{TimedVar, TimedVarTable};
-use mct_bdd::{BddManager, Var};
 use mct_netlist::{FsmView, NetId, Node};
 use std::collections::HashSet;
 
@@ -114,18 +113,6 @@ fn leaf_dfs_order(view: &FsmView) -> Vec<usize> {
     order
 }
 
-/// Exports the manager's variable order as a timed-variable sequence: the
-/// table's variables below [`BddManager::num_vars`], root-most first,
-/// skipping indices the table does not know (never allocated through it).
-/// Pre-registering the result into a fresh table reproduces the order —
-/// the transport that lets parallel sweep workers and reach snapshots
-/// share the main table's layout instead of re-deriving it.
-pub fn export_order(manager: &BddManager, table: &TimedVarTable) -> Vec<TimedVar> {
-    (0..manager.num_vars())
-        .filter_map(|i| table.timed_var(Var::new(i)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,34 +190,11 @@ mod tests {
         order.apply(&mut table);
         assert_eq!(table.len(), order.vars().len());
         for (i, &tv) in order.vars().iter().enumerate() {
-            assert_eq!(table.lookup(tv), Some(Var::new(i as u32)));
+            assert_eq!(table.lookup(tv), Some(mct_bdd::Var::new(i as u32)));
         }
         // Idempotent: re-applying allocates nothing new.
         order.apply(&mut table);
         assert_eq!(table.len(), order.vars().len());
-    }
-
-    #[test]
-    fn export_roundtrips_through_preregistration() {
-        let mut m = BddManager::new();
-        let mut table = TimedVarTable::new();
-        let tvs = [
-            TimedVar::Shifted { leaf: 1, shift: 2 },
-            TimedVar::Next { leaf: 0 },
-            TimedVar::Shifted { leaf: 0, shift: 1 },
-        ];
-        for &tv in &tvs {
-            let v = table.var(tv);
-            let _ = m.var(v);
-        }
-        let exported = export_order(&m, &table);
-        assert_eq!(exported, tvs.to_vec());
-        // Importing into a fresh table reproduces the level assignment.
-        let mut fresh = TimedVarTable::new();
-        fresh.preregister(exported.iter().copied());
-        for &tv in &tvs {
-            assert_eq!(fresh.lookup(tv), table.lookup(tv));
-        }
     }
 
     #[test]

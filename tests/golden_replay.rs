@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = "tests/data/golden_reports.tsv";
 const SKEW_GOLDEN_PATH: &str = "tests/data/golden_skew_reports.tsv";
+const EXACT_GOLDEN_PATH: &str = "tests/data/golden_exact_reports.tsv";
 
 fn golden_file() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH)
@@ -21,6 +22,10 @@ fn golden_file() -> std::path::PathBuf {
 
 fn skew_golden_file() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SKEW_GOLDEN_PATH)
+}
+
+fn exact_golden_file() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(EXACT_GOLDEN_PATH)
 }
 
 /// Every circuit in the golden corpus: each `examples/*.bench` netlist plus
@@ -111,14 +116,41 @@ fn replay_or_bless(path: &std::path::Path, rendered: &str) {
     );
 }
 
-/// Reports must be identical at 1, 2, and 4 worker threads and must match
-/// the golden capture from the previous kernel byte for byte. (The capture
-/// was taken under allocation order; `order_invariance.rs` checks that the
-/// production static order reproduces it.)
+/// Reports of the production path (sliced into cones of influence) must
+/// be identical at 1, 2, and 4 worker threads and must match the golden
+/// capture from the previous kernel byte for byte. (The capture was taken
+/// under allocation order on the unsliced engine; `order_invariance.rs`
+/// checks that the production static order reproduces it.)
 #[test]
 fn reports_replay_byte_identical() {
-    let rendered = render_across_threads("monolithic", |opts| opts);
+    let rendered = render_across_threads("production", |opts| opts);
     replay_or_bless(&golden_file(), &rendered);
+}
+
+/// The unsliced reference (`decompose: false`: the whole circuit as one
+/// cone) must reproduce the same capture — one single-thread pass, so a
+/// recombination bug in the sliced path can never be blessed away
+/// unnoticed: the two would disagree here first.
+#[test]
+fn unsliced_reference_replays_byte_identical() {
+    let golden = std::fs::read_to_string(golden_file())
+        .expect("golden file missing; run reports_replay_byte_identical with MCT_BLESS=1 first");
+    let golden: std::collections::HashMap<&str, &str> =
+        golden.lines().filter_map(|l| l.split_once('\t')).collect();
+    for (name, circuit, opts) in corpus() {
+        let want = *golden
+            .get(name.as_str())
+            .expect("circuit missing from golden file");
+        let reference = MctOptions {
+            decompose: false,
+            ..opts
+        };
+        assert_eq!(
+            want,
+            report_line(&circuit, 1, &reference),
+            "{name}: unsliced report differs from the golden capture"
+        );
+    }
 }
 
 /// Skew mode (`MctOptions::skew`) has its own golden capture — the skew
@@ -135,32 +167,22 @@ fn skew_mode_reports_replay_byte_identical() {
     replay_or_bless(&skew_golden_file(), &rendered);
 }
 
-/// The cone-decomposed path must reproduce the same golden capture byte
-/// for byte — decomposition is an execution strategy, not a semantic
-/// change — at every thread count. Deliberately replays against the
-/// *existing* golden file: a decomposed-only divergence can never be
-/// blessed away.
+/// Exact mode (`MctOptions::exact_check`) decides each shift combination
+/// by product-machine reachability instead of the sufficient condition
+/// `C_x`, and recombines per-cone verdicts by fixpoint iteration and bit
+/// budget rather than by mismatch position — a merge no other golden
+/// covers. Its capture pins those reports at every thread count. A 16-bit
+/// product budget keeps the capture cheap and splits the corpus between
+/// certified bounds and `ProductTooLarge` errors, so both the verdict merge
+/// and the budget merge are pinned.
+///
+/// Regenerate with `MCT_BLESS=1 cargo test --test golden_replay`.
 #[test]
-fn decomposed_reports_replay_byte_identical() {
-    let golden = std::fs::read_to_string(golden_file())
-        .expect("golden file missing; run reports_replay_byte_identical with MCT_BLESS=1 first");
-    let golden: std::collections::HashMap<&str, &str> =
-        golden.lines().filter_map(|l| l.split_once('\t')).collect();
-    for (name, circuit, opts) in corpus() {
-        let want = *golden
-            .get(name.as_str())
-            .expect("circuit missing from golden file");
-        let base = MctOptions {
-            decompose: true,
-            ..opts
-        };
-        for threads in [1usize, 2, 4] {
-            let got = report_line(&circuit, threads, &base);
-            assert_eq!(
-                want, got,
-                "{name}: decomposed report at {threads} threads differs from the \
-                 golden monolithic capture"
-            );
-        }
-    }
+fn exact_mode_reports_replay_byte_identical() {
+    let rendered = render_across_threads("exact-mode", |opts| MctOptions {
+        exact_check: true,
+        max_product_bits: 16,
+        ..opts
+    });
+    replay_or_bless(&exact_golden_file(), &rendered);
 }

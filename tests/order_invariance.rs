@@ -1,8 +1,8 @@
 //! Order invariance: the serialized analysis report is byte-identical
 //! under both variable-ordering policies — allocation order (the reference
 //! the golden reports were captured under) and the structural static order
-//! every analysis runs in production — and through the cone-decomposed and
-//! warm-start paths.
+//! every analysis runs in production — and through the unsliced reference
+//! and the seeded (warm-start) path.
 //!
 //! This is the hard correctness bar of the ordering subsystem: variable
 //! order may change node counts and wall time, never results. The analyses
@@ -91,12 +91,12 @@ fn skew_mode_reports_identical_across_ordering_policies() {
     check_alloc_matches_static(&skewed);
 }
 
-/// The cone-decomposed path must agree byte for byte with the monolithic
-/// sequential reference at every thread count — including on a genuinely
-/// multi-cone machine (the three-component composite), where decomposition
-/// actually splits the analysis instead of degenerating to the single-cone
-/// fallback. (The random machines of the corpus get the same check
-/// against the golden capture in `golden_replay.rs`.)
+/// The cone-sliced production path must agree byte for byte with the
+/// unsliced sequential reference (the whole circuit as one cone) at every
+/// thread count — including on a genuinely multi-cone machine (the
+/// three-component composite), where slicing actually splits the analysis.
+/// (The random machines of the corpus get the same check against the
+/// golden capture in `golden_replay.rs`.)
 #[test]
 fn decomposed_reports_match_monolithic_reference() {
     let circuits = [
@@ -108,44 +108,69 @@ fn decomposed_reports_match_monolithic_reference() {
         ),
     ];
     for (name, circuit, base) in &circuits {
-        let reference = serialized(circuit, base);
+        let reference = serialized(
+            circuit,
+            &MctOptions {
+                decompose: false,
+                ..base.clone()
+            },
+        );
         for threads in [1usize, 2, 4] {
             let opts = MctOptions {
-                decompose: true,
                 num_threads: threads,
                 ..base.clone()
             };
             assert_eq!(
                 reference,
                 serialized(circuit, &opts),
-                "{name}: decomposed report at {threads} threads differs from the \
-                 monolithic sequential run"
+                "{name}: sliced report at {threads} threads differs from the \
+                 unsliced sequential run"
             );
         }
     }
 }
 
-/// Warm starts must reproduce the cold report under both policies — the
-/// snapshot carries the analyzer's variable order, and importing it must
-/// not perturb any answer.
+/// Seeded runs must reproduce the cold report under both policies — the
+/// harvested cone entries carry their own variable order, and importing
+/// them into a differently ordered manager must not perturb any answer.
 #[test]
 fn warm_start_is_order_invariant() {
-    let c = paper_figure2();
-    for ordering in [VarOrder::Alloc, VarOrder::Static] {
-        let opts = MctOptions {
-            ordering,
-            ..MctOptions::paper()
-        };
-        let (cold, snap) = MctAnalyzer::new(&c).unwrap().run_warm(&opts, None).unwrap();
-        let snap = snap.expect("reachability on ⇒ snapshot");
-        let (warm, _) = MctAnalyzer::new(&c)
-            .unwrap()
-            .run_warm(&opts, Some(&snap))
-            .unwrap();
-        assert_eq!(
-            report_to_json(&cold).to_compact(),
-            report_to_json(&warm).to_compact(),
-            "{ordering:?}: warm-started report differs from cold"
-        );
+    let circuits = [
+        paper_figure2(),
+        families::composite(4, 3, 3, Time::from_f64(6.0), Time::from_f64(8.0)),
+    ];
+    for c in &circuits {
+        for ordering in [VarOrder::Alloc, VarOrder::Static] {
+            let opts = MctOptions {
+                ordering,
+                ..MctOptions::paper()
+            };
+            let (cold, harvest) = MctAnalyzer::new(c)
+                .unwrap()
+                .run_decomposed(&opts, &[])
+                .unwrap();
+            // Replay under the *other* policy too: entries are functions,
+            // not orders.
+            for replay in [VarOrder::Alloc, VarOrder::Static] {
+                let seeds: Vec<_> = harvest.entries.iter().map(Option::as_ref).collect();
+                let (warm, artifacts) = MctAnalyzer::new(c)
+                    .unwrap()
+                    .run_decomposed(
+                        &MctOptions {
+                            ordering: replay,
+                            ..opts.clone()
+                        },
+                        &seeds,
+                    )
+                    .unwrap();
+                assert_eq!(artifacts.cones_replayed, artifacts.cones_total);
+                assert_eq!(
+                    report_to_json(&cold).to_compact(),
+                    report_to_json(&warm).to_compact(),
+                    "{}: {ordering:?} entries replayed under {replay:?} differ from cold",
+                    c.name()
+                );
+            }
+        }
     }
 }
