@@ -1658,9 +1658,9 @@ pub struct BddStats {
     /// Shift combinations contained in the cut subtrees (never enumerated).
     /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_pruned: u64,
-    /// Sink cones answered by the σ-neighbor cone cache instead of being
-    /// re-extracted. Filled in by the analysis layer; [`BddManager::stats`]
-    /// reports 0.
+    /// Sink lookups of the sink-by-sink decisions answered entirely by the
+    /// sink's decision record, without extracting the sink. Filled in by
+    /// the analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_reused: u64,
     /// Simplex pivots performed by the clock-skew feasibility programs.
     /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.

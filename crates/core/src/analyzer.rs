@@ -811,8 +811,9 @@ mod tests {
 
     #[test]
     fn sigma_reuse_counter_populated() {
-        // Plenty of distinct σ per candidate ⇒ the σ-neighbor cone cache
-        // must answer some sinks from cache.
+        // Plenty of distinct σ per candidate, and the output sink reads the
+        // flip-flop at delay 0 under every σ ⇒ some sinks are answered by
+        // their decision records without being extracted.
         let c = figure2();
         let opts = MctOptions {
             exhaustive_floor: Some(1.0),

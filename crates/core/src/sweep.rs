@@ -27,7 +27,11 @@
 //!    shared by all workers, or the worker's own lazily built environment
 //!    for that cone (the BDD managers are single-threaded by design) — and
 //!    [`Engine::merge_cx`] / [`Engine::merge_exact`] recombine the answers.
-//!    A σ-level memo shared by all workers answers repeated σ outright.
+//!    A σ-level memo shared by all workers answers repeated σ outright. An
+//!    environment decides `C_x` sink by sink ([`DecisionContext::walk`]):
+//!    each check is first asked of the sink's record at its projection of
+//!    σ, shared by all workers, and a sink is extracted only for a check
+//!    no record holds.
 //! 4. **Reconcile.** A candidate's windows merge in window order
 //!    ([`merge_chunks`]), and [`reconcile`] replays candidates in strict
 //!    descending-τ order, reconstructing the exact report of a sequential
@@ -41,11 +45,14 @@
 //! * **Gating is global.** Planning, σ enumeration, and feasibility use the
 //!   parent delay classes, so every slicing walks the same `(candidate, σ)`
 //!   sequence.
-//! * **`C_x` factors over cones.** Each basis/induction comparison belongs
-//!   to exactly one cone, provided the cone is decided at the *global*
-//!   depth `m(σ) = max σ` ([`DecisionContext::decide_with_depth`]). The
-//!   whole machine's first mismatch is the minimum over cones of the mapped
-//!   key `(basis/induction, cycle, state/output, parent index)`.
+//! * **`C_x` factors over cones and sinks.** Each basis/induction
+//!   comparison belongs to exactly one cone, provided the cone is decided
+//!   at the *global* depth `m(σ) = max σ`. The whole machine's first
+//!   mismatch is the minimum over cones of the mapped key
+//!   `(basis/induction, cycle, state/output, parent index)`. Within a
+//!   cone, a comparison's verdict depends only on (sink, the sink's
+//!   projection of σ, cycle or depth), so records keyed by (sink,
+//!   projection) answer it for every σ that shares the projection.
 //! * **The exact check merges by budget and iteration.** The product
 //!   machine factors per cone; the global bit budget is checked against
 //!   `product_bits(parent_ns, parent_np, max_c m_state, max_c m_input)`,
@@ -61,16 +68,18 @@ use crate::analyzer::{
 };
 use crate::artifact::{ConeCacheEntry, ExactPart};
 use crate::breakpoints::BreakpointIter;
-use crate::decision::{DecisionContext, DecisionOutcome};
+use crate::decision::{
+    Check, DecisionContext, DecisionOutcome, SinkRecord, SinkVerdicts, SteadyRows,
+};
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
 use crate::sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk};
 use mct_bdd::{Bdd, BddManager, BddStats, Var, VarSet};
 use mct_lp::Rat;
-use mct_netlist::{Cone, FsmView};
+use mct_netlist::{Cone, FsmView, NetId};
 use mct_tbf::{
-    count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, SigmaConeCache,
-    StaticOrder, TimedVar, TimedVarTable,
+    count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, StaticOrder, TimedVar,
+    TimedVarTable,
 };
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
@@ -197,8 +206,8 @@ struct SigmaMemo {
     pruned_subtrees: AtomicU64,
     /// Combinations contained in the cut subtrees (`sigma_pruned`).
     pruned_combos: AtomicU64,
-    /// Sink cones answered by a σ-neighbor cone cache instead of being
-    /// re-extracted (`sigma_reused`).
+    /// Sinks whose every check in a sink-by-sink decision was answered by
+    /// the sink's record, so the sink was never extracted (`sigma_reused`).
     reused: AtomicU64,
 }
 
@@ -526,15 +535,35 @@ struct ConeMeta<'v> {
     /// the cone is `sub[i] = sigma[class_global[i]]`.
     class_global: Vec<usize>,
     /// `(delay, local class position)` pairs per local leaf — the shift
-    /// function of the cone's discretized machines, which looks up every
-    /// sink's pairs on every σ (a handful of delays per leaf, so a scan
-    /// beats hashing).
+    /// function of the cone's discretized machines (a handful of delays per
+    /// leaf, so a scan beats hashing).
     leaf_classes: Vec<Vec<(i64, usize)>>,
+    /// Extraction start of each sink, in `view.sinks()` order.
+    starts: Vec<(NetId, i64)>,
+    /// Local class positions of the `(leaf, delay)` pairs reaching each
+    /// sink: the layout of the sink's projection of σ, which keys its
+    /// decision records.
+    sink_classes: Vec<Vec<usize>>,
 }
 
 impl ConeMeta<'_> {
     fn project(&self, sigma: &[i64]) -> Vec<i64> {
         self.class_global.iter().map(|&g| sigma[g]).collect()
+    }
+
+    /// The shift of the local class of `(leaf, delay)` under the cone
+    /// projection `sub`, clamped like [`DiscreteMachine::with_shift_fn`].
+    fn shift(&self, sub: &[i64], leaf: usize, delay: i64) -> i64 {
+        sub[self.class_of(leaf, delay)].max(1)
+    }
+
+    /// Sink `s`'s projection of the cone projection `sub`: the clamped
+    /// shifts of its classes, which key its decision records.
+    fn sink_key(&self, s: usize, sub: &[i64]) -> Vec<i64> {
+        self.sink_classes[s]
+            .iter()
+            .map(|&i| sub[i].max(1))
+            .collect()
     }
 
     fn class_of(&self, leaf: usize, delay: i64) -> usize {
@@ -546,12 +575,119 @@ impl ConeMeta<'_> {
     }
 }
 
-/// Fresh per-cone answers, shared by every worker and harvested into the
-/// cone's next entry.
-#[derive(Default)]
+/// Fresh per-cone answers, shared by every worker: the cone verdicts,
+/// harvested into the cone's next entry, and the per-sink decision records,
+/// which live only as long as the run.
 struct ConeMemo {
     cx: Mutex<HashMap<(Vec<i64>, i64), DecisionOutcome>>,
     exact: Mutex<HashMap<Vec<i64>, ExactPart>>,
+    /// Per sink: its record at every projection decided so far.
+    records: Vec<Mutex<HashMap<Vec<i64>, SinkRecord>>>,
+}
+
+impl ConeMemo {
+    fn new(sinks: usize) -> Self {
+        ConeMemo {
+            cx: Mutex::default(),
+            exact: Mutex::default(),
+            records: (0..sinks).map(|_| Mutex::default()).collect(),
+        }
+    }
+}
+
+/// One cone projection's sinks during a sink-by-sink decision: the shared
+/// records answer what they can, and a sink is extracted only for a check
+/// its record cannot answer.
+struct RecordedSinks<'a, 'v> {
+    meta: &'a ConeMeta<'v>,
+    memo: &'a ConeMemo,
+    sub: &'a [i64],
+    /// Per sink, once visited: its projection and a snapshot of its record.
+    visited: Vec<Option<(Vec<i64>, SinkRecord)>>,
+    /// Per sink, once extracted: its function.
+    functions: Vec<Option<Bdd>>,
+}
+
+impl<'a, 'v> RecordedSinks<'a, 'v> {
+    fn new(meta: &'a ConeMeta<'v>, memo: &'a ConeMemo, sub: &'a [i64]) -> Self {
+        let sinks = meta.starts.len();
+        RecordedSinks {
+            meta,
+            memo,
+            sub,
+            visited: vec![None; sinks],
+            functions: vec![None; sinks],
+        }
+    }
+
+    /// Visited sinks that were never extracted.
+    fn reused(&self) -> u64 {
+        self.visited
+            .iter()
+            .zip(&self.functions)
+            .filter(|(v, f)| v.is_some() && f.is_none())
+            .count() as u64
+    }
+}
+
+impl SinkVerdicts for RecordedSinks<'_, '_> {
+    type Error = MctError;
+
+    fn known(&mut self, s: usize, check: Check) -> Option<bool> {
+        if self.visited[s].is_none() {
+            let key = self.meta.sink_key(s, self.sub);
+            let record = self.memo.records[s]
+                .lock()
+                .expect("sink records")
+                .get(&key)
+                .cloned()
+                .unwrap_or_default();
+            self.visited[s] = Some((key, record));
+        }
+        self.visited[s]
+            .as_ref()
+            .expect("just visited")
+            .1
+            .known(check)
+    }
+
+    fn function(
+        &mut self,
+        manager: &mut BddManager,
+        table: &mut TimedVarTable,
+        s: usize,
+    ) -> Result<Bdd, MctError> {
+        if let Some(f) = self.functions[s] {
+            return Ok(f);
+        }
+        #[cfg(test)]
+        TEST_SINK_EXTRACTIONS.set(TEST_SINK_EXTRACTIONS.get() + 1);
+        let (meta, sub) = (self.meta, self.sub);
+        let mut policy = |m: &mut BddManager, t: &mut TimedVarTable, leaf: usize, k: i64| {
+            let v = t.var(TimedVar::Shifted {
+                leaf,
+                shift: meta.shift(sub, leaf, k),
+            });
+            m.var(v)
+        };
+        let f = meta
+            .extractor
+            .extract_at(manager, table, &[meta.starts[s]], &mut policy)?[0];
+        self.functions[s] = Some(f);
+        Ok(f)
+    }
+
+    fn record(&mut self, s: usize, check: Check, equal: bool) {
+        let (key, snapshot) = self.visited[s].as_mut().expect("checks visit first");
+        snapshot.note(check, equal);
+        let mut records = self.memo.records[s].lock().expect("sink records");
+        match records.get_mut(key.as_slice()) {
+            Some(shared) => shared.note(check, equal),
+            None => {
+                records.insert(key.clone(), snapshot.clone());
+            }
+        }
+    }
 }
 
 /// The layers of a [`FreshCone`], kept only when a layer product or a
@@ -777,17 +913,26 @@ thread_local! {
     /// thread (tests of the candidate-boundary collection).
     pub(crate) static TEST_GC_THRESHOLD: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
+    /// Sinks extracted by sink-by-sink decisions on this thread.
+    pub(crate) static TEST_SINK_EXTRACTIONS: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+    /// Every `(cone, sink, projection, depth)` decided on this thread.
+    pub(crate) static TEST_SINK_KEYS: std::cell::RefCell<HashSet<SinkKey>> =
+        std::cell::RefCell::default();
 }
 
+/// `(cone, sink, projection, depth)`: what one sink's checks depend on.
+#[cfg(test)]
+type SinkKey = (usize, usize, Vec<i64>, i64);
+
 /// A cone's symbolic environment on one worker: a private manager and
-/// table, the steady machine and frontier restriction, and the σ-neighbor
-/// cone cache.
+/// table, the steady machine and frontier restriction, and the steady rows
+/// of its sink-by-sink decisions.
 struct ConeEnv<'v> {
     manager: BddManager,
     table: TimedVarTable,
     ctx: DecisionContext<'v>,
-    gc_roots: Vec<Bdd>,
-    neighbors: Option<SigmaConeCache>,
+    rows: SteadyRows,
 }
 
 impl<'v> ConeEnv<'v> {
@@ -808,7 +953,7 @@ impl<'v> ConeEnv<'v> {
         if let Some((m, t, set)) = reach.set() {
             ctx = ctx.with_restriction(transfer_bdd(m, t, set, &mut manager, &mut table)?);
         }
-        Ok(Self::finish(meta, manager, table, ctx))
+        Ok(Self::finish(manager, table, ctx))
     }
 
     /// Turns a reachability run's manager into an environment in place.
@@ -821,15 +966,10 @@ impl<'v> ConeEnv<'v> {
         } = fc;
         let ctx = DecisionContext::new(&meta.extractor, &mut manager, &mut table)?
             .with_restriction(reach);
-        Ok(Self::finish(meta, manager, table, ctx))
+        Ok(Self::finish(manager, table, ctx))
     }
 
-    fn finish(
-        meta: &ConeMeta<'v>,
-        manager: BddManager,
-        table: TimedVarTable,
-        ctx: DecisionContext<'v>,
-    ) -> Self {
+    fn finish(manager: BddManager, table: TimedVarTable, ctx: DecisionContext<'v>) -> Self {
         #[cfg(test)]
         let manager = {
             let mut manager = manager;
@@ -839,46 +979,26 @@ impl<'v> ConeEnv<'v> {
             manager
         };
         ConeEnv {
-            gc_roots: ctx.gc_roots(),
-            neighbors: SigmaConeCache::new(&meta.extractor).ok(),
             manager,
             table,
             ctx,
+            rows: SteadyRows::default(),
         }
     }
 
-    /// The cone's discretized machine at the projected shifts `sub`,
-    /// assembled through the σ-neighbor cache so sinks whose projected
-    /// shifts are unchanged reuse their composed BDD.
-    fn machine(&mut self, meta: &ConeMeta<'_>, sub: &[i64]) -> Result<DiscreteMachine, MctError> {
-        let shift = |leaf, k| sub[meta.class_of(leaf, k)];
-        Ok(match self.neighbors.as_mut() {
-            Some(cache) => {
-                cache.machine(&meta.extractor, &mut self.manager, &mut self.table, shift)?
-            }
-            None => DiscreteMachine::with_shift_fn(
-                &meta.extractor,
-                &mut self.manager,
-                &mut self.table,
-                shift,
-            )?,
-        })
-    }
-
-    /// Item-boundary maintenance: release the σ-neighbor cache, then
-    /// collect and compact. The per-σ machines are dropped and memoized
-    /// verdicts hold no handles, so the context plus roots enumerate every
+    /// Item-boundary maintenance: collect and compact. Sink functions and
+    /// per-σ machines are dropped and the records and memoized verdicts
+    /// hold no handles, so the context plus the steady rows enumerate every
     /// live handle of this manager.
     fn settle(&mut self) {
-        if let Some(cache) = self.neighbors.as_mut() {
-            cache.release(&mut self.manager);
-        }
-        self.manager.maybe_collect_garbage(&self.gc_roots);
+        let mut roots = self.ctx.gc_roots();
+        roots.extend(self.rows.handles_mut().map(|h| *h));
+        self.manager.maybe_collect_garbage(&roots);
         if self.manager.compact_pending() {
-            let map = self.manager.compact(&self.gc_roots);
+            let map = self.manager.compact(&roots);
             self.ctx.rebind(&map);
-            for root in &mut self.gc_roots {
-                *root = map.rewrite(*root);
+            for h in self.rows.handles_mut() {
+                *h = map.rewrite(*h);
             }
         }
     }
@@ -1053,13 +1173,6 @@ impl<'v> Engine<'_, 'v> {
                 .pruned_combos
                 .fetch_add(stats.combos, Ordering::Relaxed);
         }
-        for env in envs.iter_mut().flatten() {
-            if let Some(cache) = env.neighbors.as_mut() {
-                self.sigma
-                    .reused
-                    .fetch_add(cache.take_hits(), Ordering::Relaxed);
-            }
-        }
         Ok(eval)
     }
 
@@ -1102,7 +1215,7 @@ impl<'v> Engine<'_, 'v> {
     }
 
     /// Cone `c`'s `C_x` verdict at projection `sub` and global induction
-    /// depth `m`.
+    /// depth `m`, decided sink by sink through the cone's records.
     fn cx_outcome(
         &self,
         c: usize,
@@ -1125,12 +1238,24 @@ impl<'v> Engine<'_, 'v> {
             self.sigma.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(o);
         }
-        let meta = &self.cones[c];
+        #[cfg(test)]
+        TEST_SINK_KEYS.with_borrow_mut(|keys| {
+            for s in 0..self.cones[c].starts.len() {
+                keys.insert((c, s, self.cones[c].sink_key(s, &key.0), m));
+            }
+        });
         let env = self.env(c, envs)?;
-        let machine = env.machine(meta, &key.0)?;
-        let o = env
-            .ctx
-            .decide_with_depth(&mut env.manager, &mut env.table, &machine, m);
+        let mut sinks = RecordedSinks::new(&self.cones[c], &self.memos[c], &key.0);
+        let o = env.ctx.walk(
+            &mut env.manager,
+            &mut env.table,
+            &mut env.rows,
+            &mut sinks,
+            m,
+        )?;
+        self.sigma
+            .reused
+            .fetch_add(sinks.reused(), Ordering::Relaxed);
         self.memos[c].cx.lock().expect("cone memo").insert(key, o);
         Ok(o)
     }
@@ -1162,7 +1287,13 @@ impl<'v> Engine<'_, 'v> {
         let view = meta.extractor.view();
         let budget = self.shared.opts.max_product_bits;
         let env = self.env(c, envs)?;
-        let machine = env.machine(meta, &sub)?;
+        // The product check does not factor per sink: build the machine.
+        let machine = DiscreteMachine::with_shift_fn(
+            &meta.extractor,
+            &mut env.manager,
+            &mut env.table,
+            |leaf, k| meta.shift(&sub, leaf, k),
+        )?;
         let (m_state, m_input) = history_depths(
             view.num_state_bits(),
             &mut env.manager,
@@ -1481,21 +1612,36 @@ pub(crate) fn run(
         let extractor = ConeExtractor::new(view_c).with_node_limit(opts.cone_node_limit);
         // Slices copy the skew annotations, so per-cone classes carry the
         // same adjusted delays as their global counterparts.
-        let local = extractor.delay_classes_at(&view_c.sink_starts())?;
+        let starts = view_c.sink_starts();
+        let local = extractor.delay_classes_at(&starts)?;
         let mut leaf_classes = vec![Vec::new(); view_c.leaves().len()];
         for (i, k) in local.iter().enumerate() {
             leaf_classes[k.leaf].push((k.delay, i));
         }
-        metas.push(ConeMeta {
+        let mut meta = ConeMeta {
             class_global: local
                 .iter()
                 .map(|k| class_ix[&(cone.parent_leaf(k.leaf, parent_ns), k.delay)])
                 .collect(),
             leaf_classes,
+            starts,
+            sink_classes: Vec::new(),
             extractor,
             dffs: cone.dffs.clone(),
             outputs: cone.outputs.clone(),
-        });
+        };
+        meta.sink_classes = meta
+            .starts
+            .iter()
+            .map(|&start| {
+                let classes = meta.extractor.delay_classes_at(&[start])?;
+                Ok(classes
+                    .iter()
+                    .map(|k| meta.class_of(k.leaf, k.delay))
+                    .collect())
+            })
+            .collect::<Result<_, MctError>>()?;
+        metas.push(meta);
     }
 
     // ---- Reachability. ---------------------------------------------------
@@ -1540,7 +1686,10 @@ pub(crate) fn run(
 
     // ---- Sweep. ------------------------------------------------------------
     let memo = SigmaMemo::new(if threads <= 1 { 1 } else { 4 * threads });
-    let memos: Vec<ConeMemo> = (0..total).map(|_| ConeMemo::default()).collect();
+    let memos: Vec<ConeMemo> = metas
+        .iter()
+        .map(|m| ConeMemo::new(m.starts.len()))
+        .collect();
     let mut envs: Vec<Option<ConeEnv<'_>>> = (0..total).map(|_| None).collect();
     let (states, built) = if reach_done {
         if threads <= 1 {
@@ -1638,7 +1787,7 @@ pub(crate) fn run(
 
 #[cfg(test)]
 mod tests {
-    use super::TEST_GC_THRESHOLD;
+    use super::{TEST_GC_THRESHOLD, TEST_SINK_EXTRACTIONS, TEST_SINK_KEYS};
     use crate::analyzer::{MctAnalyzer, MctOptions, MctReport, VarOrder};
     use crate::error::MctError;
     use crate::ConeCacheEntry;
@@ -1841,6 +1990,56 @@ mod tests {
         // under MCT_BDD_GC_STRESS, which collects at every boundary anyway).
         assert!(stats.nodes <= baseline.kernel.nodes, "{stats:?}");
         assert!(stats.nodes < stats.peak_nodes, "{stats:?}");
+    }
+
+    /// A one-hot ring of `n` flip-flops, each stage a buffer 0.2 slower
+    /// than the last: under the paper's 90–100% variation the stage
+    /// intervals overlap, so most candidates straddle several of them at
+    /// once and carry many shift combinations.
+    fn ring(n: usize) -> Circuit {
+        let mut c = Circuit::new("ring");
+        let qs: Vec<_> = (0..n)
+            .map(|i| c.add_dff(format!("q{i}"), i == 0, Time::ZERO))
+            .collect();
+        for (i, &q) in qs.iter().enumerate() {
+            let d = t(10.0 + 0.2 * i as f64);
+            let b = c.add_gate(format!("b{i}"), GateKind::Buf, &[q], d);
+            c.connect_dff_data(&format!("q{}", (i + 1) % n), b).unwrap();
+        }
+        c.set_output(qs[0]);
+        c
+    }
+
+    /// Sink-by-sink decisions extract a sink only for a check its record
+    /// cannot answer, so a σ-heavy sweep extracts no more sinks than it
+    /// has distinct (sink, projection, depth) keys — and far fewer than
+    /// the σ count times the sink count that whole machines would take.
+    #[test]
+    fn sink_extractions_bounded_by_distinct_sink_keys() {
+        let c = ring(6);
+        let opts = MctOptions {
+            exhaustive_floor: Some(2.0),
+            ..MctOptions::paper()
+        };
+        TEST_SINK_EXTRACTIONS.set(0);
+        TEST_SINK_KEYS.with_borrow_mut(|k| k.clear());
+        let report = run(&c, &opts).unwrap();
+        let extractions = TEST_SINK_EXTRACTIONS.get();
+        let keys = TEST_SINK_KEYS.with_borrow(|k| k.len()) as u64;
+        let sinks = 7;
+        assert!(report.sigma_checked >= 100, "{report:?}");
+        assert!(extractions > 0, "{report:?}");
+        assert!(
+            extractions <= keys,
+            "{extractions} extractions, {keys} keys"
+        );
+        assert!(
+            extractions * 10 < report.sigma_checked as u64 * sinks,
+            "{extractions} extractions for {} σ",
+            report.sigma_checked
+        );
+        assert!(report.kernel.sigma_reused > 0, "{:?}", report.kernel);
+        assert_identity(&c, &opts);
     }
 
     fn seeds_of(entries: &[Option<ConeCacheEntry>]) -> Vec<Option<&ConeCacheEntry>> {

@@ -14,13 +14,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects, with a 10-second I/O timeout on both directions.
+    /// Connects, with a 10-second I/O timeout on both directions and
+    /// Nagle's algorithm off (every request is one complete message).
     ///
     /// # Errors
     ///
     /// Connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         writer.set_read_timeout(Some(Duration::from_secs(10)))?;
         writer.set_write_timeout(Some(Duration::from_secs(10)))?;
         let reader = BufReader::new(writer.try_clone()?);
@@ -33,8 +35,7 @@ impl Client {
     ///
     /// I/O failures, a closed connection, or an unparseable response.
     pub fn request(&mut self, request: &Json) -> std::io::Result<Json> {
-        writeln!(self.writer, "{}", request.to_compact())?;
-        self.writer.flush()?;
+        self.writer.write_all(&request.to_line())?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(

@@ -89,6 +89,16 @@ impl Json {
         out
     }
 
+    /// One wire message: the compact form and its terminating newline in
+    /// one buffer, so a single `write_all` sends it as one TCP segment.
+    /// (Writing the newline separately leaves it as a second segment that
+    /// Nagle's algorithm holds until the peer's delayed ACK.)
+    pub fn to_line(&self) -> Vec<u8> {
+        let mut out = self.to_compact();
+        out.push('\n');
+        out.into_bytes()
+    }
+
     /// Emits with two-space indentation — the human-facing format.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();

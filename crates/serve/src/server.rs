@@ -360,7 +360,7 @@ fn dispatch(shared: &Shared, stream: TcpStream) {
         // slow to take one short line just misses the courtesy response.
         let mut stream = stream;
         let _ = stream.set_nonblocking(true);
-        let _ = writeln!(stream, "{}", busy.to_compact());
+        let _ = stream.write_all(&busy.to_line());
         return;
     }
     queue.push_back(stream);
@@ -401,7 +401,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    if stream.set_read_timeout(Some(READ_POLL)).is_err()
+    if stream.set_nodelay(true).is_err()
+        || stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream
             .set_write_timeout(Some(Duration::from_secs(10)))
             .is_err()
@@ -427,8 +428,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                     continue;
                 }
                 let (response, close) = handle_request(shared, line.trim(), &peer);
-                if writeln!(writer, "{}", response.to_compact()).is_err() || writer.flush().is_err()
-                {
+                if writer.write_all(&response.to_line()).is_err() {
                     return;
                 }
                 if close || shared.is_shutdown() {
@@ -440,7 +440,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 // Data without a trailing newline: the peer half-closed
                 // mid-line. Answer what we got, then drop the connection.
                 let (response, _) = handle_request(shared, line.trim(), &peer);
-                let _ = writeln!(writer, "{}", response.to_compact());
+                let _ = writer.write_all(&response.to_line());
                 return;
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {

@@ -159,6 +159,33 @@ fn second_identical_request_is_a_bit_identical_cache_hit() {
     thread.join().unwrap().unwrap();
 }
 
+/// Every reply leaves as one segment with Nagle's algorithm off on both
+/// ends, so a kept-alive connection answers cache hits in server time.
+/// A reply split into two segments stalls each request after the first
+/// for the peer's delayed-ACK timer (~40 ms or more).
+#[test]
+fn cache_hits_on_a_kept_alive_connection_are_not_stalled() {
+    let (addr, thread) = start(ServerConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let cold = client.analyze(FIG2, "bench", Some("fig2"), None).unwrap();
+    assert_eq!(cache_label(&cold), "miss");
+    for i in 0..10 {
+        let started = std::time::Instant::now();
+        let hit = client.analyze(FIG2, "bench", Some("fig2"), None).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(cache_label(&hit), "hit");
+        assert!(
+            elapsed < Duration::from_millis(40),
+            "cache hit {i} took {elapsed:?}"
+        );
+    }
+    client.shutdown().unwrap();
+    thread.join().unwrap().unwrap();
+}
+
 #[test]
 fn renamed_and_reordered_netlist_hits_the_same_cache_entry() {
     let (addr, thread) = start(ServerConfig {

@@ -603,158 +603,6 @@ impl DiscreteMachine {
     }
 }
 
-/// Per-sink composed-cone cache for minimal-change σ enumeration.
-///
-/// Adjacent shift combinations differ in only a few classes, so most sinks'
-/// cones are unchanged from one combination to the next. The cache keys
-/// each sink by the shift assignment *projected onto the `(leaf, delay)`
-/// pairs reaching that sink*: a hit returns the previously composed BDD
-/// (exact by canonicity — same projected shifts ⇒ same function ⇒ same
-/// handle), and only the sinks whose projection changed are re-extracted,
-/// in one batched [`ConeExtractor::extract`] call that preserves the
-/// cross-sink memo.
-///
-/// Cached roots are pinned with [`BddManager::protect`] so they survive
-/// garbage collection; [`release`](Self::release)
-/// unpins everything. Callers release at candidate boundaries, so the
-/// arena stays bounded by the existing per-candidate collections.
-pub struct SigmaConeCache {
-    /// Per sink (in `view.sinks()` order): the distinct `(leaf, delay)`
-    /// pairs reaching it — the projection-key layout.
-    sink_pairs: Vec<Vec<(usize, i64)>>,
-    /// `(sink position, projected shifts)` → pinned composed cone.
-    entries: HashMap<(usize, Vec<i64>), Bdd>,
-    hits: u64,
-    cap: usize,
-}
-
-impl SigmaConeCache {
-    /// Builds the per-sink projection layout for `extractor`'s view.
-    ///
-    /// # Errors
-    ///
-    /// [`TbfError::ConeExplosion`] from the per-sink class walks (only
-    /// reachable if the whole-view walk would also explode).
-    pub fn new(extractor: &ConeExtractor<'_>) -> Result<Self, TbfError> {
-        let view = extractor.view();
-        let starts = view.sink_starts();
-        let mut sink_pairs = Vec::with_capacity(view.sinks().len());
-        for &start in &starts {
-            let classes = extractor.delay_classes_at(&[start])?;
-            sink_pairs.push(classes.into_iter().map(|c| (c.leaf, c.delay)).collect());
-        }
-        Ok(SigmaConeCache {
-            sink_pairs,
-            entries: HashMap::new(),
-            hits: 0,
-            cap: 4096,
-        })
-    }
-
-    /// Drains the sink-level hit counter.
-    pub fn take_hits(&mut self) -> u64 {
-        std::mem::take(&mut self.hits)
-    }
-
-    /// Number of cached cones currently pinned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache currently pins nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Unpins and forgets every cached cone (the pinned nodes become
-    /// reclaimable at the next collection).
-    pub fn release(&mut self, manager: &mut BddManager) {
-        for (_, bdd) in self.entries.drain() {
-            manager.unprotect(bdd);
-        }
-    }
-
-    /// Builds the discretized machine for `shift`, reusing every sink whose
-    /// projected shifts are already cached. The result is bit-for-bit the
-    /// machine [`DiscreteMachine::with_shift_fn`] builds under the same
-    /// policy: per-sink functions are canonical handles, and the max-shift
-    /// accounting runs over the same `(leaf, delay)` pair set whether a
-    /// sink is re-extracted or reused.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TbfError::ConeExplosion`] from extraction.
-    pub fn machine<S: FnMut(usize, i64) -> i64>(
-        &mut self,
-        extractor: &ConeExtractor<'_>,
-        manager: &mut BddManager,
-        table: &mut TimedVarTable,
-        mut shift: S,
-    ) -> Result<DiscreteMachine, TbfError> {
-        let view = extractor.view();
-        if self.entries.len() > self.cap {
-            // Evict up front, never between the lookups and the inserts —
-            // hit handles stay pinned for the whole assembly below.
-            self.release(manager);
-        }
-        let mut max_shift = 1i64;
-        let mut keys: Vec<Vec<i64>> = Vec::with_capacity(self.sink_pairs.len());
-        for pairs in &self.sink_pairs {
-            let mut key = Vec::with_capacity(pairs.len());
-            for &(leaf, k) in pairs {
-                let s = shift(leaf, k).max(1);
-                max_shift = max_shift.max(s);
-                key.push(s);
-            }
-            keys.push(key);
-        }
-        let starts = view.sink_starts();
-        let mut slots: Vec<Option<Bdd>> = Vec::with_capacity(keys.len());
-        let mut miss_starts = Vec::new();
-        let mut miss_pos = Vec::new();
-        for (pos, key) in keys.iter().enumerate() {
-            match self.entries.get(&(pos, key.clone())).copied() {
-                Some(b) => {
-                    self.hits += 1;
-                    slots.push(Some(b));
-                }
-                None => {
-                    miss_starts.push(starts[pos]);
-                    miss_pos.push(pos);
-                    slots.push(None);
-                }
-            }
-        }
-        if !miss_starts.is_empty() {
-            let mut policy = |m: &mut BddManager, t: &mut TimedVarTable, leaf: usize, k: i64| {
-                let s = shift(leaf, k).max(1);
-                let v = t.var(TimedVar::Shifted { leaf, shift: s });
-                m.var(v)
-            };
-            let cones = extractor.extract_at(manager, table, &miss_starts, &mut policy)?;
-            for (&pos, bdd) in miss_pos.iter().zip(cones) {
-                manager.protect(bdd);
-                self.entries.insert((pos, keys[pos].clone()), bdd);
-                slots[pos] = Some(bdd);
-            }
-        }
-        let mut next_state = Vec::new();
-        let mut outputs = Vec::new();
-        for (sink, slot) in view.sinks().iter().zip(slots) {
-            let bdd = slot.expect("every sink resolved above");
-            match sink.kind {
-                SinkKind::NextState { .. } => next_state.push(bdd),
-                SinkKind::Output { .. } => outputs.push(bdd),
-            }
-        }
-        Ok(DiscreteMachine {
-            next_state,
-            outputs,
-            max_shift,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,69 +691,6 @@ mod tests {
         };
         assert_eq!(machine.next_state[0], expect);
         assert_eq!(machine.max_shift, 3);
-    }
-
-    #[test]
-    fn cone_cache_matches_with_shift_fn_and_counts_hits() {
-        let c = figure2();
-        let view = FsmView::new(&c).unwrap();
-        let ex = ConeExtractor::new(&view);
-        let mut m = BddManager::new();
-        let mut tbl = TimedVarTable::new();
-        let tau_2_5 = |_: usize, k: i64| match k {
-            0 | 1500 | 2000 => 1,
-            4000 | 5000 => 2,
-            other => panic!("unexpected path delay {other}"),
-        };
-        let tau_2 = |_: usize, k: i64| (k + 1999) / 2000;
-        let direct_2_5 = DiscreteMachine::with_shift_fn(&ex, &mut m, &mut tbl, tau_2_5).unwrap();
-        let direct_2 = DiscreteMachine::with_shift_fn(&ex, &mut m, &mut tbl, tau_2).unwrap();
-
-        let mut cache = SigmaConeCache::new(&ex).unwrap();
-        let via_cache_2 = cache.machine(&ex, &mut m, &mut tbl, tau_2).unwrap();
-        assert_eq!(via_cache_2.next_state, direct_2.next_state);
-        assert_eq!(via_cache_2.outputs, direct_2.outputs);
-        assert_eq!(via_cache_2.max_shift, direct_2.max_shift);
-        assert_eq!(cache.take_hits(), 0);
-
-        let via_cache_2_5 = cache.machine(&ex, &mut m, &mut tbl, tau_2_5).unwrap();
-        assert_eq!(via_cache_2_5.next_state, direct_2_5.next_state);
-        assert_eq!(via_cache_2_5.outputs, direct_2_5.outputs);
-        assert_eq!(via_cache_2_5.max_shift, direct_2_5.max_shift);
-        // The output cone reads f through delay 0 → shift 1 under both
-        // assignments, so that sink is reused.
-        assert_eq!(cache.take_hits(), 1);
-
-        // Repeat assignments hit on every sink.
-        let again = cache.machine(&ex, &mut m, &mut tbl, tau_2).unwrap();
-        assert_eq!(again.next_state, direct_2.next_state);
-        assert_eq!(again.max_shift, direct_2.max_shift);
-        assert_eq!(cache.take_hits() as usize, view.sinks().len());
-
-        assert!(!cache.is_empty());
-        cache.release(&mut m);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn cone_cache_entries_survive_collection() {
-        let c = figure2();
-        let view = FsmView::new(&c).unwrap();
-        let ex = ConeExtractor::new(&view);
-        let mut m = BddManager::new();
-        let mut tbl = TimedVarTable::new();
-        let tau_2 = |_: usize, k: i64| (k + 1999) / 2000;
-        let mut cache = SigmaConeCache::new(&ex).unwrap();
-        let first = cache.machine(&ex, &mut m, &mut tbl, tau_2).unwrap();
-        // Collect with no external roots: only the cache pins keep the
-        // cones alive.
-        m.maybe_collect_garbage(&[]);
-        m.collect_garbage(&[]);
-        let second = cache.machine(&ex, &mut m, &mut tbl, tau_2).unwrap();
-        assert_eq!(second.next_state, first.next_state);
-        assert_eq!(second.outputs, first.outputs);
-        assert_eq!(cache.take_hits() as usize, view.sinks().len());
-        cache.release(&mut m);
     }
 
     #[test]

@@ -57,9 +57,7 @@ mod waveform;
 
 pub use ast::Tbf;
 pub use error::TbfError;
-pub use extract::{
-    ConeExtractor, DelayClass, DiscreteMachine, LeafPolicy, PathEdge, SigmaConeCache,
-};
+pub use extract::{ConeExtractor, DelayClass, DiscreteMachine, LeafPolicy, PathEdge};
 pub use order::StaticOrder;
 pub use reachability::{count_states, reachable_states};
 pub use symbolic::circuit_tbf;
