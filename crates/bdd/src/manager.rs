@@ -1647,9 +1647,11 @@ pub struct BddStats {
     /// Completed DFS-preorder arena compactions
     /// ([`BddManager::compact`]).
     pub compactions: u64,
-    /// Decision outcomes answered from the discretized-shift-vector memo
-    /// instead of being re-derived. Filled in by the analysis layer (the
-    /// memo lives above the kernel); [`BddManager::stats`] reports 0.
+    /// Per-cone decision outcomes answered from a cone's memo or its cached
+    /// entry, keyed by the cone's projection of the shift vector, instead
+    /// of being re-derived; a repeated shift vector counts once per cone.
+    /// Filled in by the analysis layer (the memos live above the kernel);
+    /// [`BddManager::stats`] reports 0.
     pub mvec_memo_hits: u64,
     /// Φ prefix subtrees cut by the pruned variable-delay walk before their
     /// shift combinations were generated. Filled in by the analysis layer;
@@ -1658,9 +1660,9 @@ pub struct BddStats {
     /// Shift combinations contained in the cut subtrees (never enumerated).
     /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_pruned: u64,
-    /// Sink lookups of the sink-by-sink decisions answered entirely by the
-    /// sink's decision record, without extracting the sink. Filled in by
-    /// the analysis layer; [`BddManager::stats`] reports 0.
+    /// Sinks that a sink-by-sink decision visited without making a fresh
+    /// comparison: the sink's decision record answered every check. Filled
+    /// in by the analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_reused: u64,
     /// Simplex pivots performed by the clock-skew feasibility programs.
     /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.

@@ -112,8 +112,8 @@ pub struct MctOptions {
     /// candidates on the calling thread; `0` means one worker per available
     /// CPU. Each worker owns a private BDD manager and timed-variable
     /// table per cone (the managers are deliberately single-threaded);
-    /// workers share only the σ memos. The report is bit-identical at
-    /// every thread count.
+    /// workers share only the per-cone memos and per-sink decision records.
+    /// The report is bit-identical at every thread count.
     pub num_threads: usize,
     /// Variable-ordering policy for every BDD manager the analysis builds.
     /// Never changes the report — see [`VarOrder`].
@@ -227,8 +227,10 @@ pub struct MctReport {
     /// Number of (feasible) shift combinations submitted to the decision
     /// algorithm, including cache hits.
     pub sigma_checked: usize,
-    /// How many of those were answered from the Φ-signature cache (the
-    /// paper's suggested speed-up).
+    /// How many of those repeated a shift vector submitted earlier in the
+    /// sweep (the paper's Φ-signature cache). The per-cone memos answer a
+    /// repeat without a decision, since it repeats its projection onto
+    /// every cone.
     pub sigma_cache_hits: usize,
     /// Whether the induction frontier was restricted to reachable states.
     pub used_reachability: bool,
@@ -687,8 +689,9 @@ mod tests {
             ..MctOptions::default()
         };
         let report = MctAnalyzer::new(&c).unwrap().run(&opts).unwrap();
-        // Single-threaded the sweep runs in τ order, so every repeated σ is
-        // answered by the memo and every memo answer is a repeat: the
+        // Single-threaded the sweep runs in τ order, and figure 2 is one
+        // cone whose projection of σ is σ itself, so every repeated σ is
+        // answered by the cone memo and every memo answer is a repeat: the
         // kernel counter equals the reconciled cache-hit count exactly.
         assert!(report.sigma_cache_hits > 0, "{report:?}");
         assert_eq!(

@@ -553,7 +553,7 @@ impl SinkVerdicts for MachineSinks<'_> {
 /// property of the function (plus the cycle or depth), never of the rest of
 /// the machine. Handle-free, so records outlive managers and are shared
 /// between workers.
-#[derive(Clone, Default, Debug)]
+#[derive(Default, Debug)]
 pub(crate) struct SinkRecord {
     /// Basis cycles `1..=verified` compare equal.
     verified: i64,
@@ -561,6 +561,24 @@ pub(crate) struct SinkRecord {
     mismatch: Option<i64>,
     /// Induction verdicts by depth `m`.
     induction: Vec<(i64, bool)>,
+}
+
+impl Clone for SinkRecord {
+    fn clone(&self) -> Self {
+        SinkRecord {
+            verified: self.verified,
+            mismatch: self.mismatch,
+            induction: self.induction.clone(),
+        }
+    }
+
+    /// Overwrites `self` in place, reusing its allocation: snapshots taken
+    /// once per σ allocate nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.verified = source.verified;
+        self.mismatch = source.mismatch;
+        self.induction.clone_from(&source.induction);
+    }
 }
 
 impl SinkRecord {

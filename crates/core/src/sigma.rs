@@ -141,6 +141,10 @@ impl SigmaPruneStats {
 /// can never win.
 const ORACLE_MIN_SUBTREE: u128 = 2;
 
+/// Callback of [`SigmaWalk::run`]: one visited leaf and its closed-form τ
+/// range; `Ok(false)` stops the walk.
+pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], TauRange) -> Result<bool, E>;
+
 /// Backtracking prefix-tree walk over `Φ = Π_i [lo_i, hi_i]`.
 ///
 /// Classes are assigned from the most-significant odometer digit (the last
@@ -157,7 +161,8 @@ const ORACLE_MIN_SUBTREE: u128 = 2;
 /// interval is empty, **no** completion of the partial assignment is
 /// feasible and the whole subtree is cut — at a leaf the combined bound
 /// degenerates to `feasible_tau_range` itself, so the surviving leaves are
-/// precisely the closed-form-feasible subset.
+/// precisely the closed-form-feasible subset. Every visited leaf is handed
+/// that running bound, so callers never recompute the closed form.
 ///
 /// The walk can be restricted to a window `[start, end)` of odometer
 /// ordinals (digit 0 has weight 1), which is how the worker pool splits one
@@ -246,13 +251,16 @@ impl<'a> SigmaWalk<'a> {
     /// *sound* oracle consulted at internal nodes that survive the closed
     /// form (the LP suffix relaxation): `partial` is the assigned suffix
     /// `σ[j..]`; returning true certifies every completion infeasible.
-    /// `visit` sees each surviving leaf in odometer order and returns
-    /// `Ok(false)` to stop the walk early.
+    /// `visit` sees each surviving leaf in odometer order, with its running
+    /// closed-form τ range `(lo, hi)` — what [`feasible_tau_range`] returns
+    /// for the leaf, or an empty range (`hi ≤ lo`) where that is `None`,
+    /// which only an unpruned walk visits — and returns `Ok(false)` to stop
+    /// the walk early.
     pub fn run<E>(
         &self,
         stats: &mut SigmaPruneStats,
         subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
-        visit: &mut dyn FnMut(&[i64]) -> Result<bool, E>,
+        visit: LeafVisitor<'_, E>,
     ) -> Result<bool, E> {
         let mut sigma = vec![0i64; self.ranges.len()];
         self.rec(
@@ -277,7 +285,7 @@ impl<'a> SigmaWalk<'a> {
         sigma: &mut Vec<i64>,
         stats: &mut SigmaPruneStats,
         subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
-        visit: &mut dyn FnMut(&[i64]) -> Result<bool, E>,
+        visit: LeafVisitor<'_, E>,
     ) -> Result<bool, E> {
         let w = self.weights[j];
         let (ws, we) = self.window;
@@ -305,7 +313,7 @@ impl<'a> SigmaWalk<'a> {
             }
         }
         if j == 0 {
-            return visit(sigma);
+            return visit(sigma, (lo, hi));
         }
         let r = self.ranges[j - 1];
         let (k_min, k_max) = self.intervals[j - 1];
@@ -338,6 +346,10 @@ impl<'a> SigmaWalk<'a> {
         Ok(true)
     }
 }
+
+/// A τ range `(lo, hi)`: `lo` inclusive, `hi` exclusive (`None` means
+/// unbounded above).
+pub(crate) type TauRange = (Rat, Option<Rat>);
 
 /// The feasible τ range of a shift combination `σ` under independent
 /// per-class delay intervals: the intersection over classes of
@@ -492,6 +504,24 @@ mod tests {
             .collect()
     }
 
+    /// The bound a walk hands a leaf is the leaf's closed-form τ range:
+    /// empty exactly where [`feasible_tau_range`] is `None`, equal to it
+    /// otherwise. Returns whether the bound was empty.
+    fn check_leaf_bound(
+        sigma: &[i64],
+        bound: TauRange,
+        intervals: &[(i64, i64)],
+        lo: Rat,
+        hi: Option<Rat>,
+    ) -> bool {
+        let empty = bound.1.is_some_and(|h| bound.0 >= h);
+        match feasible_tau_range(sigma, intervals, lo, hi) {
+            None => assert!(empty, "{sigma:?}: {bound:?} for an infeasible leaf"),
+            Some(range) => assert_eq!(bound, range, "{sigma:?}"),
+        }
+        empty
+    }
+
     fn pruned_visited(
         ranges: &[ShiftRange],
         intervals: &[(i64, i64)],
@@ -501,7 +531,8 @@ mod tests {
         let mut stats = SigmaPruneStats::default();
         let mut seen = Vec::new();
         let walk = SigmaWalk::new(ranges, intervals, lo, hi, true);
-        walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s| {
+        walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s, bound| {
+            assert!(!check_leaf_bound(s, bound, intervals, lo, hi));
             seen.push(s.to_vec());
             Ok(true)
         })
@@ -516,31 +547,45 @@ mod tests {
         (seen, stats)
     }
 
+    /// One random walk input: class intervals, the examined interval
+    /// `[tau, prev)`, and the shift ranges at `tau`.
+    type Case = (Vec<(i64, i64)>, Rat, Option<Rat>, Vec<ShiftRange>);
+
+    /// 200 seeded random cases of 1–4 classes.
+    fn random_cases() -> Vec<Case> {
+        let mut rng = mct_prng::SmallRng::seed_from_u64(0x51674a15);
+        (0..200u64)
+            .map(|_| {
+                let n = rng.gen_range(1..5usize);
+                let intervals: Vec<(i64, i64)> = (0..n)
+                    .map(|_| {
+                        let k_max = 250 * rng.gen_range(1..20i64);
+                        let k_min = (k_max * rng.gen_range(5..11i64)) / 10;
+                        (k_min, k_max)
+                    })
+                    .collect();
+                let tau = Rat::new(250 * rng.gen_range(1..16i64), 1);
+                let prev = if rng.gen_bool() {
+                    None
+                } else {
+                    Some(tau + Rat::new(250 * rng.gen_range(1..8i64), 1))
+                };
+                let ranges: Vec<ShiftRange> = intervals
+                    .iter()
+                    .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
+                    .collect();
+                (intervals, tau, prev, ranges)
+            })
+            .collect()
+    }
+
     /// Property: the pruned prefix-tree walk visits exactly the
     /// closed-form-feasible subset of the full enumeration, in the same
-    /// order, over seeded random range vectors.
+    /// order, over seeded random range vectors, handing each leaf its
+    /// closed-form τ range.
     #[test]
     fn pruned_walk_equals_filtered_flat_enumeration() {
-        let mut rng = mct_prng::SmallRng::seed_from_u64(0x51674a15);
-        for _case in 0..200u64 {
-            let n = rng.gen_range(1..5usize);
-            let intervals: Vec<(i64, i64)> = (0..n)
-                .map(|_| {
-                    let k_max = 250 * rng.gen_range(1..20i64);
-                    let k_min = (k_max * rng.gen_range(5..11i64)) / 10;
-                    (k_min, k_max)
-                })
-                .collect();
-            let tau = Rat::new(250 * rng.gen_range(1..16i64), 1);
-            let prev = if rng.gen_bool() {
-                None
-            } else {
-                Some(tau + Rat::new(250 * rng.gen_range(1..8i64), 1))
-            };
-            let ranges: Vec<ShiftRange> = intervals
-                .iter()
-                .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-                .collect();
+        for (intervals, tau, prev, ranges) in random_cases() {
             let flat = flat_feasible(&ranges, &intervals, tau, prev);
             let (pruned, stats) = pruned_visited(&ranges, &intervals, tau, prev);
             assert_eq!(flat, pruned, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
@@ -608,7 +653,7 @@ mod tests {
                 let (ws, we) = (total * k / chunks, total * (k + 1) / chunks);
                 let mut stats = SigmaPruneStats::default();
                 let walk = SigmaWalk::new(&ranges, &intervals, tau, prev, true).window(ws, we);
-                walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s| {
+                walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s, _| {
                     cat.push(s.to_vec());
                     Ok(true)
                 })
@@ -620,25 +665,41 @@ mod tests {
         }
     }
 
+    /// The unpruned walk visits every combination in odometer order, each
+    /// with its closed-form τ range — empty on the infeasible leaves it
+    /// visits too.
     #[test]
     fn unpruned_walk_is_the_flat_odometer() {
-        let intervals = vec![(900, 1000), (2700, 3000)];
-        let tau = Rat::new(600, 1);
-        let ranges: Vec<ShiftRange> = intervals
-            .iter()
-            .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-            .collect();
-        let flat: Vec<Vec<i64>> = SigmaIter::new(&ranges).collect();
-        let mut seen = Vec::new();
-        let mut stats = SigmaPruneStats::default();
-        SigmaWalk::new(&ranges, &intervals, tau, None, false)
-            .run::<()>(&mut stats, &mut |_, _| false, &mut |s| {
-                seen.push(s.to_vec());
-                Ok(true)
-            })
-            .unwrap();
-        assert_eq!(flat, seen);
-        assert_eq!(stats, SigmaPruneStats::default());
+        let case = |intervals: Vec<(i64, i64)>, tau: i64, prev: Option<i64>| -> Case {
+            let tau = Rat::new(tau, 1);
+            let ranges = intervals
+                .iter()
+                .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
+                .collect();
+            (intervals, tau, prev.map(|p| Rat::new(p, 1)), ranges)
+        };
+        let mut cases = random_cases();
+        cases.push(case(vec![(900, 1000), (2700, 3000)], 600, None));
+        // Shift ranges taken at τ hold τ itself, so only an empty examined
+        // interval makes leaves infeasible: here every one is.
+        cases.push(case(vec![(3600, 4000), (3600, 4000)], 4000, Some(4000)));
+        let mut empty = [0usize; 2];
+        for (intervals, tau, prev, ranges) in cases {
+            let flat: Vec<Vec<i64>> = SigmaIter::new(&ranges).collect();
+            let mut seen = Vec::new();
+            let mut stats = SigmaPruneStats::default();
+            SigmaWalk::new(&ranges, &intervals, tau, prev, false)
+                .run::<()>(&mut stats, &mut |_, _| false, &mut |s, bound| {
+                    empty[check_leaf_bound(s, bound, &intervals, tau, prev) as usize] += 1;
+                    seen.push(s.to_vec());
+                    Ok(true)
+                })
+                .unwrap();
+            assert_eq!(flat, seen);
+            assert_eq!(stats, SigmaPruneStats::default());
+        }
+        // Both kinds of leaf occur.
+        assert!(empty.iter().all(|&n| n > 0), "{empty:?}");
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //!    `σ|c` from the first source that has it — its seed, a per-cone memo
 //!    shared by all workers, or the worker's own lazily built environment
 //!    for that cone (the BDD managers are single-threaded by design) — and
-//!    [`Engine::merge_cx`] / [`Engine::merge_exact`] recombine the answers.
-//!    A σ-level memo shared by all workers answers repeated σ outright. An
-//!    environment decides `C_x` sink by sink ([`DecisionContext::walk`]):
-//!    each check is first asked of the sink's record at its projection of
-//!    σ, shared by all workers, and a sink is extracted only for a check
-//!    no record holds.
+//!    [`ConeMeta::in_parent`] / [`Engine::merge_exact`] recombine the
+//!    answers. A repeated σ repeats its projection in every cone, so the
+//!    cone memos answer it. An environment decides `C_x` sink by sink
+//!    ([`DecisionContext::walk`]) through its [`SinkCursor`]: each check is
+//!    first asked of the sink's record at its projection of σ, shared by
+//!    all workers, and a sink is extracted only for a check no record
+//!    holds; the cursor carries each sink's projection, record snapshot and
+//!    function from one σ to the next.
 //! 4. **Reconcile.** A candidate's windows merge in window order
 //!    ([`merge_chunks`]), and [`reconcile`] replays candidates in strict
 //!    descending-τ order, reconstructing the exact report of a sequential
@@ -73,7 +75,7 @@ use crate::decision::{
 };
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
-use crate::sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk};
+use crate::sigma::{ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk, TauRange};
 use mct_bdd::{Bdd, BddManager, BddStats, Var, VarSet};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
@@ -81,9 +83,8 @@ use mct_tbf::{
     count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, StaticOrder, TimedVar,
     TimedVarTable,
 };
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -192,67 +193,26 @@ struct CandidateEval {
     failing_sups: Vec<Rat>,
 }
 
-/// The sharded Φ-signature memo: shift vector → merged decision outcome.
-/// The outcome of a σ is independent of the candidate it was first seen
-/// at and of the worker that decided it (a [`DecisionOutcome`] carries
-/// only cycle/bit indices), so the memo is shared across threads. It also
-/// carries the scheduling-dependent kernel diagnostics of the sweep.
-struct SigmaMemo {
-    shards: Vec<Mutex<HashMap<Vec<i64>, DecisionOutcome>>>,
-    /// Decisions answered by a memo or a seed instead of a BDD comparison
+/// The sweep's diagnostics, counted by every worker. Which worker answers
+/// what depends on scheduling, so only single-thread counts repeat.
+#[derive(Default)]
+struct SweepCounters {
+    /// Cone decisions answered by a seed or a cone memo instead of a walk
     /// (`mvec_memo_hits`).
-    hits: AtomicU64,
+    memo_hits: AtomicU64,
     /// Φ subtrees cut by the pruned walk (`sigma_pruned_subtrees`).
     pruned_subtrees: AtomicU64,
     /// Combinations contained in the cut subtrees (`sigma_pruned`).
     pruned_combos: AtomicU64,
-    /// Sinks whose every check in a sink-by-sink decision was answered by
-    /// the sink's record, so the sink was never extracted (`sigma_reused`).
+    /// Sinks a walk visited without making a fresh comparison: every check
+    /// was answered by the sink's record (`sigma_reused`).
     reused: AtomicU64,
 }
 
-impl SigmaMemo {
-    fn new(num_shards: usize) -> Self {
-        SigmaMemo {
-            shards: (0..num_shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            pruned_subtrees: AtomicU64::new(0),
-            pruned_combos: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, sigma: &[i64]) -> &Mutex<HashMap<Vec<i64>, DecisionOutcome>> {
-        let mut h = DefaultHasher::new();
-        sigma.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn get(&self, sigma: &[i64]) -> Option<DecisionOutcome> {
-        let outcome = self
-            .shard(sigma)
-            .lock()
-            .expect("memo shard")
-            .get(sigma)
-            .copied();
-        if outcome.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        outcome
-    }
-
-    fn insert(&self, sigma: &[i64], outcome: DecisionOutcome) {
-        self.shard(sigma)
-            .lock()
-            .expect("memo shard")
-            .insert(sigma.to_vec(), outcome);
-    }
-
+impl SweepCounters {
     /// Writes the diagnostics into `kernel`.
     fn diagnostics(&self, kernel: &mut BddStats) {
-        kernel.mvec_memo_hits = self.hits.load(Ordering::Relaxed);
+        kernel.mvec_memo_hits = self.memo_hits.load(Ordering::Relaxed);
         kernel.sigma_pruned_subtrees = self.pruned_subtrees.load(Ordering::Relaxed);
         kernel.sigma_pruned = self.pruned_combos.load(Ordering::Relaxed);
         kernel.sigma_reused = self.reused.load(Ordering::Relaxed);
@@ -266,11 +226,19 @@ struct SigmaGate {
     lp_sup: Option<f64>,
 }
 
-/// Applies the feasibility gates to one σ of one candidate: the
-/// independent-interval closed form, then (optionally) the path-coupled LP.
-/// Returns `None` when the combination is infeasible.
-fn gate_sigma(shared: &SweepShared, cand: &PlannedCandidate, sigma: &[i64]) -> Option<SigmaGate> {
-    let (_, hi) = feasible_tau_range(sigma, &shared.intervals, cand.tau, cand.prev)?;
+/// Applies the feasibility gates to one σ of one candidate: its
+/// independent-interval closed-form τ range, which the Φ walk carries to
+/// the leaf, must be non-empty, and then (optionally) the path-coupled LP
+/// must be feasible. Returns `None` when the combination is infeasible.
+fn gate_sigma(
+    shared: &SweepShared,
+    cand: &PlannedCandidate,
+    sigma: &[i64],
+    (lo, hi): TauRange,
+) -> Option<SigmaGate> {
+    if hi.is_some_and(|h| lo >= h) {
+        return None;
+    }
     let lp_sup = if shared.opts.path_coupled_lp {
         // Path coupling proving infeasibility gates the σ out entirely.
         Some(lp_max_tau(
@@ -342,7 +310,7 @@ fn for_each_gated(
         )
         .is_none()
     };
-    let mut gated = |sigma: &[i64]| match gate_sigma(shared, cand, sigma) {
+    let mut gated = |sigma: &[i64], bound: TauRange| match gate_sigma(shared, cand, sigma, bound) {
         None => Ok(true),
         Some(gate) => visit(sigma, &gate).map(|()| true),
     };
@@ -547,8 +515,10 @@ struct ConeMeta<'v> {
 }
 
 impl ConeMeta<'_> {
-    fn project(&self, sigma: &[i64]) -> Vec<i64> {
-        self.class_global.iter().map(|&g| sigma[g]).collect()
+    /// Writes the cone's projection of σ into `sub`.
+    fn project(&self, sigma: &[i64], sub: &mut Vec<i64>) {
+        sub.clear();
+        sub.extend(self.class_global.iter().map(|&g| sigma[g]));
     }
 
     /// The shift of the local class of `(leaf, delay)` under the cone
@@ -559,11 +529,8 @@ impl ConeMeta<'_> {
 
     /// Sink `s`'s projection of the cone projection `sub`: the clamped
     /// shifts of its classes, which key its decision records.
-    fn sink_key(&self, s: usize, sub: &[i64]) -> Vec<i64> {
-        self.sink_classes[s]
-            .iter()
-            .map(|&i| sub[i].max(1))
-            .collect()
+    fn sink_key<'s>(&'s self, s: usize, sub: &'s [i64]) -> impl Iterator<Item = i64> + Clone + 's {
+        self.sink_classes[s].iter().map(move |&i| sub[i].max(1))
     }
 
     fn class_of(&self, leaf: usize, delay: i64) -> usize {
@@ -572,6 +539,47 @@ impl ConeMeta<'_> {
             .find(|&&(d, _)| d == delay)
             .expect("every (leaf, delay) pair of the cone is a class")
             .1
+    }
+
+    /// A cone-local mismatch in the parent machine's indices, keyed by its
+    /// place in the whole-machine decision order `(phase, cycle,
+    /// state/output, parent index)`; `None` when the cone is valid. That
+    /// decision checks basis cycles (state bits, then outputs) before
+    /// induction (state bits, then outputs), and each check belongs to
+    /// exactly one cone, so the first mismatch of the whole machine is the
+    /// one with the smallest key over cones.
+    fn in_parent(&self, o: DecisionOutcome) -> Option<((u8, i64, u8, usize), DecisionOutcome)> {
+        Some(match o {
+            DecisionOutcome::Valid => return None,
+            DecisionOutcome::BasisStateMismatch { cycle, bit } => {
+                let bit = self.dffs[bit];
+                (
+                    (0, cycle, 0, bit),
+                    DecisionOutcome::BasisStateMismatch { cycle, bit },
+                )
+            }
+            DecisionOutcome::BasisOutputMismatch { cycle, output } => {
+                let output = self.outputs[output];
+                (
+                    (0, cycle, 1, output),
+                    DecisionOutcome::BasisOutputMismatch { cycle, output },
+                )
+            }
+            DecisionOutcome::InductionStateMismatch { bit } => {
+                let bit = self.dffs[bit];
+                (
+                    (1, 0, 0, bit),
+                    DecisionOutcome::InductionStateMismatch { bit },
+                )
+            }
+            DecisionOutcome::InductionOutputMismatch { output } => {
+                let output = self.outputs[output];
+                (
+                    (1, 0, 1, output),
+                    DecisionOutcome::InductionOutputMismatch { output },
+                )
+            }
+        })
     }
 }
 
@@ -595,60 +603,69 @@ impl ConeMemo {
     }
 }
 
-/// One cone projection's sinks during a sink-by-sink decision: the shared
-/// records answer what they can, and a sink is extracted only for a check
-/// its record cannot answer.
-struct RecordedSinks<'a, 'v> {
+/// One sink of a cone on one worker, carried from one σ to the next.
+#[derive(Default)]
+struct CarriedSink {
+    /// The sink's projection at the last σ that visited it.
+    key: Vec<i64>,
+    /// A snapshot of the sink's shared record at `key`.
+    record: SinkRecord,
+    /// The sink's function at `key`, once extracted. Dropped at every item
+    /// boundary, before any collection.
+    function: Option<Bdd>,
+    /// The last walk that visited the sink.
+    visited: u64,
+    /// The last walk in which the sink made a fresh comparison.
+    compared: u64,
+}
+
+/// A cone's sinks on one worker. Consecutive σ mostly share a sink's
+/// projection, so the cursor keeps each sink's projection, record snapshot
+/// and function between walks, and re-reads the shared record only when a
+/// σ moves the sink to another projection. A snapshot can miss verdicts
+/// that other workers added since; that costs at most a recomputation,
+/// because a record only gains verdicts and each verdict is a property of
+/// (sink, projection, check).
+#[derive(Default)]
+struct SinkCursor {
+    sinks: Vec<CarriedSink>,
+    /// Walks so far: the stamp of the current one.
+    walks: u64,
+    /// Sinks the current walk visited without making a fresh comparison.
+    reused: u64,
+}
+
+/// One walk through a [`SinkCursor`]: σ's projection onto the cone, and the
+/// cone's shared records.
+struct CursorWalk<'a, 'v> {
+    cursor: &'a mut SinkCursor,
     meta: &'a ConeMeta<'v>,
     memo: &'a ConeMemo,
     sub: &'a [i64],
-    /// Per sink, once visited: its projection and a snapshot of its record.
-    visited: Vec<Option<(Vec<i64>, SinkRecord)>>,
-    /// Per sink, once extracted: its function.
-    functions: Vec<Option<Bdd>>,
 }
 
-impl<'a, 'v> RecordedSinks<'a, 'v> {
-    fn new(meta: &'a ConeMeta<'v>, memo: &'a ConeMemo, sub: &'a [i64]) -> Self {
-        let sinks = meta.starts.len();
-        RecordedSinks {
-            meta,
-            memo,
-            sub,
-            visited: vec![None; sinks],
-            functions: vec![None; sinks],
-        }
-    }
-
-    /// Visited sinks that were never extracted.
-    fn reused(&self) -> u64 {
-        self.visited
-            .iter()
-            .zip(&self.functions)
-            .filter(|(v, f)| v.is_some() && f.is_none())
-            .count() as u64
-    }
-}
-
-impl SinkVerdicts for RecordedSinks<'_, '_> {
+impl SinkVerdicts for CursorWalk<'_, '_> {
     type Error = MctError;
 
     fn known(&mut self, s: usize, check: Check) -> Option<bool> {
-        if self.visited[s].is_none() {
+        let cursor = &mut *self.cursor;
+        let sink = &mut cursor.sinks[s];
+        if sink.visited != cursor.walks {
+            sink.visited = cursor.walks;
+            cursor.reused += 1;
             let key = self.meta.sink_key(s, self.sub);
-            let record = self.memo.records[s]
-                .lock()
-                .expect("sink records")
-                .get(&key)
-                .cloned()
-                .unwrap_or_default();
-            self.visited[s] = Some((key, record));
+            if !sink.key.iter().copied().eq(key.clone()) {
+                sink.key.clear();
+                sink.key.extend(key);
+                sink.function = None;
+                let records = self.memo.records[s].lock().expect("sink records");
+                match records.get(sink.key.as_slice()) {
+                    Some(shared) => sink.record.clone_from(shared),
+                    None => sink.record.clone_from(&SinkRecord::default()),
+                }
+            }
         }
-        self.visited[s]
-            .as_ref()
-            .expect("just visited")
-            .1
-            .known(check)
+        sink.record.known(check)
     }
 
     fn function(
@@ -657,7 +674,7 @@ impl SinkVerdicts for RecordedSinks<'_, '_> {
         table: &mut TimedVarTable,
         s: usize,
     ) -> Result<Bdd, MctError> {
-        if let Some(f) = self.functions[s] {
+        if let Some(f) = self.cursor.sinks[s].function {
             return Ok(f);
         }
         #[cfg(test)]
@@ -673,18 +690,24 @@ impl SinkVerdicts for RecordedSinks<'_, '_> {
         let f = meta
             .extractor
             .extract_at(manager, table, &[meta.starts[s]], &mut policy)?[0];
-        self.functions[s] = Some(f);
+        self.cursor.sinks[s].function = Some(f);
         Ok(f)
     }
 
     fn record(&mut self, s: usize, check: Check, equal: bool) {
-        let (key, snapshot) = self.visited[s].as_mut().expect("checks visit first");
-        snapshot.note(check, equal);
+        let cursor = &mut *self.cursor;
+        let sink = &mut cursor.sinks[s];
+        if sink.compared != cursor.walks {
+            // Every check asks `known` first, so the sink was counted.
+            sink.compared = cursor.walks;
+            cursor.reused -= 1;
+        }
+        sink.record.note(check, equal);
         let mut records = self.memo.records[s].lock().expect("sink records");
-        match records.get_mut(key.as_slice()) {
+        match records.get_mut(sink.key.as_slice()) {
             Some(shared) => shared.note(check, equal),
             None => {
-                records.insert(key.clone(), snapshot.clone());
+                records.insert(sink.key.clone(), sink.record.clone());
             }
         }
     }
@@ -927,12 +950,13 @@ type SinkKey = (usize, usize, Vec<i64>, i64);
 
 /// A cone's symbolic environment on one worker: a private manager and
 /// table, the steady machine and frontier restriction, and the steady rows
-/// of its sink-by-sink decisions.
+/// and sink cursor of its sink-by-sink decisions.
 struct ConeEnv<'v> {
     manager: BddManager,
     table: TimedVarTable,
     ctx: DecisionContext<'v>,
     rows: SteadyRows,
+    cursor: SinkCursor,
 }
 
 impl<'v> ConeEnv<'v> {
@@ -953,7 +977,7 @@ impl<'v> ConeEnv<'v> {
         if let Some((m, t, set)) = reach.set() {
             ctx = ctx.with_restriction(transfer_bdd(m, t, set, &mut manager, &mut table)?);
         }
-        Ok(Self::finish(manager, table, ctx))
+        Ok(Self::finish(meta, manager, table, ctx))
     }
 
     /// Turns a reachability run's manager into an environment in place.
@@ -966,10 +990,15 @@ impl<'v> ConeEnv<'v> {
         } = fc;
         let ctx = DecisionContext::new(&meta.extractor, &mut manager, &mut table)?
             .with_restriction(reach);
-        Ok(Self::finish(manager, table, ctx))
+        Ok(Self::finish(meta, manager, table, ctx))
     }
 
-    fn finish(manager: BddManager, table: TimedVarTable, ctx: DecisionContext<'v>) -> Self {
+    fn finish(
+        meta: &ConeMeta<'v>,
+        manager: BddManager,
+        table: TimedVarTable,
+        ctx: DecisionContext<'v>,
+    ) -> Self {
         #[cfg(test)]
         let manager = {
             let mut manager = manager;
@@ -983,14 +1012,52 @@ impl<'v> ConeEnv<'v> {
             table,
             ctx,
             rows: SteadyRows::default(),
+            cursor: SinkCursor {
+                sinks: (0..meta.starts.len())
+                    .map(|_| CarriedSink::default())
+                    .collect(),
+                ..SinkCursor::default()
+            },
         }
     }
 
-    /// Item-boundary maintenance: collect and compact. Sink functions and
-    /// per-σ machines are dropped and the records and memoized verdicts
-    /// hold no handles, so the context plus the steady rows enumerate every
-    /// live handle of this manager.
+    /// Decides `C_x` at cone projection `sub` and global depth `m`, sink by
+    /// sink through the cursor. Returns the outcome and the number of
+    /// visited sinks that made no fresh comparison.
+    fn walk(
+        &mut self,
+        meta: &ConeMeta<'v>,
+        memo: &ConeMemo,
+        sub: &[i64],
+        m: i64,
+    ) -> Result<(DecisionOutcome, u64), MctError> {
+        let cursor = &mut self.cursor;
+        cursor.walks += 1;
+        cursor.reused = 0;
+        let mut sinks = CursorWalk {
+            cursor,
+            meta,
+            memo,
+            sub,
+        };
+        let o = self.ctx.walk(
+            &mut self.manager,
+            &mut self.table,
+            &mut self.rows,
+            &mut sinks,
+            m,
+        )?;
+        Ok((o, self.cursor.reused))
+    }
+
+    /// Item-boundary maintenance: drop the carried sink functions, then
+    /// collect and compact. Per-σ machines are gone by now and the records,
+    /// snapshots and memoized verdicts hold no handles, so the context plus
+    /// the steady rows enumerate every live handle of this manager.
     fn settle(&mut self) {
+        for sink in &mut self.cursor.sinks {
+            sink.function = None;
+        }
         let mut roots = self.ctx.gc_roots();
         roots.extend(self.rows.handles_mut().map(|h| *h));
         self.manager.maybe_collect_garbage(&roots);
@@ -1002,6 +1069,16 @@ impl<'v> ConeEnv<'v> {
             }
         }
     }
+}
+
+/// One worker's private state: its lazily built cone environments and the
+/// key its σ decisions project into.
+struct Worker<'v> {
+    envs: Vec<Option<ConeEnv<'v>>>,
+    /// The current cone projection `σ|c` and global depth `m`: the cone
+    /// memo's key, borrowed for lookups and cloned only when a miss inserts
+    /// it.
+    key: (Vec<i64>, i64),
 }
 
 /// Everything one worker brings back.
@@ -1020,7 +1097,7 @@ struct Engine<'a, 'v> {
     seeds: &'a [Option<&'a ConeCacheEntry>],
     reach: &'a [ConeReach<'a>],
     memos: &'a [ConeMemo],
-    sigma: &'a SigmaMemo,
+    counters: SweepCounters,
     order_hint: i64,
     parent_ns: usize,
     parent_np: usize,
@@ -1044,11 +1121,18 @@ impl<'v> Engine<'_, 'v> {
         let outs: Vec<WorkerOut> = if threads <= 1 {
             vec![self.work(&items, &control, envs)]
         } else {
+            #[cfg(test)]
+            let gc_threshold = TEST_GC_THRESHOLD.get();
+            let (items, control) = (&items, &control);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         let envs = self.cones.iter().map(|_| None).collect();
-                        scope.spawn(|| self.work(&items, &control, envs))
+                        scope.spawn(move || {
+                            #[cfg(test)]
+                            TEST_GC_THRESHOLD.set(gc_threshold);
+                            self.work(items, control, envs)
+                        })
                     })
                     .collect();
                 handles
@@ -1091,8 +1175,12 @@ impl<'v> Engine<'_, 'v> {
         &self,
         items: &[WorkItem],
         control: &PoolControl,
-        mut envs: Vec<Option<ConeEnv<'v>>>,
+        envs: Vec<Option<ConeEnv<'v>>>,
     ) -> WorkerOut {
+        let mut w = Worker {
+            envs,
+            key: Default::default(),
+        };
         let mut states = Vec::new();
         loop {
             let index = control.next.fetch_add(1, Ordering::Relaxed);
@@ -1109,8 +1197,8 @@ impl<'v> Engine<'_, 'v> {
                     cap: self.shared.opts.max_sigma_combos,
                 })
             } else {
-                let outcome = self.eval_candidate(&mut envs, cand, item.window);
-                for env in envs.iter_mut().flatten() {
+                let outcome = self.eval_candidate(&mut w, cand, item.window);
+                for env in w.envs.iter_mut().flatten() {
                     env.settle();
                 }
                 match outcome {
@@ -1128,35 +1216,28 @@ impl<'v> Engine<'_, 'v> {
             states.push((index, state));
         }
         let mut kernel = BddStats::default();
-        for env in envs.iter().flatten() {
+        for env in w.envs.iter().flatten() {
             kernel.absorb(&env.manager.stats());
         }
         WorkerOut {
             states,
             kernel,
-            built: envs.iter().map(Option::is_some).collect(),
+            built: w.envs.iter().map(Option::is_some).collect(),
         }
     }
 
     /// Evaluates one candidate window: enumerate the gated σ and decide
-    /// each through the σ memo.
+    /// each.
     fn eval_candidate(
         &self,
-        envs: &mut [Option<ConeEnv<'v>>],
+        w: &mut Worker<'v>,
         cand: &PlannedCandidate,
         window: (u128, u128),
     ) -> Result<CandidateEval, MctError> {
         let mut eval = CandidateEval::default();
         let mut stats = SigmaPruneStats::default();
         let mut visit = |sigma: &[i64], gate: &SigmaGate| -> Result<(), MctError> {
-            let outcome = match self.sigma.get(sigma) {
-                Some(o) => o,
-                None => {
-                    let o = self.decide(envs, sigma)?;
-                    self.sigma.insert(sigma, o);
-                    o
-                }
-            };
+            let outcome = self.decide(w, sigma)?;
             if !outcome.is_valid() {
                 eval.first_invalid.get_or_insert(outcome);
                 eval.failing_sups.push(failing_sup(self.shared, cand, gate));
@@ -1166,10 +1247,10 @@ impl<'v> Engine<'_, 'v> {
         };
         for_each_gated(self.shared, cand, window, &mut stats, &mut visit)?;
         if stats.subtrees > 0 {
-            self.sigma
+            self.counters
                 .pruned_subtrees
                 .fetch_add(stats.subtrees, Ordering::Relaxed);
-            self.sigma
+            self.counters
                 .pruned_combos
                 .fetch_add(stats.combos, Ordering::Relaxed);
         }
@@ -1178,23 +1259,27 @@ impl<'v> Engine<'_, 'v> {
 
     /// Decides one gated σ: every cone answers its projection, and the
     /// answers recombine into the whole machine's outcome.
-    fn decide(
-        &self,
-        envs: &mut [Option<ConeEnv<'v>>],
-        sigma: &[i64],
-    ) -> Result<DecisionOutcome, MctError> {
+    fn decide(&self, w: &mut Worker<'v>, sigma: &[i64]) -> Result<DecisionOutcome, MctError> {
         if self.shared.opts.exact_check {
             let parts = (0..self.cones.len())
-                .map(|c| self.exact_part(c, envs, self.cones[c].project(sigma)))
+                .map(|c| {
+                    self.cones[c].project(sigma, &mut w.key.0);
+                    self.exact_part(c, w)
+                })
                 .collect::<Result<Vec<_>, _>>()?;
-            self.merge_exact(&parts)
-        } else {
-            let m = sigma.iter().copied().max().unwrap_or(1).max(1);
-            let outcomes = (0..self.cones.len())
-                .map(|c| self.cx_outcome(c, envs, self.cones[c].project(sigma), m))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(self.merge_cx(&outcomes))
+            return self.merge_exact(&parts);
         }
+        w.key.1 = sigma.iter().copied().max().unwrap_or(1).max(1);
+        let mut first: Option<((u8, i64, u8, usize), DecisionOutcome)> = None;
+        for (c, meta) in self.cones.iter().enumerate() {
+            meta.project(sigma, &mut w.key.0);
+            if let Some(mapped) = meta.in_parent(self.cx_outcome(c, w)?) {
+                if first.as_ref().is_none_or(|(k, _)| mapped.0 < *k) {
+                    first = Some(mapped);
+                }
+            }
+        }
+        Ok(first.map_or(DecisionOutcome::Valid, |(_, o)| o))
     }
 
     /// Cone `c`'s environment on this worker, built on first use.
@@ -1214,85 +1299,71 @@ impl<'v> Engine<'_, 'v> {
         Ok(envs[c].as_mut().expect("just built"))
     }
 
-    /// Cone `c`'s `C_x` verdict at projection `sub` and global induction
-    /// depth `m`, decided sink by sink through the cone's records.
-    fn cx_outcome(
-        &self,
-        c: usize,
-        envs: &mut [Option<ConeEnv<'v>>],
-        sub: Vec<i64>,
-        m: i64,
-    ) -> Result<DecisionOutcome, MctError> {
-        let key = (sub, m);
+    /// Cone `c`'s `C_x` verdict at the projection and global induction depth
+    /// in `w.key`, decided sink by sink when neither its seed nor its memo
+    /// holds it.
+    fn cx_outcome(&self, c: usize, w: &mut Worker<'v>) -> Result<DecisionOutcome, MctError> {
         let known = self.seeds[c]
-            .and_then(|s| s.outcomes_cx.get(&key).copied())
+            .and_then(|s| s.outcomes_cx.get(&w.key).copied())
             .or_else(|| {
                 self.memos[c]
                     .cx
                     .lock()
                     .expect("cone memo")
-                    .get(&key)
+                    .get(&w.key)
                     .copied()
             });
         if let Some(o) = known {
-            self.sigma.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(o);
         }
+        let (sub, m) = (&w.key.0, w.key.1);
         #[cfg(test)]
         TEST_SINK_KEYS.with_borrow_mut(|keys| {
             for s in 0..self.cones[c].starts.len() {
-                keys.insert((c, s, self.cones[c].sink_key(s, &key.0), m));
+                keys.insert((c, s, self.cones[c].sink_key(s, sub).collect(), m));
             }
         });
-        let env = self.env(c, envs)?;
-        let mut sinks = RecordedSinks::new(&self.cones[c], &self.memos[c], &key.0);
-        let o = env.ctx.walk(
-            &mut env.manager,
-            &mut env.table,
-            &mut env.rows,
-            &mut sinks,
-            m,
-        )?;
-        self.sigma
-            .reused
-            .fetch_add(sinks.reused(), Ordering::Relaxed);
-        self.memos[c].cx.lock().expect("cone memo").insert(key, o);
+        let env = self.env(c, &mut w.envs)?;
+        let (o, reused) = env.walk(&self.cones[c], &self.memos[c], sub, m)?;
+        self.counters.reused.fetch_add(reused, Ordering::Relaxed);
+        self.memos[c]
+            .cx
+            .lock()
+            .expect("cone memo")
+            .insert(w.key.clone(), o);
         Ok(o)
     }
 
-    /// Cone `c`'s exact-check part at projection `sub`: the local history
-    /// depths always, plus the local product-machine verdict when the local
-    /// product fits the bit budget.
-    fn exact_part(
-        &self,
-        c: usize,
-        envs: &mut [Option<ConeEnv<'v>>],
-        sub: Vec<i64>,
-    ) -> Result<ExactPart, MctError> {
+    /// Cone `c`'s exact-check part at the projection in `w.key`: the local
+    /// history depths always, plus the local product-machine verdict when
+    /// the local product fits the bit budget.
+    fn exact_part(&self, c: usize, w: &mut Worker<'v>) -> Result<ExactPart, MctError> {
+        let sub = &w.key.0;
         let known = self.seeds[c]
-            .and_then(|s| s.outcomes_exact.get(&sub).copied())
+            .and_then(|s| s.outcomes_exact.get(sub).copied())
             .or_else(|| {
                 self.memos[c]
                     .exact
                     .lock()
                     .expect("cone memo")
-                    .get(&sub)
+                    .get(sub)
                     .copied()
             });
         if let Some(p) = known {
-            self.sigma.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(p);
         }
         let meta = &self.cones[c];
         let view = meta.extractor.view();
         let budget = self.shared.opts.max_product_bits;
-        let env = self.env(c, envs)?;
+        let env = self.env(c, &mut w.envs)?;
         // The product check does not factor per sink: build the machine.
         let machine = DiscreteMachine::with_shift_fn(
             &meta.extractor,
             &mut env.manager,
             &mut env.table,
-            |leaf, k| meta.shift(&sub, leaf, k),
+            |leaf, k| meta.shift(sub, leaf, k),
         )?;
         let (m_state, m_input) = history_depths(
             view.num_state_bits(),
@@ -1329,54 +1400,8 @@ impl<'v> Engine<'_, 'v> {
             .exact
             .lock()
             .expect("cone memo")
-            .insert(sub, part);
+            .insert(sub.clone(), part);
         Ok(part)
-    }
-
-    /// Recombines per-cone `C_x` verdicts: the whole-machine decision
-    /// checks basis cycles (state bits, then outputs) before induction
-    /// (state bits, then outputs), and each check belongs to exactly one
-    /// cone, so its first mismatch is the minimum over cones of the mapped
-    /// key `(phase, cycle, state/output, parent index)`.
-    fn merge_cx(&self, outcomes: &[DecisionOutcome]) -> DecisionOutcome {
-        let mut best: Option<((u8, i64, u8, usize), DecisionOutcome)> = None;
-        for (meta, &o) in self.cones.iter().zip(outcomes) {
-            let mapped = match o {
-                DecisionOutcome::Valid => continue,
-                DecisionOutcome::BasisStateMismatch { cycle, bit } => {
-                    let bit = meta.dffs[bit];
-                    (
-                        (0, cycle, 0, bit),
-                        DecisionOutcome::BasisStateMismatch { cycle, bit },
-                    )
-                }
-                DecisionOutcome::BasisOutputMismatch { cycle, output } => {
-                    let output = meta.outputs[output];
-                    (
-                        (0, cycle, 1, output),
-                        DecisionOutcome::BasisOutputMismatch { cycle, output },
-                    )
-                }
-                DecisionOutcome::InductionStateMismatch { bit } => {
-                    let bit = meta.dffs[bit];
-                    (
-                        (1, 0, 0, bit),
-                        DecisionOutcome::InductionStateMismatch { bit },
-                    )
-                }
-                DecisionOutcome::InductionOutputMismatch { output } => {
-                    let output = meta.outputs[output];
-                    (
-                        (1, 0, 1, output),
-                        DecisionOutcome::InductionOutputMismatch { output },
-                    )
-                }
-            };
-            if best.as_ref().is_none_or(|(k, _)| mapped.0 < *k) {
-                best = Some(mapped);
-            }
-        }
-        best.map_or(DecisionOutcome::Valid, |(_, o)| o)
     }
 
     /// Recombines per-cone exact parts: the global product's bit budget is
@@ -1685,7 +1710,6 @@ pub(crate) fn run(
     }
 
     // ---- Sweep. ------------------------------------------------------------
-    let memo = SigmaMemo::new(if threads <= 1 { 1 } else { 4 * threads });
     let memos: Vec<ConeMemo> = metas
         .iter()
         .map(|m| ConeMemo::new(m.starts.len()))
@@ -1710,7 +1734,7 @@ pub(crate) fn run(
             seeds: &seeds,
             reach: &reach,
             memos: &memos,
-            sigma: &memo,
+            counters: SweepCounters::default(),
             order_hint,
             parent_ns,
             parent_np: view.num_input_bits(),
@@ -1722,6 +1746,7 @@ pub(crate) fn run(
                 report.kernel.absorb(&fc.manager.stats());
             }
         }
+        engine.counters.diagnostics(&mut report.kernel);
         (states, built)
     } else {
         // The deadline expired inside the fixpoint: the same partial report
@@ -1742,7 +1767,6 @@ pub(crate) fn run(
         (states, vec![false; total])
     };
     reconcile(&shared, &sweep, states, &mut report)?;
-    memo.diagnostics(&mut report.kernel);
 
     // ---- Harvest. ----------------------------------------------------------
     artifacts.cones_replayed = (0..total)
@@ -1997,12 +2021,17 @@ mod tests {
     /// intervals overlap, so most candidates straddle several of them at
     /// once and carry many shift combinations.
     fn ring(n: usize) -> Circuit {
+        stepped_ring(n, 0.2)
+    }
+
+    /// [`ring`] with stages `step` apart.
+    fn stepped_ring(n: usize, step: f64) -> Circuit {
         let mut c = Circuit::new("ring");
         let qs: Vec<_> = (0..n)
             .map(|i| c.add_dff(format!("q{i}"), i == 0, Time::ZERO))
             .collect();
         for (i, &q) in qs.iter().enumerate() {
-            let d = t(10.0 + 0.2 * i as f64);
+            let d = t(10.0 + step * i as f64);
             let b = c.add_gate(format!("b{i}"), GateKind::Buf, &[q], d);
             c.connect_dff_data(&format!("q{}", (i + 1) % n), b).unwrap();
         }
@@ -2040,6 +2069,65 @@ mod tests {
         );
         assert!(report.kernel.sigma_reused > 0, "{:?}", report.kernel);
         assert_identity(&c, &opts);
+    }
+
+    /// Carried sink functions never outlive an item boundary. With a
+    /// collection forced at every boundary, σ-heavy rings report the same
+    /// bytes as without and as the unsliced reference, at one thread and at
+    /// two, and the single worker reuses exactly as many sinks. The 6-stage
+    /// ring's candidates hold at most 64 combinations, so two workers share
+    /// it candidate by candidate; the 8-stage ring at 0.1 steps has
+    /// 256-combination candidates, which two workers split into Φ windows.
+    #[test]
+    fn carried_sink_state_never_outlives_a_collection() {
+        let opts = MctOptions {
+            exhaustive_floor: Some(2.0),
+            ..MctOptions::paper()
+        };
+        for (c, sigmas) in [(ring(6), 819), (stepped_ring(8, 0.1), 3315)] {
+            let reference = run(
+                &c,
+                &MctOptions {
+                    decompose: false,
+                    ..opts.clone()
+                },
+            )
+            .map(strip)
+            .unwrap();
+            for threads in [1usize, 2] {
+                carried_state_case(&c, threads, sigmas, &opts, &reference);
+            }
+        }
+    }
+
+    fn carried_state_case(
+        c: &Circuit,
+        threads: usize,
+        sigmas: usize,
+        opts: &MctOptions,
+        reference: &str,
+    ) {
+        let opts = MctOptions {
+            num_threads: threads,
+            ..opts.clone()
+        };
+        let plain = run(c, &opts).unwrap();
+        TEST_GC_THRESHOLD.set(Some(0));
+        let forced = run(c, &opts);
+        TEST_GC_THRESHOLD.set(None);
+        let forced = forced.unwrap();
+        assert_eq!(forced.sigma_checked, sigmas, "{forced:?}");
+        assert!(forced.kernel.gc_runs > 0, "{:?}", forced.kernel);
+        if threads == 1 {
+            assert_eq!(
+                forced.kernel.sigma_reused, plain.kernel.sigma_reused,
+                "{:?}",
+                forced.kernel
+            );
+        }
+        let forced = strip(forced);
+        assert_eq!(forced, strip(plain), "{threads} threads");
+        assert_eq!(forced, reference, "{threads} threads");
     }
 
     fn seeds_of(entries: &[Option<ConeCacheEntry>]) -> Vec<Option<&ConeCacheEntry>> {
