@@ -51,7 +51,8 @@ mod manager;
 mod snapshot;
 
 pub use cubes::{Cube, CubeIter};
-pub use manager::{Bdd, BddManager, BddStats, CompactMap, Var, VarSet};
+pub use hash::FxHashMap;
+pub use manager::{Bdd, BddManager, BddStats, CompactMap, QuantMemo, Var, VarSet};
 pub use snapshot::{validate_order, BddImportError, BddSnapshot, SnapshotNode};
 
 #[cfg(test)]

@@ -180,6 +180,46 @@ impl FromIterator<Var> for VarSet {
     }
 }
 
+/// Memo tables that [`BddManager::and_exists_memo`] and
+/// [`BddManager::vector_compose_memo`] keep from one call to the next. An
+/// image fixpoint applies the same relation and rename at every step, and
+/// consecutive sets share most of their subgraphs, so a kept memo answers
+/// most of a step from the steps before it.
+///
+/// Entries name arena nodes, so the memo is stamped with the manager's
+/// collection-plus-compaction count and dropped when that count moves (a
+/// freed slot may be reused by another function). It is also dropped when
+/// it grows past twice the live arena, and each table starts over when a
+/// call passes another quantified set or substitution than its entries
+/// were computed under. A memo belongs to one manager.
+///
+/// # Examples
+///
+/// ```
+/// use mct_bdd::{BddManager, QuantMemo, Var, VarSet};
+/// let mut m = BddManager::new();
+/// let (a, b) = (m.var(Var::new(0)), m.var(Var::new(1)));
+/// let f = m.xor(a, b);
+/// let vars = VarSet::new(&[Var::new(0)]);
+/// let mut memo = QuantMemo::default();
+/// let r = m.and_exists_memo(f, b, &vars, &mut memo);
+/// assert_eq!(r, m.and_exists_set(f, b, &vars));
+/// ```
+#[derive(Debug, Default)]
+pub struct QuantMemo {
+    /// `gc_runs + compactions` when the entries were made.
+    stamp: u64,
+    /// The quantified set the relational-product entries were computed
+    /// under.
+    vars: Vec<u32>,
+    /// Unordered operand pair → `∃ vars. (f ∧ g)`.
+    products: FxHashMap<(u32, u32), u32>,
+    /// The substitution the composition entries were computed under.
+    subst: Vec<(u32, u32)>,
+    /// Regular node → its composition.
+    composed: FxHashMap<u32, u32>,
+}
+
 /// A packed arena node: decision variable plus raw child handle bits.
 /// The high child of a stored node is always a regular (non-complemented)
 /// handle — that is the canonical form complement edges require.
@@ -888,12 +928,29 @@ impl BddManager {
     /// memoizes on regular handles; the frame stack keeps arbitrarily deep
     /// operands off the thread stack.
     pub fn vector_compose(&mut self, f: Bdd, subst: &[(Var, Bdd)]) -> Bdd {
+        self.vector_compose_memo(f, subst, &mut QuantMemo::default())
+    }
+
+    /// [`vector_compose`](Self::vector_compose) through a memo the caller
+    /// keeps across calls with the same substitution.
+    pub fn vector_compose_memo(
+        &mut self,
+        f: Bdd,
+        subst: &[(Var, Bdd)],
+        memo: &mut QuantMemo,
+    ) -> Bdd {
         enum Frame {
             Visit(Bdd),
             Emit { var: u32, reg: u32, c: u32 },
         }
+        self.refresh(memo);
+        let pairs = subst.iter().map(|&(v, g)| (v.0, g.0));
+        if !memo.subst.iter().copied().eq(pairs.clone()) {
+            memo.subst = pairs.collect();
+            memo.composed.clear();
+        }
         let map: FxHashMap<u32, Bdd> = subst.iter().map(|&(v, g)| (v.index(), g)).collect();
-        let mut memo: FxHashMap<u32, u32> = FxHashMap::default();
+        let memo = &mut memo.composed;
         let mut frames = vec![Frame::Visit(f)];
         let mut results: Vec<Bdd> = Vec::new();
         while let Some(frame) = frames.pop() {
@@ -1036,6 +1093,12 @@ impl BddManager {
 
     /// Relational product over a prepared [`VarSet`].
     pub fn and_exists_set(&mut self, f: Bdd, g: Bdd, vars: &VarSet) -> Bdd {
+        self.and_exists_memo(f, g, vars, &mut QuantMemo::default())
+    }
+
+    /// [`and_exists_set`](Self::and_exists_set) through a memo the caller
+    /// keeps across calls with the same quantified set.
+    pub fn and_exists_memo(&mut self, f: Bdd, g: Bdd, vars: &VarSet, memo: &mut QuantMemo) -> Bdd {
         enum Frame {
             App(Bdd, Bdd),
             /// The quantified-variable early exit: inspect the low result
@@ -1056,8 +1119,13 @@ impl BddManager {
         if vars.is_empty() {
             return self.and(f, g);
         }
+        self.refresh(memo);
+        if memo.vars != vars.sorted {
+            memo.vars.clone_from(&vars.sorted);
+            memo.products.clear();
+        }
+        let memo = &mut memo.products;
         let qvars = self.quantified(vars);
-        let mut memo: FxHashMap<(u32, u32), u32> = FxHashMap::default();
         let mut frames = vec![Frame::App(f, g)];
         let mut results: Vec<Bdd> = Vec::new();
         while let Some(frame) = frames.pop() {
@@ -1128,6 +1196,18 @@ impl BddManager {
             }
         }
         results.pop().expect("and_exists result")
+    }
+
+    /// Drops `memo` when a collection or compaction ran since its entries
+    /// were made, or when it outgrew twice the live arena.
+    fn refresh(&self, memo: &mut QuantMemo) {
+        let stamp = self.gc_runs + self.compactions;
+        if memo.stamp != stamp || memo.products.len() + memo.composed.len() > 2 * self.num_nodes() {
+            *memo = QuantMemo {
+                stamp,
+                ..QuantMemo::default()
+            };
+        }
     }
 
     /// Evaluates `f` under a total assignment supplied as a predicate.
@@ -1270,47 +1350,6 @@ impl BddManager {
     /// canonicity. Provided for call-site readability.
     pub fn equal(&self, f: Bdd, g: Bdd) -> bool {
         f == g
-    }
-
-    /// The Coudert–Madre generalized cofactor `f ⇓ c` ("constrain"): a
-    /// function that agrees with `f` everywhere `c` holds and is free to
-    /// take any (canonicity-minimizing) value elsewhere. The classic
-    /// don't-care minimization operator:
-    /// `(f ⇓ c) ∧ c == f ∧ c` always holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is unsatisfiable (the cofactor is undefined).
-    pub fn constrain(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        assert!(!c.is_false(), "constrain by the empty care set");
-        let mut memo = FxHashMap::default();
-        self.constrain_rec(f, c, &mut memo)
-    }
-
-    fn constrain_rec(&mut self, f: Bdd, c: Bdd, memo: &mut FxHashMap<(u32, u32), u32>) -> Bdd {
-        if c.is_true() || f.is_const() {
-            return f;
-        }
-        if f == c {
-            return Bdd::TRUE;
-        }
-        if let Some(&r) = memo.get(&(f.0, c.0)) {
-            return Bdd(r);
-        }
-        let var = self.var_rank(f).min(self.var_rank(c));
-        let (f0, f1) = self.cofactors_at(f, var);
-        let (c0, c1) = self.cofactors_at(c, var);
-        let r = if c1.is_false() {
-            self.constrain_rec(f0, c0, memo)
-        } else if c0.is_false() {
-            self.constrain_rec(f1, c1, memo)
-        } else {
-            let lo = self.constrain_rec(f0, c0, memo);
-            let hi = self.constrain_rec(f1, c1, memo);
-            self.mk(var, lo, hi)
-        };
-        memo.insert((f.0, c.0), r.0);
-        r
     }
 
     /// Pins `f` so it (and everything it references) survives garbage
@@ -2031,38 +2070,6 @@ mod tests {
     }
 
     #[test]
-    fn constrain_agrees_on_care_set() {
-        let (mut m, a, b, c) = setup();
-        let ab = m.xor(a, b);
-        let f = m.or(ab, c);
-        let care = m.and(a, b);
-        let g = m.constrain(f, care);
-        // (f ⇓ c) ∧ c == f ∧ c.
-        let lhs = m.and(g, care);
-        let rhs = m.and(f, care);
-        assert_eq!(lhs, rhs);
-        // Under a=b=1: f = 0 ⊕ ... = c; the constrained function typically
-        // simplifies.
-        assert!(m.size(g) <= m.size(f));
-    }
-
-    #[test]
-    fn constrain_identity_cases() {
-        let (mut m, a, b, _) = setup();
-        let f = m.and(a, b);
-        assert_eq!(m.constrain(f, m.one()), f);
-        assert_eq!(m.constrain(f, f), m.one());
-        assert_eq!(m.constrain(m.one(), a), m.one());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty care set")]
-    fn constrain_by_false_panics() {
-        let mut m = BddManager::new();
-        let _ = m.constrain(m.one(), m.zero());
-    }
-
-    #[test]
     fn sat_fraction_of_half() {
         let mut m = BddManager::new();
         let a = m.var(Var::new(0));
@@ -2243,6 +2250,88 @@ mod tests {
         let g = chain(&mut m, 10);
         assert_eq!(g, f2);
         m.unprotect(f2);
+    }
+
+    /// A 4-bit counter's image step `∃ cur. set ∧ T`, renamed back to the
+    /// current variables 0..4 (next variables are 4..8).
+    struct Counter {
+        relation: Bdd,
+        cur: VarSet,
+        rename: Vec<(Var, Var)>,
+    }
+
+    impl Counter {
+        fn new(m: &mut BddManager) -> Counter {
+            let mut relation = m.one();
+            let mut carry = m.one();
+            for i in 0..4 {
+                let c = m.var(Var::new(i));
+                let f = m.xor(c, carry);
+                let n = m.var(Var::new(i + 4));
+                let bit = m.xnor(n, f);
+                relation = m.and(relation, bit);
+                carry = m.and(carry, c);
+            }
+            Counter {
+                relation,
+                cur: (0..4).map(Var::new).collect(),
+                rename: (0..4).map(|i| (Var::new(i + 4), Var::new(i))).collect(),
+            }
+        }
+
+        fn fresh(&self, m: &mut BddManager, set: Bdd) -> Bdd {
+            let next = m.and_exists_set(set, self.relation, &self.cur);
+            m.rename_vars(next, &self.rename)
+        }
+
+        fn kept(&self, m: &mut BddManager, set: Bdd, memo: &mut QuantMemo) -> Bdd {
+            let next = m.and_exists_memo(set, self.relation, &self.cur, memo);
+            let subst: Vec<(Var, Bdd)> = self.rename.iter().map(|&(n, c)| (n, m.var(c))).collect();
+            m.vector_compose_memo(next, &subst, memo)
+        }
+    }
+
+    #[test]
+    fn kept_memo_matches_fresh_calls_across_collection_and_compaction() {
+        let mut m = BddManager::new();
+        let mut counter = Counter::new(&mut m);
+        let mut memo = QuantMemo::default();
+        // Live ballast, so the memo stays inside its bound of twice the
+        // live arena and only the stamp can drop it.
+        let mut ballast = m.zero();
+        for i in 8..264 {
+            let v = m.var(Var::new(i));
+            ballast = m.xor(ballast, v);
+        }
+        // From the two states {0, 1}, the counter walks pairs of states.
+        let high: Vec<Bdd> = (1..4).map(|i| m.nvar(Var::new(i))).collect();
+        let mut set = m.and_all(high);
+        for _ in 0..3 {
+            let kept = counter.kept(&mut m, set, &mut memo);
+            assert_eq!(kept, counter.fresh(&mut m, set));
+            set = kept;
+        }
+        // Each collection frees the last state and its image; the next
+        // state's nodes take the freed slots, so a memo that outlived the
+        // collection would answer for the wrong state.
+        for state in 0..16u32 {
+            assert!(m.collect_garbage(&[counter.relation, set, ballast]) > 0);
+            let lits: Vec<Bdd> = (0..4)
+                .map(|b| m.literal(Var::new(b), state >> b & 1 == 1))
+                .collect();
+            let cube = m.and_all(lits);
+            let kept = counter.kept(&mut m, cube, &mut memo);
+            assert_eq!(kept, counter.fresh(&mut m, cube), "state {state}");
+        }
+        // A compaction moves every node the memo names.
+        let map = m.compact(&[counter.relation, set, ballast]);
+        counter.relation = map.rewrite(counter.relation);
+        set = map.rewrite(set);
+        for _ in 0..3 {
+            let kept = counter.kept(&mut m, set, &mut memo);
+            assert_eq!(kept, counter.fresh(&mut m, set));
+            set = kept;
+        }
     }
 
     #[test]

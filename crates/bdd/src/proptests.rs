@@ -184,29 +184,6 @@ fn cubes_partition_onset() {
 }
 
 #[test]
-fn constrain_generalized_cofactor_property() {
-    for_random_exprs(7, |rng, e1| {
-        let e2 = random_expr(rng, 3);
-        let mut m = BddManager::new();
-        let f = build(&mut m, &e1);
-        let c = build(&mut m, &e2);
-        if c.is_false() {
-            return;
-        }
-        let g = m.constrain(f, c);
-        // Agreement on the care set, checked semantically.
-        for env in 0..(1u32 << NVARS) {
-            let care = m.eval(c, |v| env >> v.index() & 1 == 1);
-            if care {
-                let fv = m.eval(f, |v| env >> v.index() & 1 == 1);
-                let gv = m.eval(g, |v| env >> v.index() & 1 == 1);
-                assert_eq!(fv, gv, "env {env:05b}");
-            }
-        }
-    });
-}
-
-#[test]
 fn support_is_exact() {
     for_random_exprs(8, |_, e| {
         let mut m = BddManager::new();

@@ -96,16 +96,6 @@ impl ConeCacheEntry {
         self.period > 0 && !self.layers.is_empty()
     }
 
-    /// The exactly-`k`-step layer, unfolding the ρ tail/period for depths
-    /// past the stored prefix.
-    pub(crate) fn layer(&self, k: usize) -> Bdd {
-        if k < self.layers.len() {
-            self.layers[k]
-        } else {
-            self.layers[self.tail + (k - self.tail) % self.period]
-        }
-    }
-
     /// A fresh entry carrying this one's layers and reach set (no
     /// outcomes).
     pub(crate) fn copy_layers(&self) -> Result<ConeCacheEntry, MctError> {

@@ -20,9 +20,9 @@
 
 use crate::decision::DecisionOutcome;
 use crate::error::MctError;
-use mct_bdd::{Bdd, BddManager, Var, VarSet};
+use mct_bdd::{Bdd, BddManager, Var};
 use mct_netlist::FsmView;
-use mct_tbf::{DiscreteMachine, TimedVar, TimedVarTable};
+use mct_tbf::{DiscreteMachine, Image, TimedVar, TimedVarTable};
 
 /// Runs the exact product-machine equivalence check for one discretized
 /// machine against the steady-state machine.
@@ -209,50 +209,31 @@ pub(crate) fn decide_exact_detail(
         }
     };
 
-    // Monolithic transition relation.
-    let mut trans = manager.one();
+    // The product's image operator. Current variables are the slots'
+    // own coordinates; a step also quantifies the fresh inputs.
+    let mut bits: Vec<(Var, Bdd, Var)> = Vec::with_capacity(slots.len());
     for slot in &slots {
         let primed = table.var(TimedVar::Primed {
             leaf: slot.leaf,
             depth: slot.depth,
         });
         let f = next_fn(manager, table, slot);
-        let pv = manager.var(primed);
-        let bit = manager.xnor(pv, f);
-        trans = manager.and(trans, bit);
+        bits.push((primed, f, table.var(slot.current)));
     }
+    let fresh: Vec<Var> = (ns..ns + np)
+        .map(|leaf| table.var(TimedVar::Shifted { leaf, shift: 1 }))
+        .collect();
+    let mut image = Image::new(manager, &bits, &fresh);
 
     // Initial set: every state-history slot and the steady copy hold the
     // initial values; input-history slots are adversarial (free).
     let mut reached = manager.one();
-    for slot in &slots {
+    for (slot, &(_, _, cur)) in slots.iter().zip(&bits) {
         if slot.leaf < ns {
-            let v = table.var(slot.current);
-            let lit = manager.literal(v, init[slot.leaf]);
+            let lit = manager.literal(cur, init[slot.leaf]);
             reached = manager.and(reached, lit);
         }
     }
-
-    // Image computation machinery. The quantified set is fixed across the
-    // fixpoint, so it is sorted/deduplicated once here rather than per
-    // image (see [`VarSet`]).
-    let mut quantified: Vec<Var> = slots.iter().map(|s| table.var(s.current)).collect();
-    for leaf in ns..ns + np {
-        quantified.push(table.var(TimedVar::Shifted { leaf, shift: 1 }));
-    }
-    let quantified: VarSet = quantified.into_iter().collect();
-    let rename_map: Vec<(Var, Var)> = slots
-        .iter()
-        .map(|s| {
-            (
-                table.var(TimedVar::Primed {
-                    leaf: s.leaf,
-                    depth: s.depth,
-                }),
-                table.var(s.current),
-            )
-        })
-        .collect();
 
     // The output-divergence condition over (product state, fresh input).
     // Per-output diffs are kept so the diagnostic path below reuses them
@@ -285,8 +266,7 @@ pub(crate) fn decide_exact_detail(
             }
             unreachable!("divergence is the disjunction of per-output diffs");
         }
-        let img_primed = manager.and_exists_set(reached, trans, &quantified);
-        let img = manager.rename_vars(img_primed, &rename_map);
+        let img = image.step(manager, reached);
         let new_reached = manager.or(reached, img);
         if new_reached == reached {
             return Ok(ExactRun {

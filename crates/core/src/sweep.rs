@@ -20,6 +20,8 @@
 //!    (two in-phase togglers reach 2 states, not 4). Either way the
 //!    projection of the global set onto a cone is the cone's own reachable
 //!    set, which is exactly the frontier restriction its decisions need.
+//!    Each cone steps through one [`Image`]; a layer product first runs
+//!    every cone to ρ closure and imports each distinct layer once.
 //! 3. **Sweep.** Work items are (candidate, Φ-window) pairs claimed from a
 //!    shared counter ([`plan_items`]); one thread runs the same loop on the
 //!    calling thread. For each gated σ every cone answers its projection
@@ -76,12 +78,12 @@ use crate::decision::{
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
 use crate::sigma::{ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk, TauRange};
-use mct_bdd::{Bdd, BddManager, BddStats, Var, VarSet};
+use mct_bdd::{Bdd, BddManager, BddStats, Var};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
 use mct_tbf::{
-    count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, StaticOrder, TimedVar,
-    TimedVarTable,
+    count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, Image, StaticOrder,
+    TimedVar, TimedVarTable,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -731,9 +733,7 @@ struct Layers {
 struct FreshCone {
     manager: BddManager,
     table: TimedVarTable,
-    trans: Bdd,
-    quantified: VarSet,
-    rename: Vec<(Var, Var)>,
+    image: Image,
     /// The newest layer.
     last: Bdd,
     /// Union of every layer so far; the cone's reachable set once an image
@@ -756,27 +756,10 @@ impl FreshCone {
         if opts.ordering != VarOrder::Alloc {
             StaticOrder::compute(view, order_hint).apply(&mut table);
         }
-        let ns = view.num_state_bits();
-        let machine = DiscreteMachine::functional(extractor, &mut manager, &mut table)?;
-        let cur: Vec<Var> = (0..ns)
-            .map(|leaf| table.var(TimedVar::Shifted { leaf, shift: 0 }))
-            .collect();
-        let next: Vec<Var> = (0..ns)
-            .map(|leaf| table.var(TimedVar::Next { leaf }))
-            .collect();
-        let mut quantified = cur.clone();
-        quantified.extend(
-            (ns..view.leaves().len()).map(|leaf| table.var(TimedVar::Shifted { leaf, shift: 0 })),
-        );
-        let mut trans = manager.one();
-        for (&n, &f) in next.iter().zip(&machine.next_state) {
-            let nv = manager.var(n);
-            let bit = manager.xnor(nv, f);
-            trans = manager.and(trans, bit);
-        }
+        let image = Image::functional(extractor, &mut manager, &mut table)?;
         let mut init = manager.one();
-        for (&v, bit) in cur.iter().zip(view.circuit().initial_state()) {
-            let lit = manager.literal(v, bit);
+        for (leaf, bit) in view.circuit().initial_state().into_iter().enumerate() {
+            let lit = manager.literal(table.var(TimedVar::Shifted { leaf, shift: 0 }), bit);
             init = manager.and(init, lit);
         }
         let layers = keep_layers.then(|| Layers {
@@ -787,9 +770,7 @@ impl FreshCone {
         Ok(FreshCone {
             manager,
             table,
-            trans,
-            quantified: quantified.into_iter().collect(),
-            rename: next.into_iter().zip(cur).collect(),
+            image,
             last: init,
             reach: init,
             saturated: false,
@@ -799,10 +780,7 @@ impl FreshCone {
 
     /// One image step.
     fn step(&mut self) {
-        let img_next = self
-            .manager
-            .and_exists_set(self.last, self.trans, &self.quantified);
-        let img = self.manager.rename_vars(img_next, &self.rename);
+        let img = self.image.step(&mut self.manager, self.last);
         match self.layers.as_mut() {
             Some(layers) => match layers.index.entry(img) {
                 Entry::Occupied(j) => {
@@ -816,7 +794,7 @@ impl FreshCone {
             },
             None => {
                 self.manager
-                    .maybe_collect_garbage(&[self.trans, img, self.reach]);
+                    .maybe_collect_garbage(&[self.image.relation(), img, self.reach]);
             }
         }
         let union = self.manager.or(self.reach, img);
@@ -844,14 +822,6 @@ impl FreshCone {
         self.run_while(deadline, |fc| !fc.saturated)
     }
 
-    /// Runs until `layer(k)` is answerable.
-    fn ensure_layer(&mut self, k: usize, deadline: Option<Instant>) -> bool {
-        self.run_while(deadline, |fc| {
-            let layers = fc.layers.as_ref().expect("layer products keep layers");
-            layers.rho.is_none() && layers.seq.len() <= k
-        })
-    }
-
     /// Runs to ρ closure, so any depth replays from the stored prefix.
     fn complete(&mut self, deadline: Option<Instant>) -> bool {
         self.run_while(deadline, |fc| {
@@ -861,17 +831,6 @@ impl FreshCone {
                 .rho
                 .is_none()
         })
-    }
-
-    fn layer(&self, k: usize) -> Bdd {
-        let layers = self.layers.as_ref().expect("layer products keep layers");
-        match layers.seq.get(k) {
-            Some(&l) => l,
-            None => {
-                let (tail, period) = layers.rho.expect("ensure_layer ran");
-                layers.seq[tail + (k - tail) % period]
-            }
-        }
     }
 
     /// The cone's entry skeleton: its layers and reachable set, transferred
@@ -1485,46 +1444,76 @@ fn reachability<'s>(
     } else {
         // Cones step in lockstep from their initial states: the global
         // exactly-k-step set is the product of per-cone layers, taken in a
-        // counting manager over parent-leaf variables.
+        // counting manager over parent-leaf variables. Every cone first
+        // runs to ρ closure, so each distinct layer is imported once.
+        for r in &mut reach {
+            if let ConeReach::Fresh(fc) = r {
+                if !fc.complete(deadline) {
+                    return Ok(None);
+                }
+            }
+        }
+        let mut shapes: Vec<_> = stateful
+            .iter()
+            .map(|&c| match &reach[c] {
+                ConeReach::Seed(s) => (c, (s.tail, s.period), &s.layers[..], &s.manager, &s.table),
+                ConeReach::Fresh(fc) => {
+                    let layers = fc.layers.as_ref().expect("layer products keep layers");
+                    let rho = layers.rho.expect("complete ran");
+                    (c, rho, &layers.seq[..], &fc.manager, &fc.table)
+                }
+                _ => unreachable!("stateful cones have a reach source"),
+            })
+            .collect();
+        // Variables go cone by cone in order of ρ tail: cones whose layers
+        // cycle from step 0 on top, long-tailed ones (a counter with an
+        // enable input grows one state per layer) at the bottom, below the
+        // few distinct combinations the cycling cones contribute.
+        shapes.sort_by_key(|&(_, (tail, _), ..)| tail);
         let mut counting = BddManager::new();
         let mut table = TimedVarTable::new();
-        table.preregister((0..parent_ns).map(|leaf| TimedVar::Arbitrary { leaf, delay: 1 }));
+        table.preregister(shapes.iter().flat_map(|&(c, ..)| {
+            metas[c]
+                .dffs
+                .iter()
+                .map(|&leaf| TimedVar::Arbitrary { leaf, delay: 1 })
+        }));
+        // Import each layer in local coordinates, then rebase it onto the
+        // cone's parent-leaf variables.
+        let mut imported: Vec<Vec<Bdd>> = Vec::with_capacity(shapes.len());
+        for &(c, _, layers, src_mgr, src_tbl) in &shapes {
+            let map: Vec<(Var, Var)> = metas[c]
+                .dffs
+                .iter()
+                .enumerate()
+                .map(|(l, &leaf)| {
+                    (
+                        table.var(TimedVar::Shifted { leaf: l, shift: 0 }),
+                        table.var(TimedVar::Arbitrary { leaf, delay: 1 }),
+                    )
+                })
+                .collect();
+            let mut rebased = Vec::with_capacity(layers.len());
+            for &l in layers {
+                let local = transfer_bdd(src_mgr, src_tbl, l, &mut counting, &mut table)?;
+                rebased.push(counting.rename_vars(local, &map));
+            }
+            imported.push(rebased);
+        }
+        let mut roots: Vec<Bdd> = imported.iter().flatten().copied().collect();
         let mut reached = counting.zero();
         for k in 0.. {
             if expired(deadline) {
                 return Ok(None);
             }
             let mut a_k = counting.one();
-            for &c in &stateful {
-                let (local, src_mgr, src_tbl) = match &mut reach[c] {
-                    ConeReach::Seed(s) => (s.layer(k), &s.manager, &s.table),
-                    ConeReach::Fresh(fc) => {
-                        if !fc.ensure_layer(k, deadline) {
-                            return Ok(None);
-                        }
-                        (fc.layer(k), &fc.manager, &fc.table)
-                    }
-                    _ => unreachable!("stateful cones have a reach source"),
+            for (&(_, (tail, period), ..), layers) in shapes.iter().zip(&imported) {
+                let j = if k < layers.len() {
+                    k
+                } else {
+                    tail + (k - tail) % period
                 };
-                // Import in local coordinates, then rebase onto this cone's
-                // parent-leaf variables.
-                let imported = transfer_bdd(src_mgr, src_tbl, local, &mut counting, &mut table)?;
-                let map: Vec<(Var, Var)> = metas[c]
-                    .dffs
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &parent)| {
-                        (
-                            table.var(TimedVar::Shifted { leaf: l, shift: 0 }),
-                            table.var(TimedVar::Arbitrary {
-                                leaf: parent,
-                                delay: 1,
-                            }),
-                        )
-                    })
-                    .collect();
-                let renamed = counting.rename_vars(imported, &map);
-                a_k = counting.and(a_k, renamed);
+                a_k = counting.and(a_k, layers[j]);
             }
             let grown = counting.or(reached, a_k);
             if grown == reached {
@@ -1534,7 +1523,9 @@ fn reachability<'s>(
                 break;
             }
             reached = grown;
-            counting.maybe_collect_garbage(&[reached]);
+            roots.push(reached);
+            counting.maybe_collect_garbage(&roots);
+            roots.pop();
         }
         kernel.absorb(&counting.stats());
         count_states(&counting, reached, parent_ns)
@@ -2128,6 +2119,109 @@ mod tests {
         let forced = strip(forced);
         assert_eq!(forced, strip(plain), "{threads} threads");
         assert_eq!(forced, reference, "{threads} threads");
+    }
+
+    /// A three-cone composite: an enabled 3-bit counter, a 3-bit LFSR and
+    /// a 3-bit one-hot rotator, with the counter declared first or last.
+    /// The counter's layers grow by one state per step (a ρ tail of 7);
+    /// the other two cycle from step 0.
+    fn counter_composite(counter_last: bool) -> Circuit {
+        fn counter(c: &mut Circuit) {
+            let en = c.add_input("en");
+            let qs: Vec<_> = (0..3)
+                .map(|i| c.add_dff(format!("c{i}"), false, Time::ZERO))
+                .collect();
+            let mut carry = en;
+            for (i, &q) in qs.iter().enumerate() {
+                let nx = c.add_gate(format!("cnx{i}"), GateKind::Xor, &[q, carry], t(0.4));
+                c.connect_dff_data(&format!("c{i}"), nx).unwrap();
+                if i < 2 {
+                    carry = c.add_gate(format!("ccy{i}"), GateKind::And, &[carry, q], t(0.4));
+                }
+            }
+            c.set_output(qs[2]);
+        }
+        let mut c = Circuit::new("counter_composite");
+        if !counter_last {
+            counter(&mut c);
+        }
+        let ls: Vec<_> = (0..3)
+            .map(|i| c.add_dff(format!("l{i}"), i == 0, Time::ZERO))
+            .collect();
+        let fb = c.add_gate("lfb", GateKind::Xor, &[ls[2], ls[1]], t(1.0));
+        c.connect_dff_data("l0", fb).unwrap();
+        for i in 1..3 {
+            let b = c.add_gate(format!("lsh{i}"), GateKind::Buf, &[ls[i - 1]], t(1.0));
+            c.connect_dff_data(&format!("l{i}"), b).unwrap();
+        }
+        c.set_output(ls[2]);
+        let rs: Vec<_> = (0..3)
+            .map(|i| c.add_dff(format!("r{i}"), i == 0, Time::ZERO))
+            .collect();
+        for i in 0..3 {
+            let b = c.add_gate(format!("rb{i}"), GateKind::Buf, &[rs[(i + 2) % 3]], t(1.5));
+            c.connect_dff_data(&format!("r{i}"), b).unwrap();
+        }
+        c.set_output(rs[2]);
+        if counter_last {
+            counter(&mut c);
+        }
+        c
+    }
+
+    #[test]
+    fn layer_product_is_independent_of_cone_declaration_order() {
+        let opts = MctOptions {
+            exhaustive_floor: Some(0.3),
+            ..MctOptions::fixed_delays()
+        };
+        let mut reports = Vec::new();
+        for counter_last in [false, true] {
+            let c = counter_composite(counter_last);
+            let reference = run(
+                &c,
+                &MctOptions {
+                    decompose: false,
+                    num_threads: 1,
+                    ..opts.clone()
+                },
+            )
+            .map(strip)
+            .unwrap();
+            for threads in [1, 2] {
+                let opts = MctOptions {
+                    num_threads: threads,
+                    ..opts.clone()
+                };
+                let (r1, a1) = MctAnalyzer::new(&c)
+                    .unwrap()
+                    .run_decomposed(&opts, &[])
+                    .unwrap();
+                assert_eq!(a1.cones_total, 3);
+                assert_eq!(
+                    strip(r1),
+                    reference,
+                    "counter_last {counter_last}, {threads} threads"
+                );
+                let (r2, a2) = MctAnalyzer::new(&c)
+                    .unwrap()
+                    .run_decomposed(&opts, &seeds_of(&a1.entries))
+                    .unwrap();
+                assert_eq!(a2.cones_replayed, 3);
+                assert_eq!(
+                    strip(r2),
+                    reference,
+                    "replay, counter_last {counter_last}, {threads} threads"
+                );
+            }
+            // The failing bit is a declaration index: the one field the
+            // two declaration orders may report differently.
+            let mut r = run(&c, &opts).unwrap();
+            r.failure = None;
+            reports.push(strip(r));
+        }
+        assert!(reports[0].contains("reachable_states: Some(168.0)"));
+        assert_eq!(reports[0], reports[1]);
     }
 
     fn seeds_of(entries: &[Option<ConeCacheEntry>]) -> Vec<Option<&ConeCacheEntry>> {

@@ -48,6 +48,7 @@
 mod ast;
 mod error;
 mod extract;
+mod image;
 mod order;
 mod reachability;
 mod symbolic;
@@ -58,6 +59,7 @@ mod waveform;
 pub use ast::Tbf;
 pub use error::TbfError;
 pub use extract::{ConeExtractor, DelayClass, DiscreteMachine, LeafPolicy, PathEdge};
+pub use image::Image;
 pub use order::StaticOrder;
 pub use reachability::{count_states, reachable_states};
 pub use symbolic::circuit_tbf;

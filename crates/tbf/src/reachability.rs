@@ -7,16 +7,19 @@
 //! analyses then restrict their equality checks to `R`.
 
 use crate::error::TbfError;
-use crate::extract::{ConeExtractor, DiscreteMachine};
+use crate::extract::ConeExtractor;
+use crate::image::Image;
 use crate::vars::{TimedVar, TimedVarTable};
-use mct_bdd::{Bdd, BddManager, Var, VarSet};
+use mct_bdd::{Bdd, BddManager};
 
 /// The set of states reachable from the circuit's initial state, as a BDD
 /// over the current-state variables `TimedVar::Shifted { leaf, shift: 0 }`.
 ///
-/// Uses monolithic-transition-relation image computation — adequate for the
-/// state-bit counts in this suite (tens of bits). Returns the constant-true
-/// BDD for a machine with no flip-flops.
+/// A least fixpoint of [`Image`] steps over the whole machine, the same
+/// image engine the sliced sweep and the exact check step through. Each
+/// step images the reached set; between steps the collector may run, with
+/// the image's relation and the reached set as its roots. Returns the
+/// constant-true BDD for a machine with no flip-flops.
 ///
 /// # Errors
 ///
@@ -52,60 +55,23 @@ pub fn reachable_states(
     table: &mut TimedVarTable,
 ) -> Result<Bdd, TbfError> {
     let view = extractor.view();
-    let num_state = view.num_state_bits();
-    if num_state == 0 {
+    if view.num_state_bits() == 0 {
         return Ok(manager.one());
     }
-    let machine = DiscreteMachine::functional(extractor, manager, table)?;
-
-    let cur_vars: Vec<Var> = (0..num_state)
-        .map(|leaf| table.var(TimedVar::Shifted { leaf, shift: 0 }))
-        .collect();
-    let next_vars: Vec<Var> = (0..num_state)
-        .map(|leaf| table.var(TimedVar::Next { leaf }))
-        .collect();
-    let input_vars: Vec<Var> = (num_state..view.leaves().len())
-        .map(|leaf| table.var(TimedVar::Shifted { leaf, shift: 0 }))
-        .collect();
-
-    // Monolithic transition relation T(S, U, S') = ∧_j (S'_j ↔ f_j(S, U)).
-    let mut trans = manager.one();
-    for (j, &f) in machine.next_state.iter().enumerate() {
-        let nv = manager.var(next_vars[j]);
-        let bit = manager.xnor(nv, f);
-        trans = manager.and(trans, bit);
-    }
-
-    // Initial state cube.
-    let init_vals = view.circuit().initial_state();
+    let mut image = Image::functional(extractor, manager, table)?;
     let mut reached = manager.one();
-    for (j, &v) in init_vals.iter().enumerate() {
-        let lit = manager.literal(cur_vars[j], v);
+    for (leaf, v) in view.circuit().initial_state().into_iter().enumerate() {
+        let lit = manager.literal(table.var(TimedVar::Shifted { leaf, shift: 0 }), v);
         reached = manager.and(reached, lit);
     }
-
-    // Quantify current state and inputs during the image. Prepared once:
-    // the fixpoint below quantifies the same variables every iteration.
-    let quantified: VarSet = cur_vars.iter().chain(input_vars.iter()).copied().collect();
-    let rename_map: Vec<(Var, Var)> = next_vars
-        .iter()
-        .zip(&cur_vars)
-        .map(|(&n, &c)| (n, c))
-        .collect();
-
     loop {
-        let img_next = manager.and_exists_set(reached, trans, &quantified);
-        let img = manager.rename_vars(img_next, &rename_map);
+        let img = image.step(manager, reached);
         let new_reached = manager.or(reached, img);
         if new_reached == reached {
             return Ok(reached);
         }
         reached = new_reached;
-        // Iterations discard whole intermediate images; let the collector
-        // reclaim them once the arena passes its trigger. The machine's
-        // next-state functions are embedded in `trans`' construction but no
-        // longer needed, so only the relation and frontier are rooted.
-        manager.maybe_collect_garbage(&[trans, reached]);
+        manager.maybe_collect_garbage(&[image.relation(), reached]);
     }
 }
 
@@ -121,6 +87,7 @@ pub fn count_states(manager: &BddManager, reached: Bdd, num_state: usize) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mct_bdd::Var;
     use mct_netlist::{Circuit, FsmView, GateKind, Time};
 
     /// A 3-bit one-hot ring counter starting at 100: only 3 of 8 states are

@@ -1,7 +1,7 @@
 //! Mapping between timed signal references and BDD variables.
 
-use mct_bdd::Var;
-use std::collections::HashMap;
+use mct_bdd::{FxHashMap, Var};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// A timed reference to a combinational leaf (flip-flop output or primary
@@ -107,7 +107,11 @@ impl fmt::Display for TimedVar {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TimedVarTable {
-    forward: HashMap<TimedVar, Var>,
+    /// Keyed with the kernel's unkeyed FxHash: the keys are leaf indices,
+    /// shifts and delays that the program makes itself, so no input can
+    /// steer them into collisions, and a static order preregisters
+    /// hundreds of them per leaf.
+    forward: FxHashMap<TimedVar, Var>,
     reverse: Vec<TimedVar>,
 }
 
@@ -119,13 +123,14 @@ impl TimedVarTable {
 
     /// The BDD variable for `tv`, allocating a fresh index on first use.
     pub fn var(&mut self, tv: TimedVar) -> Var {
-        if let Some(&v) = self.forward.get(&tv) {
-            return v;
+        match self.forward.entry(tv) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let v = Var::new(self.reverse.len() as u32);
+                self.reverse.push(tv);
+                *e.insert(v)
+            }
         }
-        let v = Var::new(self.reverse.len() as u32);
-        self.forward.insert(tv, v);
-        self.reverse.push(tv);
-        v
     }
 
     /// Registers `tvs` in sequence, allocating dense indices in exactly
@@ -133,6 +138,9 @@ impl TimedVarTable {
     /// pin a precomputed variable order before extraction touches the
     /// table.
     pub fn preregister<I: IntoIterator<Item = TimedVar>>(&mut self, tvs: I) {
+        let tvs = tvs.into_iter();
+        self.forward.reserve(tvs.size_hint().0);
+        self.reverse.reserve(tvs.size_hint().0);
         for tv in tvs {
             self.var(tv);
         }
