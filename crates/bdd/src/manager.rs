@@ -1503,8 +1503,8 @@ impl BddManager {
     /// Arena, cache, and collector statistics.
     pub fn stats(&self) -> BddStats {
         BddStats {
-            nodes: self.num_nodes(),
-            peak_nodes: self.peak_nodes,
+            nodes: self.num_nodes() as u64,
+            peak_nodes: self.peak_nodes as u64,
             gc_runs: self.gc_runs,
             nodes_freed: self.nodes_freed,
             ops_cache_hits: self.ops_hits,
@@ -1669,12 +1669,16 @@ impl CompactMap {
 }
 
 /// Occupancy and collector snapshot of a [`BddManager`].
+///
+/// Every counter is also declared in [`BddStats::COUNTERS`], which is what
+/// each sink (the CLI's JSON, the service's aggregate and log line, this
+/// type's `Display`) iterates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BddStats {
     /// Live arena nodes (including the terminal).
-    pub nodes: usize,
+    pub nodes: u64,
     /// High-water mark of live nodes over the manager's lifetime.
-    pub peak_nodes: usize,
+    pub peak_nodes: u64,
     /// Completed garbage collections.
     pub gc_runs: u64,
     /// Total nodes reclaimed across all collections.
@@ -1712,58 +1716,79 @@ pub struct BddStats {
     pub skew_lp_cuts: u64,
 }
 
-impl BddStats {
-    /// Ops-cache hit rate in `[0, 1]` (0 when no lookups were made).
-    pub fn ops_hit_rate(&self) -> f64 {
-        if self.ops_cache_lookups == 0 {
-            0.0
-        } else {
-            self.ops_cache_hits as f64 / self.ops_cache_lookups as f64
+/// One counter of [`BddStats`].
+#[derive(Clone, Copy)]
+pub struct StatCounter {
+    /// The counter's key in every sink: JSON objects and log fields.
+    pub name: &'static str,
+    /// A high-water mark: across many runs the largest value is the
+    /// meaningful aggregate, not the sum. (Within one run, managers' arenas
+    /// coexist, so [`BddStats::absorb`] adds every counter.)
+    pub high_water: bool,
+    field: fn(&mut BddStats) -> &mut u64,
+}
+
+impl StatCounter {
+    const fn new(
+        name: &'static str,
+        high_water: bool,
+        field: fn(&mut BddStats) -> &mut u64,
+    ) -> Self {
+        StatCounter {
+            name,
+            high_water,
+            field,
         }
+    }
+
+    /// This counter's value in `stats`.
+    pub fn get(&self, stats: &BddStats) -> u64 {
+        *(self.field)(&mut stats.clone())
+    }
+}
+
+impl BddStats {
+    /// Every counter, in the order sinks report them.
+    pub const COUNTERS: [StatCounter; 13] = [
+        StatCounter::new("nodes", true, |s| &mut s.nodes),
+        StatCounter::new("peak_nodes", true, |s| &mut s.peak_nodes),
+        StatCounter::new("gc_runs", false, |s| &mut s.gc_runs),
+        StatCounter::new("nodes_freed", false, |s| &mut s.nodes_freed),
+        StatCounter::new("ops_cache_hits", false, |s| &mut s.ops_cache_hits),
+        StatCounter::new("ops_cache_lookups", false, |s| &mut s.ops_cache_lookups),
+        StatCounter::new("compactions", false, |s| &mut s.compactions),
+        StatCounter::new("mvec_memo_hits", false, |s| &mut s.mvec_memo_hits),
+        StatCounter::new("sigma_pruned_subtrees", false, |s| {
+            &mut s.sigma_pruned_subtrees
+        }),
+        StatCounter::new("sigma_pruned", false, |s| &mut s.sigma_pruned),
+        StatCounter::new("sigma_reused", false, |s| &mut s.sigma_reused),
+        StatCounter::new("skew_lp_iterations", false, |s| &mut s.skew_lp_iterations),
+        StatCounter::new("skew_lp_cuts", false, |s| &mut s.skew_lp_cuts),
+    ];
+
+    /// Each counter with its value, in [`COUNTERS`](Self::COUNTERS) order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static StatCounter, u64)> + '_ {
+        Self::COUNTERS.iter().map(move |c| (c, c.get(self)))
     }
 
     /// Accumulates another manager's statistics into this one (peaks and
     /// node counts add — the managers' arenas coexist in memory).
     pub fn absorb(&mut self, other: &BddStats) {
-        self.nodes += other.nodes;
-        self.peak_nodes += other.peak_nodes;
-        self.gc_runs += other.gc_runs;
-        self.nodes_freed += other.nodes_freed;
-        self.ops_cache_hits += other.ops_cache_hits;
-        self.ops_cache_lookups += other.ops_cache_lookups;
-        self.compactions += other.compactions;
-        self.mvec_memo_hits += other.mvec_memo_hits;
-        self.sigma_pruned_subtrees += other.sigma_pruned_subtrees;
-        self.sigma_pruned += other.sigma_pruned;
-        self.sigma_reused += other.sigma_reused;
-        self.skew_lp_iterations += other.skew_lp_iterations;
-        self.skew_lp_cuts += other.skew_lp_cuts;
+        for c in &Self::COUNTERS {
+            *(c.field)(self) += c.get(other);
+        }
     }
 }
 
+/// `name=value` for every counter, space-separated.
 impl fmt::Display for BddStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} nodes ({} peak), {} gc runs ({} freed), ops cache {}/{} ({:.1}%), \
-             {} compactions, \
-             {} mvec memo hits, {} sigma pruned ({} subtrees), {} sigma reused, \
-             {} skew lp pivots ({} cuts)",
-            self.nodes,
-            self.peak_nodes,
-            self.gc_runs,
-            self.nodes_freed,
-            self.ops_cache_hits,
-            self.ops_cache_lookups,
-            100.0 * self.ops_hit_rate(),
-            self.compactions,
-            self.mvec_memo_hits,
-            self.sigma_pruned,
-            self.sigma_pruned_subtrees,
-            self.sigma_reused,
-            self.skew_lp_iterations,
-            self.skew_lp_cuts
-        )
+        for (i, (c, v)) in self.counters().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{}={v}", c.name)?;
+        }
+        Ok(())
     }
 }
 
@@ -2042,8 +2067,7 @@ mod tests {
         let after = m.stats();
         assert_eq!(f, g);
         assert!(after.ops_cache_hits > mid.ops_cache_hits);
-        assert!(after.ops_hit_rate() > 0.0);
-        assert!(after.to_string().contains("nodes"));
+        assert!(after.to_string().contains(" ops_cache_hits="));
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! * `theorems/*` — the dynamic simulator sweeps behind Theorems 1 and 2;
 //! * `ablation/*` — reachability restriction on/off, path-coupled LP
 //!   on/off, Φ-signature cache effectiveness (exhaustive sweep);
-//! * `parallel/*` — the breakpoint sweep at 1 vs 4 worker threads;
 //! * `decompose/*` — the unsliced reference vs the cone-sliced production
 //!   path on the multi-cone composite machines, plus the seeded replay
 //!   path (`BENCH_6.json`);
@@ -21,8 +20,8 @@
 //!   entries, plus store codec export/import throughput
 //!   (`BENCH_7.json`);
 //! * `sigma/*` — flat-odometer vs LP-pruned Φ enumeration on the
-//!   shared-trunk sigma-star family, at 1 and 4 threads, with
-//!   byte-identity asserted across the whole grid (`BENCH_8.json`).
+//!   shared-trunk sigma-star family, with byte-identity asserted between
+//!   the two (`BENCH_8.json`).
 //!
 //! Run with `cargo bench` or `cargo bench --bench paper_benches -- table1`
 //! to filter by scenario-name substring.
@@ -252,33 +251,6 @@ fn bench_ablations(h: &mut Harness) {
             .unwrap()
             .sigma_cache_hits
     });
-}
-
-/// 1-thread vs 4-thread *exhaustive* sweep on the largest generated family
-/// — the speedup figure quoted in the README comes from this pair. The
-/// exhaustive floor keeps every breakpoint candidate in play (the early-exit
-/// sweep stops after a handful, leaving nothing to parallelize over).
-fn bench_parallel(h: &mut Harness) {
-    let suite = standard_suite();
-    for (name, floor) in [("syn-s38584", 0.2), ("syn-s15850x", 2.0)] {
-        let big = suite
-            .iter()
-            .find(|e| e.circuit.name() == name)
-            .expect("suite circuit");
-        for threads in [1usize, 4] {
-            h.bench(&format!("parallel/{name}/t{threads}"), || {
-                MctAnalyzer::new(&big.circuit)
-                    .unwrap()
-                    .run(&MctOptions {
-                        num_threads: threads,
-                        exhaustive_floor: Some(floor),
-                        ..MctOptions::paper()
-                    })
-                    .unwrap()
-                    .mct_upper_bound
-            });
-        }
-    }
 }
 
 fn bench_substrates_extra(h: &mut Harness) {
@@ -551,8 +523,8 @@ fn parity16_circuit() -> mct_netlist::Circuit {
 
 /// Variable-ordering policies on the composite machines (the paper's
 /// s5378/s15850 stand-ins) and the parity control: wall time through the
-/// harness, peak arena nodes printed per scenario (deterministic on the
-/// single-thread path — `BENCH_4.json` is transcribed from this output).
+/// harness, peak arena nodes printed per scenario (deterministic —
+/// `BENCH_4.json` is transcribed from this output).
 fn bench_ordering(h: &mut Harness) {
     let suite = standard_suite();
     let parity16 = parity16_circuit();
@@ -609,7 +581,7 @@ fn bench_ordering(h: &mut Harness) {
 /// The unsliced reference (the whole circuit as one cone) vs the sliced
 /// production path on the multi-cone composite machines (three
 /// independent cones each). Peak arena nodes are printed per scenario
-/// from a deterministic single-thread probe run — `BENCH_6.json` was
+/// from a deterministic probe run — `BENCH_6.json` was
 /// transcribed from an earlier form of this output. The sliced peak
 /// column sums the per-cone peaks (each cone runs in a private manager),
 /// so it upper-bounds live nodes even if every cone were resident at
@@ -770,19 +742,18 @@ fn bench_persist(h: &mut Harness) {
 /// Flat-odometer vs pruned-walk Φ enumeration on the shared-trunk sigma
 /// star (the Section-7 variable-delay engine; `BENCH_8.json` is
 /// transcribed from this output). Wide variation plus path-coupled LPs is
-/// the regime where the pruning bound engages — the closed-form interval
-/// check alone never rejects a combination at a candidate's left
-/// endpoint, so every cut here comes from the LP suffix relaxation over
+/// the regime where the pruning bound engages — every σ of Φ(τ) satisfies
+/// the closed form, so every cut comes from the LP suffix relaxation over
 /// the shared trunk delay. A deterministic probe per size prints the
-/// visited/pruned/reused counters and asserts the reports byte-identical
-/// across {flat, pruned} × threads {1, 2, 4}: pruning, cone reuse, and
-/// parallel dispatch are performance levers, never semantic ones.
+/// visited/pruned/reused counters and asserts the flat and pruned reports
+/// byte-identical: pruning and cone reuse are performance levers, never
+/// semantic ones.
 fn bench_sigma(h: &mut Harness) {
     use mct_core::SigmaStrategy;
     use mct_serve::report::report_to_json;
     for branches in [2usize, 3, 4] {
         let name = format!("star{branches}");
-        if !["flat", "pruned", "pruned-t4"]
+        if !["flat", "pruned"]
             .iter()
             .any(|s| h.wants(&format!("sigma/{name}/{s}")))
         {
@@ -796,35 +767,24 @@ fn bench_sigma(h: &mut Harness) {
             max_sigma_combos: 1 << 22,
             ..MctOptions::default()
         };
-        let run = |sigma: SigmaStrategy, threads: usize| {
+        let run = |sigma: SigmaStrategy| {
             MctAnalyzer::new(&circuit)
                 .unwrap()
                 .run(&MctOptions {
                     sigma,
-                    num_threads: threads,
                     ..base.clone()
                 })
                 .unwrap()
         };
-        // Deterministic probe: byte-identity across the strategy × thread
-        // grid, plus the counter columns of BENCH_8.json.
-        let flat = run(SigmaStrategy::Flat, 1);
-        let flat_json = report_to_json(&flat).to_compact();
-        for (sigma, threads) in [
-            (SigmaStrategy::Flat, 2),
-            (SigmaStrategy::Flat, 4),
-            (SigmaStrategy::Pruned, 1),
-            (SigmaStrategy::Pruned, 2),
-            (SigmaStrategy::Pruned, 4),
-        ] {
-            let r = run(sigma, threads);
-            assert_eq!(
-                report_to_json(&r).to_compact(),
-                flat_json,
-                "report differs under sigma={sigma:?} threads={threads}"
-            );
-        }
-        let pruned = run(SigmaStrategy::Pruned, 1);
+        // Deterministic probe: byte-identity between the strategies, plus
+        // the counter columns of BENCH_8.json.
+        let flat = run(SigmaStrategy::Flat);
+        let pruned = run(SigmaStrategy::Pruned);
+        assert_eq!(
+            report_to_json(&pruned).to_compact(),
+            report_to_json(&flat).to_compact(),
+            "report differs between the flat and the pruned walk"
+        );
         assert!(
             pruned.kernel.sigma_pruned > 0,
             "pruning never engaged on sigma_star({branches}) — the bench \
@@ -838,13 +798,10 @@ fn bench_sigma(h: &mut Harness) {
             pruned.kernel.sigma_reused,
         );
         h.bench(&format!("sigma/{name}/flat"), || {
-            run(SigmaStrategy::Flat, 1).sigma_checked
+            run(SigmaStrategy::Flat).sigma_checked
         });
         h.bench(&format!("sigma/{name}/pruned"), || {
-            run(SigmaStrategy::Pruned, 1).sigma_checked
-        });
-        h.bench(&format!("sigma/{name}/pruned-t4"), || {
-            run(SigmaStrategy::Pruned, 4).sigma_checked
+            run(SigmaStrategy::Pruned).sigma_checked
         });
     }
 }
@@ -862,7 +819,6 @@ fn main() {
     bench_ordering(&mut h);
     bench_decompose(&mut h);
     bench_persist(&mut h);
-    bench_parallel(&mut h);
     bench_sigma(&mut h);
     if h.results.is_empty() {
         eprintln!("no scenario matched the filter");

@@ -19,17 +19,11 @@
 //!   --no-reachability disable the reachable-state-space restriction
 //!   --exact           exact product-machine equivalence check
 //!   --lp              Section-7 path-coupled linear programs
-//!   --threads N       sweep worker threads (0 = all CPUs; default 1);
-//!                     the report is identical at every thread count.
-//!                     Every analysis is sliced into independent cones of
-//!                     influence, each decided with its own BDD managers
-//!                     (on the server, an incrementally replayable
-//!                     per-cone cache)
 //!   --mode M          zero (default) | skew: `skew` additionally runs the
 //!                     clock-skew optimization tier — an LP over per-register
 //!                     capture offsets plus an exact re-sweep of the witness
-//!                     machine — and appends its report. Unlike the knobs
-//!                     above this CHANGES the report (and the cache key).
+//!                     machine — and appends its report (it is part of the
+//!                     cache key).
 //!                     `# .skew <dff> <millis>` annotations in the input are
 //!                     always honored as circuit semantics, in either mode
 //!   --skew-bound X    cap |skew| at X time units in the optimization
@@ -99,7 +93,6 @@ struct Flags {
     no_reachability: bool,
     exact: bool,
     lp: bool,
-    threads: usize,
     skew: bool,
     skew_bound: Option<f64>,
     period: Option<f64>,
@@ -137,7 +130,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         no_reachability: false,
         exact: false,
         lp: false,
-        threads: 1,
         skew: false,
         skew_bound: None,
         period: None,
@@ -175,13 +167,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--no-reachability" => f.no_reachability = true,
             "--exact" => f.exact = true,
             "--lp" => f.lp = true,
-            "--threads" => {
-                f.threads = it
-                    .next()
-                    .ok_or("--threads needs a count (0 = all CPUs)")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?
-            }
             "--mode" => match it.next().map(String::as_str) {
                 Some("zero") => f.skew = false,
                 Some("skew") => f.skew = true,
@@ -339,7 +324,6 @@ fn mct_options(flags: &Flags) -> MctOptions {
         use_reachability: !flags.no_reachability,
         path_coupled_lp: flags.lp,
         exact_check: flags.exact,
-        num_threads: flags.threads,
         skew: flags.skew,
         skew_bound: flags.skew_bound,
         ..MctOptions::paper()
@@ -380,38 +364,13 @@ fn cmd_analyze(flags: &Flags) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     if flags.json {
         // The canonical report encoding deliberately omits the kernel
-        // diagnostics (they are scheduling-dependent); the CLI appends them
-        // as an extra top-level field for local inspection.
+        // diagnostics (they vary with GC thresholds and cache state); the
+        // CLI appends them as an extra top-level field for local inspection.
         let mut json = mct_serve::report::report_to_json(&report);
         if let Json::Obj(fields) = &mut json {
-            let k = &report.kernel;
-            fields.push((
-                "kernel".into(),
-                Json::Obj(vec![
-                    ("nodes".into(), Json::Int(k.nodes as i64)),
-                    ("peak_nodes".into(), Json::Int(k.peak_nodes as i64)),
-                    ("gc_runs".into(), Json::Int(k.gc_runs as i64)),
-                    ("nodes_freed".into(), Json::Int(k.nodes_freed as i64)),
-                    ("ops_cache_hits".into(), Json::Int(k.ops_cache_hits as i64)),
-                    (
-                        "ops_cache_lookups".into(),
-                        Json::Int(k.ops_cache_lookups as i64),
-                    ),
-                    ("compactions".into(), Json::Int(k.compactions as i64)),
-                    ("mvec_memo_hits".into(), Json::Int(k.mvec_memo_hits as i64)),
-                    (
-                        "sigma_pruned_subtrees".into(),
-                        Json::Int(k.sigma_pruned_subtrees as i64),
-                    ),
-                    ("sigma_pruned".into(), Json::Int(k.sigma_pruned as i64)),
-                    ("sigma_reused".into(), Json::Int(k.sigma_reused as i64)),
-                    (
-                        "skew_lp_iterations".into(),
-                        Json::Int(k.skew_lp_iterations as i64),
-                    ),
-                    ("skew_lp_cuts".into(), Json::Int(k.skew_lp_cuts as i64)),
-                ]),
-            ));
+            let kernel = report.kernel.counters();
+            let kernel = kernel.map(|(c, v)| (c.name.into(), Json::Int(v as i64)));
+            fields.push(("kernel".into(), Json::Obj(kernel.collect())));
         }
         println!("{}", json.to_pretty());
         return Ok(());
@@ -717,10 +676,8 @@ fn build_analyze_request(
         ("use_reachability".into(), Json::Bool(opts.use_reachability)),
         ("path_coupled_lp".into(), Json::Bool(opts.path_coupled_lp)),
         ("exact_check".into(), Json::Bool(opts.exact_check)),
-        ("num_threads".into(), Json::Int(opts.num_threads as i64)),
-        // Unlike the execution-strategy knobs above, `--mode skew`
-        // changes the report (and the cache fingerprint), so the query
-        // path must carry it to the server.
+        // `--mode skew` changes the report (and the cache fingerprint), so
+        // the query path must carry it to the server.
         ("skew".into(), Json::Bool(opts.skew)),
         (
             "skew_bound".into(),
@@ -923,8 +880,7 @@ fn main() -> ExitCode {
     if cmd == "--help" || cmd == "-h" {
         eprintln!(
             "mct analyze <file> [--blif] [--model unit|mapped] [--fixed] \
-             [--no-reachability] [--exact] [--lp] [--threads N] \
-             [--json]\n\
+             [--no-reachability] [--exact] [--lp] [--json]\n\
              mct delays <file> [--blif] [--model unit|mapped]\n\
              mct simulate <file> --period X [--cycles N] [--seed S] [--vcd out.vcd]\n\
              mct convert <in> <out>\n\

@@ -167,3 +167,78 @@ fn serve_then_query_twice_hits_the_cache_and_shuts_down() {
     let status = guard.0.wait().expect("wait for serve to exit");
     assert!(status.success(), "serve must exit cleanly after shutdown");
 }
+
+/// Every sink of the kernel counters reports exactly the declared list,
+/// under the declared names: `analyze --json`, the daemon's `stats.kernel`
+/// aggregate, and its per-analysis `type=kernel` log line.
+#[test]
+fn kernel_counters_reach_every_sink_under_their_declared_names() {
+    let declared: Vec<String> = mct_core::BddStats::COUNTERS
+        .iter()
+        .map(|c| c.name.to_owned())
+        .collect();
+    let keys = |obj: &Json| -> Vec<String> {
+        obj.as_obj()
+            .expect("kernel object")
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    };
+
+    let output = mct()
+        .args(["analyze", "--json"])
+        .arg(fig2_path())
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "stderr: {}", stderr_of(&output));
+    let report = Json::parse(stdout_of(&output).trim()).unwrap();
+    assert_eq!(
+        keys(report.get("kernel").unwrap()),
+        declared,
+        "analyze --json"
+    );
+
+    let mut child = mct()
+        .args(["serve", "--listen", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mct serve");
+    let stdout = child.stdout.take().expect("serve stdout");
+    let stderr = child.stderr.take().expect("serve stderr");
+    let mut guard = ServeGuard(child);
+    let mut banner = String::new();
+    BufReader::new(stdout).read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap()
+        .to_owned();
+    let run = |args: &[&str]| {
+        let output = mct()
+            .args(args)
+            .args(["--connect", &addr])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "stderr: {}", stderr_of(&output));
+        output
+    };
+    run(&["query", fig2_path().to_str().unwrap()]);
+    let stats = Json::parse(stdout_of(&run(&["query", "--stats"])).trim()).unwrap();
+    assert_eq!(keys(stats.get("kernel").unwrap()), declared, "stats.kernel");
+    run(&["query", "--shutdown"]);
+    assert!(guard.0.wait().unwrap().success());
+
+    let log = BufReader::new(stderr)
+        .lines()
+        .map(Result::unwrap)
+        .find(|l| l.contains("type=kernel"))
+        .expect("a kernel log line");
+    let logged: Vec<String> = log
+        .split_whitespace()
+        .filter_map(|f| f.split_once('='))
+        .map(|(k, _)| k.to_owned())
+        .filter(|k| !["peer", "type", "circuit"].contains(&k.as_str()))
+        .collect();
+    assert_eq!(logged, declared, "log line: {log}");
+}

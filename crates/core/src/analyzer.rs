@@ -108,13 +108,6 @@ pub struct MctOptions {
     /// convention as the paper's table, which reports the last value with
     /// a `†` for runs that exhausted memory.
     pub time_budget_ms: Option<u64>,
-    /// Number of sweep worker threads. `1` (the default) evaluates
-    /// candidates on the calling thread; `0` means one worker per available
-    /// CPU. Each worker owns a private BDD manager and timed-variable
-    /// table per cone (the managers are deliberately single-threaded);
-    /// workers share only the per-cone memos and per-sink decision records.
-    /// The report is bit-identical at every thread count.
-    pub num_threads: usize,
     /// Variable-ordering policy for every BDD manager the analysis builds.
     /// Never changes the report — see [`VarOrder`].
     pub ordering: VarOrder,
@@ -137,7 +130,7 @@ pub struct MctOptions {
     /// exactly, and report both the zero-skew and skew-optimal bounds (with
     /// an integer-milli witness) in [`MctReport::skew`].
     ///
-    /// Unlike `ordering`/`sigma`/`num_threads` this **changes the report**,
+    /// Unlike `ordering`/`sigma`/`decompose` this **changes the report**,
     /// so it is **included** in result-cache fingerprints. Note that skew
     /// *annotations* on the circuit always take effect in the sweep itself
     /// (they are circuit semantics); this flag only adds the optimizer
@@ -165,7 +158,6 @@ impl Default for MctOptions {
             exact_check: false,
             max_product_bits: 48,
             time_budget_ms: None,
-            num_threads: 1,
             ordering: VarOrder::default(),
             decompose: true,
             sigma: SigmaStrategy::default(),
@@ -253,13 +245,14 @@ pub struct MctReport {
     /// [`kernel`](Self::kernel)).
     pub skew: Option<crate::skew::SkewReport>,
     /// Symbolic-kernel diagnostics, aggregated across every BDD manager the
-    /// analysis used (one per cone per pool worker, plus reachability): live/peak
-    /// node counts, garbage-collection runs, and operation-cache hit rates.
+    /// analysis used (one per cone, plus the layer product): live/peak node
+    /// counts, garbage-collection runs, and operation-cache hit rates.
     ///
     /// Unlike every other field, this is **not** part of the deterministic
-    /// report contract — the counters depend on thread count, GC thresholds,
-    /// and worker scheduling. It is excluded from the serialized report and
-    /// must be ignored by bit-identity comparisons.
+    /// report contract — the counters depend on GC thresholds, on the
+    /// variable order, on the slicing and on what a seed replays. It is
+    /// excluded from the serialized report and must be ignored by
+    /// bit-identity comparisons.
     pub kernel: BddStats,
 }
 
@@ -375,10 +368,23 @@ pub(crate) fn validate_skew_holds(
     Ok(())
 }
 
+/// What the Section-7 linear program proves about one shift combination.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum LpTau {
+    /// No delay assignment realizes the combination on the examined
+    /// interval.
+    Infeasible,
+    /// The maximal τ, in milli-units.
+    Sup(f64),
+    /// The solver stopped at its pivot cap: nothing is proven, so the
+    /// combination stays in Ω with its closed-form sup and no subtree is
+    /// cut on its account.
+    Unknown,
+}
+
 /// The Section-7 linear program for one shift combination: maximize τ
 /// subject to `(σ_i − 1)τ < k_i ≤ σ_i τ`, `k_i = c2q_i + Σ d_e` over the
-/// class's representative path, and `d_e ∈ [α·d_e^max, d_e^max]`. Returns
-/// the maximal τ in milli-units, or `None` when infeasible.
+/// class's representative path, and `d_e ∈ [α·d_e^max, d_e^max]`.
 pub(crate) fn lp_max_tau(
     classes: &[DelayClass],
     sigma: &[i64],
@@ -386,7 +392,7 @@ pub(crate) fn lp_max_tau(
     l_millis: i64,
     interval_lo: Rat,
     interval_hi: Option<Rat>,
-) -> Option<f64> {
+) -> LpTau {
     const EPS: f64 = 1e-3;
     // Collect the distinct gate-pin delay variables.
     let mut edge_ix: HashMap<(NetId, usize, i64), usize> = HashMap::new();
@@ -437,9 +443,10 @@ pub(crate) fn lp_max_tau(
     let ceiling = interval_hi.map_or(l_millis as f64, |h| h.as_f64() - EPS);
     lp.add_le(&tau_row, ceiling);
     match lp.solve() {
-        LpOutcome::Optimal { value, .. } => Some(value),
-        LpOutcome::Infeasible => None,
-        _ => Some(ceiling),
+        LpOutcome::Optimal { value, .. } => LpTau::Sup(value),
+        LpOutcome::Infeasible => LpTau::Infeasible,
+        // τ ≤ ceiling bounds the objective, so only the pivot cap is left.
+        _ => LpTau::Unknown,
     }
 }
 
@@ -689,26 +696,16 @@ mod tests {
             ..MctOptions::default()
         };
         let report = MctAnalyzer::new(&c).unwrap().run(&opts).unwrap();
-        // Single-threaded the sweep runs in τ order, and figure 2 is one
-        // cone whose projection of σ is σ itself, so every repeated σ is
-        // answered by the cone memo and every memo answer is a repeat: the
-        // kernel counter equals the reconciled cache-hit count exactly.
+        // The sweep runs in τ order, and figure 2 is one cone whose
+        // projection of σ is σ itself, so every repeated σ is answered by
+        // the cone memo and every memo answer is a repeat: the kernel
+        // counter equals the cache-hit count exactly.
         assert!(report.sigma_cache_hits > 0, "{report:?}");
         assert_eq!(
             report.kernel.mvec_memo_hits, report.sigma_cache_hits as u64,
             "{:?}",
             report.kernel
         );
-        // Multi-threaded the counter depends on scheduling, but with this
-        // many repeats some decisions must short-circuit.
-        let par = MctAnalyzer::new(&c)
-            .unwrap()
-            .run(&MctOptions {
-                num_threads: 4,
-                ..opts
-            })
-            .unwrap();
-        assert!(par.kernel.mvec_memo_hits > 0, "{:?}", par.kernel);
     }
 
     /// A circuit whose delay classes *share* gate-pin delay variables: a
@@ -743,10 +740,10 @@ mod tests {
     }
 
     #[test]
-    fn reports_identical_across_sigma_strategies_and_threads() {
-        // The tentpole invariant: {flat, pruned} × threads {1, 2, 4} all
-        // produce byte-identical reports outside the kernel diagnostics —
-        // both on a plain circuit and on one where pruning actually cuts.
+    fn reports_identical_across_sigma_strategies() {
+        // Flat and pruned Φ walks produce byte-identical reports outside
+        // the kernel diagnostics — both on a plain circuit and on one where
+        // pruning actually cuts.
         let cases = [
             (
                 figure2(),
@@ -758,30 +755,23 @@ mod tests {
             (coupled_star(), coupled_opts()),
         ];
         for (c, base) in &cases {
-            let run = |sigma, num_threads| {
+            let run = |sigma| {
                 strip_kernel(
                     MctAnalyzer::new(c)
                         .unwrap()
                         .run(&MctOptions {
                             sigma,
-                            num_threads,
                             ..base.clone()
                         })
                         .unwrap(),
                 )
             };
-            let reference = run(SigmaStrategy::Flat, 1);
-            for sigma in [SigmaStrategy::Flat, SigmaStrategy::Pruned] {
-                for threads in [1, 2, 4] {
-                    let r = run(sigma, threads);
-                    assert_eq!(
-                        format!("{reference:?}"),
-                        format!("{r:?}"),
-                        "{} / {sigma:?} at {threads} threads",
-                        c.name()
-                    );
-                }
-            }
+            assert_eq!(
+                format!("{:?}", run(SigmaStrategy::Flat)),
+                format!("{:?}", run(SigmaStrategy::Pruned)),
+                "{}",
+                c.name()
+            );
         }
     }
 

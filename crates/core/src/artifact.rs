@@ -586,7 +586,6 @@ mod tests {
                 exhaustive_floor: Some(0.5),
                 exact_check: true,
                 time_budget_ms: Some(7),
-                num_threads: 4,
                 ..base.clone()
             },
         ];

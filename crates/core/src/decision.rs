@@ -551,8 +551,8 @@ impl SinkVerdicts for MachineSinks<'_> {
 
 /// What the walk has learned about one sink function: every verdict is a
 /// property of the function (plus the cycle or depth), never of the rest of
-/// the machine. Handle-free, so records outlive managers and are shared
-/// between workers.
+/// the machine. Handle-free, so records outlive collections and
+/// compactions of the manager that decided them.
 #[derive(Default, Debug)]
 pub(crate) struct SinkRecord {
     /// Basis cycles `1..=verified` compare equal.

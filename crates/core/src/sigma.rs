@@ -141,9 +141,9 @@ impl SigmaPruneStats {
 /// can never win.
 const ORACLE_MIN_SUBTREE: u128 = 2;
 
-/// Callback of [`SigmaWalk::run`]: one visited leaf and its closed-form τ
-/// range; `Ok(false)` stops the walk.
-pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], TauRange) -> Result<bool, E>;
+/// Callback of [`SigmaWalk::run`]: one visited leaf and the sup of its
+/// closed-form τ range (`None`: unbounded above).
+pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], Option<Rat>) -> Result<(), E>;
 
 /// Backtracking prefix-tree walk over `Φ = Π_i [lo_i, hi_i]`.
 ///
@@ -152,49 +152,39 @@ pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], TauRange) -> Resu
 /// visited in **exactly** the [`SigmaIter`] order — a pruned walk emits a
 /// subsequence of the flat enumeration, never a reordering.
 ///
-/// With pruning enabled, every internal node carries the running
-/// closed-form τ bound of its partial assignment (the per-class constraints
-/// of [`feasible_tau_range`] over the assigned suffix) combined with a
-/// precomputed *hull* over the still-unassigned prefix: class `i` can
-/// contribute at best `τ ≥ k^min_i / hi_i` and (when even its smallest
-/// shift exceeds 1) at best `τ < k^max_i / (lo_i − 1)`. When the combined
-/// interval is empty, **no** completion of the partial assignment is
-/// feasible and the whole subtree is cut — at a leaf the combined bound
-/// degenerates to `feasible_tau_range` itself, so the surviving leaves are
-/// precisely the closed-form-feasible subset. Every visited leaf is handed
-/// that running bound, so callers never recompute the closed form.
+/// Every σ of `Φ(τ)` is closed-form feasible on the examined interval
+/// `[τ, prev)`: each class's shift range is taken at τ itself, so
+/// `k^min_i/σ_i ≤ τ` and, when `σ_i > 1`, `τ < k^max_i/(σ_i − 1)`. The
+/// walk therefore never cuts on the closed form; it carries only the
+/// running sup `min(prev, min_i k^max_i/(σ_i − 1))` down to each leaf, which
+/// is what [`feasible_tau_range`] returns as the leaf's upper end.
 ///
-/// The walk can be restricted to a window `[start, end)` of odometer
-/// ordinals (digit 0 has weight 1), which is how the worker pool splits one
-/// candidate's tree into deterministic chunks. Window exclusion is not
-/// pruning and is not counted.
-///
-/// The external oracle is only consulted where a cut can pay for itself:
-/// at internal nodes whose subtree holds at least [`ORACLE_MIN_SUBTREE`]
-/// leaves. One oracle call costs about one leaf-level feasibility check, so
-/// probing a weight-1 subtree can never win — the leaf below is checked
-/// individually either way. Skipping the probe leaves the visited sequence
-/// (and the serialized report) unchanged; only the diagnostic prune
-/// counters shift.
+/// With pruning enabled, an external oracle (the LP suffix relaxation) is
+/// consulted where a cut can pay for itself: at internal nodes whose
+/// subtree holds at least [`ORACLE_MIN_SUBTREE`] leaves. One oracle call
+/// costs about one leaf-level feasibility check, so probing a weight-1
+/// subtree can never win — the leaf below is checked individually either
+/// way. Skipping the probe leaves the visited sequence (and the serialized
+/// report) unchanged; only the diagnostic prune counters shift.
 pub(crate) struct SigmaWalk<'a> {
     ranges: &'a [ShiftRange],
     intervals: &'a [(i64, i64)],
-    interval_lo: Rat,
     interval_hi: Option<Rat>,
-    window: (u128, u128),
     prune: bool,
     /// `weights[j] = Π_{i<j} len_i` — the subtree size at depth `j`.
     weights: Vec<u128>,
-    /// Best-case lower bound contributed by the unassigned classes `0..j`.
-    hull_lo: Vec<Rat>,
-    /// Best-case upper bound contributed by the unassigned classes `0..j`.
-    hull_hi: Vec<Option<Rat>>,
 }
 
 impl<'a> SigmaWalk<'a> {
     /// Prepares a walk of `Φ` over the examined τ interval
-    /// `[interval_lo, interval_hi)`. With `prune` false the walk visits
-    /// every combination (the flat odometer through a different engine).
+    /// `[interval_lo, interval_hi)`, where `ranges` are the shift ranges at
+    /// `interval_lo`. With `prune` false the walk visits every combination
+    /// (the flat odometer through a different engine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the examined interval is empty: the sweep's breakpoints
+    /// strictly descend, so it never builds one.
     pub fn new(
         ranges: &'a [ShiftRange],
         intervals: &'a [(i64, i64)],
@@ -202,71 +192,39 @@ impl<'a> SigmaWalk<'a> {
         interval_hi: Option<Rat>,
         prune: bool,
     ) -> Self {
+        assert!(
+            interval_hi.is_none_or(|h| interval_lo < h),
+            "empty examined interval"
+        );
         debug_assert_eq!(ranges.len(), intervals.len());
         let n = ranges.len();
         let mut weights = vec![1u128; n + 1];
         for j in 0..n {
             weights[j + 1] = weights[j].saturating_mul(ranges[j].len() as u128);
         }
-        let mut hull_lo = vec![interval_lo; n + 1];
-        let mut hull_hi = vec![interval_hi; n + 1];
-        for j in 1..=n {
-            let (k_min, k_max) = intervals[j - 1];
-            let r = ranges[j - 1];
-            // Weakest lower bound: the largest shift divides k_min least.
-            let lo = Rat::new(k_min, r.hi).max(hull_lo[j - 1]);
-            hull_lo[j] = lo;
-            // Weakest upper bound: absent when σ_i = 1 is available,
-            // otherwise attained at the smallest shift.
-            hull_hi[j] = if r.lo > 1 {
-                let c = Rat::new(k_max, r.lo - 1);
-                Some(match hull_hi[j - 1] {
-                    None => c,
-                    Some(h) => h.min(c),
-                })
-            } else {
-                hull_hi[j - 1]
-            };
-        }
         SigmaWalk {
             ranges,
             intervals,
-            interval_lo,
             interval_hi,
-            window: (0, u128::MAX),
             prune,
             weights,
-            hull_lo,
-            hull_hi,
         }
     }
 
-    /// Restricts the walk to odometer ordinals in `[start, end)`.
-    pub fn window(mut self, start: u128, end: u128) -> Self {
-        self.window = (start, end);
-        self
-    }
-
-    /// Runs the walk. `subtree_infeasible(partial, j)` is an additional
-    /// *sound* oracle consulted at internal nodes that survive the closed
-    /// form (the LP suffix relaxation): `partial` is the assigned suffix
-    /// `σ[j..]`; returning true certifies every completion infeasible.
-    /// `visit` sees each surviving leaf in odometer order, with its running
-    /// closed-form τ range `(lo, hi)` — what [`feasible_tau_range`] returns
-    /// for the leaf, or an empty range (`hi ≤ lo`) where that is `None`,
-    /// which only an unpruned walk visits — and returns `Ok(false)` to stop
-    /// the walk early.
+    /// Runs the walk. `subtree_infeasible(partial, j)` is a *sound* oracle
+    /// consulted at internal nodes (the LP suffix relaxation): `partial` is
+    /// the assigned suffix `σ[j..]`; returning true certifies every
+    /// completion infeasible. `visit` sees each surviving leaf in odometer
+    /// order, with the sup of its closed-form τ range.
     pub fn run<E>(
         &self,
         stats: &mut SigmaPruneStats,
         subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
         visit: LeafVisitor<'_, E>,
-    ) -> Result<bool, E> {
+    ) -> Result<(), E> {
         let mut sigma = vec![0i64; self.ranges.len()];
         self.rec(
             self.ranges.len(),
-            0,
-            self.interval_lo,
             self.interval_hi,
             &mut sigma,
             stats,
@@ -275,81 +233,43 @@ impl<'a> SigmaWalk<'a> {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn rec<E>(
         &self,
         j: usize,
-        base: u128,
-        lo: Rat,
         hi: Option<Rat>,
         sigma: &mut Vec<i64>,
         stats: &mut SigmaPruneStats,
         subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
         visit: LeafVisitor<'_, E>,
-    ) -> Result<bool, E> {
+    ) -> Result<(), E> {
         let w = self.weights[j];
-        let (ws, we) = self.window;
-        let end = base.saturating_add(w);
-        if base >= we || end <= ws {
-            return Ok(true); // Outside the window — someone else's chunk.
-        }
-        if self.prune {
-            let eff_lo = lo.max(self.hull_lo[j]);
-            let eff_hi = match (hi, self.hull_hi[j]) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            let n = self.ranges.len();
-            let cut = matches!(eff_hi, Some(h) if eff_lo >= h)
-                || (j > 0
-                    && j < n
-                    && w >= ORACLE_MIN_SUBTREE
-                    && subtree_infeasible(&sigma[j..], j));
-            if cut {
-                // Count only the window's share, so chunked counters sum to
-                // (about) the unchunked total instead of multi-counting.
-                stats.record(end.min(we) - base.max(ws));
-                return Ok(true);
-            }
+        if self.prune
+            && j > 0
+            && j < self.ranges.len()
+            && w >= ORACLE_MIN_SUBTREE
+            && subtree_infeasible(&sigma[j..], j)
+        {
+            stats.record(w);
+            return Ok(());
         }
         if j == 0 {
-            return visit(sigma, (lo, hi));
+            return visit(sigma, hi);
         }
         let r = self.ranges[j - 1];
-        let (k_min, k_max) = self.intervals[j - 1];
-        for (t, s) in (r.lo..=r.hi).enumerate() {
+        let k_max = self.intervals[j - 1].1;
+        for s in r.lo..=r.hi {
             sigma[j - 1] = s;
-            let c_lo = Rat::new(k_min, s).max(lo);
             let c_hi = if s > 1 {
                 let this_hi = Rat::new(k_max, s - 1);
-                Some(match hi {
-                    None => this_hi,
-                    Some(h) => h.min(this_hi),
-                })
+                Some(hi.map_or(this_hi, |h| h.min(this_hi)))
             } else {
                 hi
             };
-            let child_base = base + t as u128 * self.weights[j - 1];
-            if !self.rec(
-                j - 1,
-                child_base,
-                c_lo,
-                c_hi,
-                sigma,
-                stats,
-                subtree_infeasible,
-                visit,
-            )? {
-                return Ok(false);
-            }
+            self.rec(j - 1, c_hi, sigma, stats, subtree_infeasible, visit)?;
         }
-        Ok(true)
+        Ok(())
     }
 }
-
-/// A τ range `(lo, hi)`: `lo` inclusive, `hi` exclusive (`None` means
-/// unbounded above).
-pub(crate) type TauRange = (Rat, Option<Rat>);
 
 /// The feasible τ range of a shift combination `σ` under independent
 /// per-class delay intervals: the intersection over classes of
@@ -491,62 +411,6 @@ mod tests {
         assert_eq!(SigmaIter::combination_count(&ranges), u128::MAX);
     }
 
-    /// The flat reference: enumerate with [`SigmaIter`] and keep the
-    /// closed-form-feasible subset.
-    fn flat_feasible(
-        ranges: &[ShiftRange],
-        intervals: &[(i64, i64)],
-        lo: Rat,
-        hi: Option<Rat>,
-    ) -> Vec<Vec<i64>> {
-        SigmaIter::new(ranges)
-            .filter(|s| feasible_tau_range(s, intervals, lo, hi).is_some())
-            .collect()
-    }
-
-    /// The bound a walk hands a leaf is the leaf's closed-form τ range:
-    /// empty exactly where [`feasible_tau_range`] is `None`, equal to it
-    /// otherwise. Returns whether the bound was empty.
-    fn check_leaf_bound(
-        sigma: &[i64],
-        bound: TauRange,
-        intervals: &[(i64, i64)],
-        lo: Rat,
-        hi: Option<Rat>,
-    ) -> bool {
-        let empty = bound.1.is_some_and(|h| bound.0 >= h);
-        match feasible_tau_range(sigma, intervals, lo, hi) {
-            None => assert!(empty, "{sigma:?}: {bound:?} for an infeasible leaf"),
-            Some(range) => assert_eq!(bound, range, "{sigma:?}"),
-        }
-        empty
-    }
-
-    fn pruned_visited(
-        ranges: &[ShiftRange],
-        intervals: &[(i64, i64)],
-        lo: Rat,
-        hi: Option<Rat>,
-    ) -> (Vec<Vec<i64>>, SigmaPruneStats) {
-        let mut stats = SigmaPruneStats::default();
-        let mut seen = Vec::new();
-        let walk = SigmaWalk::new(ranges, intervals, lo, hi, true);
-        walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s, bound| {
-            assert!(!check_leaf_bound(s, bound, intervals, lo, hi));
-            seen.push(s.to_vec());
-            Ok(true)
-        })
-        .unwrap();
-        // The pruned walk itself must already skip every infeasible leaf.
-        for s in &seen {
-            assert!(
-                feasible_tau_range(s, intervals, lo, hi).is_some(),
-                "visited infeasible {s:?}"
-            );
-        }
-        (seen, stats)
-    }
-
     /// One random walk input: class intervals, the examined interval
     /// `[tau, prev)`, and the shift ranges at `tau`.
     type Case = (Vec<(i64, i64)>, Rat, Option<Rat>, Vec<ShiftRange>);
@@ -579,63 +443,51 @@ mod tests {
             .collect()
     }
 
-    /// Property: the pruned prefix-tree walk visits exactly the
-    /// closed-form-feasible subset of the full enumeration, in the same
-    /// order, over seeded random range vectors, handing each leaf its
-    /// closed-form τ range.
+    /// Every leaf a walk visits, with the sup it was handed.
+    fn visited(
+        walk: &SigmaWalk<'_>,
+        stats: &mut SigmaPruneStats,
+        oracle: &mut dyn FnMut(&[i64], usize) -> bool,
+    ) -> Vec<(Vec<i64>, Option<Rat>)> {
+        let mut seen = Vec::new();
+        walk.run::<()>(stats, oracle, &mut |s, hi| {
+            seen.push((s.to_vec(), hi));
+            Ok(())
+        })
+        .unwrap();
+        seen
+    }
+
+    /// Property: every σ of Φ(τ) is closed-form feasible on `[τ, prev)`,
+    /// so both walks visit the whole flat enumeration in order, each leaf
+    /// with the sup of [`feasible_tau_range`], and cut nothing without an
+    /// oracle.
     #[test]
-    fn pruned_walk_equals_filtered_flat_enumeration() {
+    fn every_sigma_of_phi_is_closed_form_feasible() {
         for (intervals, tau, prev, ranges) in random_cases() {
-            let flat = flat_feasible(&ranges, &intervals, tau, prev);
-            let (pruned, stats) = pruned_visited(&ranges, &intervals, tau, prev);
-            assert_eq!(flat, pruned, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
-            let total = SigmaIter::combination_count(&ranges);
-            assert_eq!(
-                total,
-                pruned.len() as u128 + stats.combos as u128,
-                "every combination is either visited or counted pruned"
-            );
+            let expected: Vec<(Vec<i64>, Option<Rat>)> = SigmaIter::new(&ranges)
+                .map(|s| {
+                    let (lo, hi) = feasible_tau_range(&s, &intervals, tau, prev)
+                        .unwrap_or_else(|| panic!("{s:?} infeasible at τ {tau:?}"));
+                    assert_eq!(lo, tau, "{s:?}");
+                    (s, hi)
+                })
+                .collect();
+            for prune in [false, true] {
+                let mut stats = SigmaPruneStats::default();
+                let walk = SigmaWalk::new(&ranges, &intervals, tau, prev, prune);
+                let seen = visited(&walk, &mut stats, &mut |_, _| false);
+                assert_eq!(seen, expected, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
+                assert_eq!(stats, SigmaPruneStats::default());
+            }
         }
     }
 
+    /// The oracle cuts whole subtrees: the pruned walk visits the flat
+    /// enumeration minus the cut suffixes, in order, and every combination
+    /// is either visited or counted pruned. The unpruned walk never asks.
     #[test]
-    fn pruned_walk_all_singletons() {
-        // Fixed delays: every range is a singleton; the only combination is
-        // feasible on its own breakpoint interval and nothing is pruned.
-        let intervals = vec![(4000, 4000), (2000, 2000)];
-        let tau = Rat::new(2000, 1);
-        let ranges: Vec<ShiftRange> = intervals
-            .iter()
-            .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-            .collect();
-        assert!(ranges.iter().all(|r| r.is_singleton()));
-        let flat = flat_feasible(&ranges, &intervals, tau, None);
-        let (pruned, stats) = pruned_visited(&ranges, &intervals, tau, None);
-        assert_eq!(flat, pruned);
-        assert_eq!(stats, SigmaPruneStats::default());
-    }
-
-    #[test]
-    fn pruned_walk_cuts_deliberately_infeasible_product() {
-        // Examined interval [4000, 4000): empty, so every combination is
-        // infeasible — the walk must visit nothing and cut at the root
-        // (one subtree holding the whole product).
-        let intervals = vec![(3600, 4000), (3600, 4000)];
-        let tau = Rat::new(4000, 1);
-        let ranges: Vec<ShiftRange> = intervals
-            .iter()
-            .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-            .collect();
-        let (pruned, stats) = pruned_visited(&ranges, &intervals, tau, Some(tau));
-        assert!(pruned.is_empty());
-        assert_eq!(stats.subtrees, 1);
-        assert_eq!(stats.combos as u128, SigmaIter::combination_count(&ranges));
-    }
-
-    #[test]
-    fn windowed_walks_partition_the_enumeration() {
-        // Chunked windows concatenate to the full walk, and per-chunk
-        // pruned-combination counts sum to the unchunked total.
+    fn oracle_cuts_count_every_skipped_combination() {
         let intervals = vec![(500, 1000), (1000, 2000), (2500, 5000)];
         let tau = Rat::new(400, 1);
         let prev = Some(Rat::new(500, 1));
@@ -644,62 +496,40 @@ mod tests {
             .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
             .collect();
         let total = SigmaIter::combination_count(&ranges);
-        assert!(total > 4, "{total}");
-        let (full, full_stats) = pruned_visited(&ranges, &intervals, tau, prev);
-        for chunks in [2u128, 3, 5] {
-            let mut cat = Vec::new();
-            let mut combos = 0u64;
-            for k in 0..chunks {
-                let (ws, we) = (total * k / chunks, total * (k + 1) / chunks);
-                let mut stats = SigmaPruneStats::default();
-                let walk = SigmaWalk::new(&ranges, &intervals, tau, prev, true).window(ws, we);
-                walk.run::<()>(&mut stats, &mut |_, _| false, &mut |s, _| {
-                    cat.push(s.to_vec());
-                    Ok(true)
-                })
-                .unwrap();
-                combos += stats.combos;
-            }
-            assert_eq!(cat, full, "chunks {chunks}");
-            assert_eq!(combos, full_stats.combos, "chunks {chunks}");
-        }
+        // Cut every suffix whose top digit is its smallest shift.
+        let top = ranges[2].lo;
+        let mut cut = |partial: &[i64], _: usize| *partial.last().unwrap() == top;
+        let mut stats = SigmaPruneStats::default();
+        let pruned = visited(
+            &SigmaWalk::new(&ranges, &intervals, tau, prev, true),
+            &mut stats,
+            &mut cut,
+        );
+        let flat: Vec<Vec<i64>> = SigmaIter::new(&ranges).filter(|s| s[2] != top).collect();
+        let pruned: Vec<Vec<i64>> = pruned.into_iter().map(|(s, _)| s).collect();
+        assert_eq!(pruned, flat);
+        assert_eq!(stats.subtrees, 1);
+        assert_eq!(total, flat.len() as u128 + stats.combos as u128);
+        let mut asked = false;
+        let all = visited(
+            &SigmaWalk::new(&ranges, &intervals, tau, prev, false),
+            &mut SigmaPruneStats::default(),
+            &mut |_, _| {
+                asked = true;
+                true
+            },
+        );
+        assert!(!asked);
+        assert_eq!(all.len() as u128, total);
     }
 
-    /// The unpruned walk visits every combination in odometer order, each
-    /// with its closed-form τ range — empty on the infeasible leaves it
-    /// visits too.
     #[test]
-    fn unpruned_walk_is_the_flat_odometer() {
-        let case = |intervals: Vec<(i64, i64)>, tau: i64, prev: Option<i64>| -> Case {
-            let tau = Rat::new(tau, 1);
-            let ranges = intervals
-                .iter()
-                .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-                .collect();
-            (intervals, tau, prev.map(|p| Rat::new(p, 1)), ranges)
-        };
-        let mut cases = random_cases();
-        cases.push(case(vec![(900, 1000), (2700, 3000)], 600, None));
-        // Shift ranges taken at τ hold τ itself, so only an empty examined
-        // interval makes leaves infeasible: here every one is.
-        cases.push(case(vec![(3600, 4000), (3600, 4000)], 4000, Some(4000)));
-        let mut empty = [0usize; 2];
-        for (intervals, tau, prev, ranges) in cases {
-            let flat: Vec<Vec<i64>> = SigmaIter::new(&ranges).collect();
-            let mut seen = Vec::new();
-            let mut stats = SigmaPruneStats::default();
-            SigmaWalk::new(&ranges, &intervals, tau, prev, false)
-                .run::<()>(&mut stats, &mut |_, _| false, &mut |s, bound| {
-                    empty[check_leaf_bound(s, bound, &intervals, tau, prev) as usize] += 1;
-                    seen.push(s.to_vec());
-                    Ok(true)
-                })
-                .unwrap();
-            assert_eq!(flat, seen);
-            assert_eq!(stats, SigmaPruneStats::default());
-        }
-        // Both kinds of leaf occur.
-        assert!(empty.iter().all(|&n| n > 0), "{empty:?}");
+    #[should_panic(expected = "empty examined interval")]
+    fn empty_examined_interval_is_rejected() {
+        let intervals = vec![(3600, 4000)];
+        let tau = Rat::new(4000, 1);
+        let ranges = vec![ShiftRange::at(3600, 4000, tau)];
+        SigmaWalk::new(&ranges, &intervals, tau, Some(tau), true);
     }
 
     #[test]

@@ -75,7 +75,7 @@ struct Hull {
 
 /// Runs the tier and attaches its [`SkewReport`] (and LP kernel counters)
 /// to `report`. Deterministic in `(view, opts, report.bound_exact)`, so
-/// every slicing and thread count produces the identical attachment.
+/// every slicing produces the identical attachment.
 pub(crate) fn run_tier(
     view: &FsmView<'_>,
     opts: &MctOptions,
@@ -247,7 +247,6 @@ pub(crate) fn run_tier(
 fn sub_opts(opts: &MctOptions) -> MctOptions {
     MctOptions {
         skew: false,
-        num_threads: 1,
         exhaustive_floor: None,
         time_budget_ms: None,
         ..opts.clone()

@@ -1,5 +1,5 @@
 //! The sweep engine behind [`crate::MctAnalyzer`]: every analysis runs
-//! sliced into cones of influence through one candidate pool.
+//! sliced into cones of influence through one sequential sweep loop.
 //!
 //! # Architecture
 //!
@@ -22,25 +22,22 @@
 //!    set, which is exactly the frontier restriction its decisions need.
 //!    Each cone steps through one [`Image`]; a layer product first runs
 //!    every cone to ρ closure and imports each distinct layer once.
-//! 3. **Sweep.** Work items are (candidate, Φ-window) pairs claimed from a
-//!    shared counter ([`plan_items`]); one thread runs the same loop on the
-//!    calling thread. For each gated σ every cone answers its projection
-//!    `σ|c` from the first source that has it — its seed, a per-cone memo
-//!    shared by all workers, or the worker's own lazily built environment
-//!    for that cone (the BDD managers are single-threaded by design) — and
-//!    [`ConeMeta::in_parent`] / [`Engine::merge_exact`] recombine the
-//!    answers. A repeated σ repeats its projection in every cone, so the
-//!    cone memos answer it. An environment decides `C_x` sink by sink
-//!    ([`DecisionContext::walk`]) through its [`SinkCursor`]: each check is
-//!    first asked of the sink's record at its projection of σ, shared by
-//!    all workers, and a sink is extracted only for a check no record
-//!    holds; the cursor carries each sink's projection, record snapshot and
-//!    function from one σ to the next.
-//! 4. **Reconcile.** A candidate's windows merge in window order
-//!    ([`merge_chunks`]), and [`reconcile`] replays candidates in strict
-//!    descending-τ order, reconstructing the exact report of a sequential
-//!    sweep; speculative work past the first terminal event is discarded.
-//! 5. **Harvest.** Seeded runs return a [`ConeCacheEntry`] for each cone
+//! 3. **Sweep.** One loop on the calling thread walks the plan in
+//!    descending τ ([`Engine::sweep`]), gates each σ of the candidate's Φ
+//!    walk, decides it, and writes the report as it goes; it stops after
+//!    the first failing candidate unless the floor is exhaustive. For each
+//!    gated σ every cone answers its projection `σ|c` from the first source
+//!    that has it — its seed, its memo, or its lazily built environment
+//!    (the reachability manager itself, when this run computed the cone's
+//!    reachable set) — and [`ConeMeta::in_parent`] /
+//!    [`Engine::merge_exact`] recombine the answers. A repeated σ repeats
+//!    its projection in every cone, so the cone memos answer it. An
+//!    environment decides `C_x` sink by sink ([`DecisionContext::walk`])
+//!    through its [`SinkCursor`]: each check is first asked of the sink's
+//!    record at its projection of σ, and a sink is extracted only for a
+//!    check no record holds; the cursor carries each sink's projection,
+//!    record snapshot and function from one σ to the next.
+//! 4. **Harvest.** Seeded runs return a [`ConeCacheEntry`] for each cone
 //!    that did new work: its seed, plus its fresh memo outcomes, plus its
 //!    layers.
 //!
@@ -67,7 +64,7 @@
 //!   and replays any depth.
 
 use crate::analyzer::{
-    lp_max_tau, skewed_k_min, validate_skew_holds, MctOptions, MctReport, SigmaStrategy,
+    lp_max_tau, skewed_k_min, validate_skew_holds, LpTau, MctOptions, MctReport, SigmaStrategy,
     ValidityRegion, VarOrder,
 };
 use crate::artifact::{ConeCacheEntry, ExactPart};
@@ -77,7 +74,7 @@ use crate::decision::{
 };
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
-use crate::sigma::{ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk, TauRange};
+use crate::sigma::{ShiftRange, SigmaIter, SigmaPruneStats, SigmaWalk};
 use mct_bdd::{Bdd, BddManager, BddStats, Var};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
@@ -87,8 +84,6 @@ use mct_tbf::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What a seeded run produced beyond the report: replay accounting and
@@ -106,7 +101,7 @@ pub struct DecomposeArtifacts {
     pub entries: Vec<Option<ConeCacheEntry>>,
 }
 
-/// Immutable inputs of one sweep, shared by every worker.
+/// Immutable inputs of one sweep.
 struct SweepShared {
     /// Delay classes of the whole machine (one per `(leaf, delay)` pair).
     classes: Vec<DelayClass>,
@@ -115,12 +110,6 @@ struct SweepShared {
     /// The steady-state delay `L` in milli-units.
     l_millis: i64,
     opts: MctOptions,
-}
-
-impl SweepShared {
-    fn early_exit(&self) -> bool {
-        self.opts.exhaustive_floor.is_none()
-    }
 }
 
 /// One candidate period of the plan.
@@ -169,92 +158,12 @@ fn plan(bp_delays: &[i64], floor: Rat, shared: &SweepShared) -> SweepPlan {
     }
 }
 
-/// What happened to one planned candidate.
-enum CandState {
-    /// Never evaluated (beyond the stop index); the reconciler must not
-    /// reach it.
-    Pending,
-    Done(CandidateEval),
-    /// Evaluation failed (σ explosion, an extraction error, or an exact
-    /// product over budget).
-    Failed(MctError),
-    /// The wall-clock deadline expired before this candidate ran.
-    DeadlineHit,
-}
-
-/// The result of evaluating the feasible shift combinations of one
-/// candidate (or one window of them).
-#[derive(Default)]
-struct CandidateEval {
-    /// Feasible shift vectors in enumeration order (the reconciler
-    /// reconstructs the τ-ordered cache-hit count from these).
-    sigmas: Vec<Vec<i64>>,
-    /// Outcome of the first invalid σ in enumeration order, if any.
-    first_invalid: Option<DecisionOutcome>,
-    /// The sup of the feasible τ range of each failing σ.
-    failing_sups: Vec<Rat>,
-}
-
-/// The sweep's diagnostics, counted by every worker. Which worker answers
-/// what depends on scheduling, so only single-thread counts repeat.
-#[derive(Default)]
-struct SweepCounters {
-    /// Cone decisions answered by a seed or a cone memo instead of a walk
-    /// (`mvec_memo_hits`).
-    memo_hits: AtomicU64,
-    /// Φ subtrees cut by the pruned walk (`sigma_pruned_subtrees`).
-    pruned_subtrees: AtomicU64,
-    /// Combinations contained in the cut subtrees (`sigma_pruned`).
-    pruned_combos: AtomicU64,
-    /// Sinks a walk visited without making a fresh comparison: every check
-    /// was answered by the sink's record (`sigma_reused`).
-    reused: AtomicU64,
-}
-
-impl SweepCounters {
-    /// Writes the diagnostics into `kernel`.
-    fn diagnostics(&self, kernel: &mut BddStats) {
-        kernel.mvec_memo_hits = self.memo_hits.load(Ordering::Relaxed);
-        kernel.sigma_pruned_subtrees = self.pruned_subtrees.load(Ordering::Relaxed);
-        kernel.sigma_pruned = self.pruned_combos.load(Ordering::Relaxed);
-        kernel.sigma_reused = self.reused.load(Ordering::Relaxed);
-    }
-}
-
 /// A shift combination that survived feasibility gating: the closed-form
-/// range sup and (when LP path coupling is on) the LP sup.
+/// range sup and (when LP path coupling is on and the LP found it) the LP
+/// sup.
 struct SigmaGate {
     hi: Option<Rat>,
     lp_sup: Option<f64>,
-}
-
-/// Applies the feasibility gates to one σ of one candidate: its
-/// independent-interval closed-form τ range, which the Φ walk carries to
-/// the leaf, must be non-empty, and then (optionally) the path-coupled LP
-/// must be feasible. Returns `None` when the combination is infeasible.
-fn gate_sigma(
-    shared: &SweepShared,
-    cand: &PlannedCandidate,
-    sigma: &[i64],
-    (lo, hi): TauRange,
-) -> Option<SigmaGate> {
-    if hi.is_some_and(|h| lo >= h) {
-        return None;
-    }
-    let lp_sup = if shared.opts.path_coupled_lp {
-        // Path coupling proving infeasibility gates the σ out entirely.
-        Some(lp_max_tau(
-            &shared.classes,
-            sigma,
-            shared.opts.delay_variation,
-            shared.l_millis,
-            cand.tau,
-            cand.prev,
-        )?)
-    } else {
-        None
-    };
-    Some(SigmaGate { hi, lp_sup })
 }
 
 /// The sup of the feasible τ range of a failing σ: the closed form,
@@ -270,25 +179,22 @@ fn failing_sup(shared: &SweepShared, cand: &PlannedCandidate, gate: &SigmaGate) 
     }
 }
 
-/// The full-Φ window: every ordinal of the candidate's enumeration.
-const FULL_WINDOW: (u128, u128) = (0, u128::MAX);
-
 /// Callback of [`for_each_gated`]: one surviving combination and its gate.
 type GatedVisitor<'a> = &'a mut dyn FnMut(&[i64], &SigmaGate) -> Result<(), MctError>;
 
-/// Enumerates the *gated* (feasible) shift combinations of one candidate
-/// window in flat-odometer order, through the strategy selected by
-/// [`MctOptions::sigma`]: [`SigmaStrategy::Flat`] walks every combination
-/// and gates each afterwards; [`SigmaStrategy::Pruned`] walks the prefix
-/// tree of [`SigmaWalk`], cutting subtrees whose partial-assignment τ bound
-/// (or, with LP path coupling, whose assigned-suffix LP relaxation) is
-/// already empty. Both visit exactly the surviving σ in exactly the flat
-/// order, so everything downstream is byte-identical; pruning changes only
-/// work, witnessed by `stats`.
+/// Enumerates the *gated* (feasible) shift combinations of one candidate in
+/// flat-odometer order, through the strategy selected by
+/// [`MctOptions::sigma`]. Every σ of `Φ(τ)` satisfies the closed form on the
+/// examined interval, so only path coupling gates: with
+/// [`MctOptions::path_coupled_lp`] each σ must have a feasible LP, and
+/// [`SigmaStrategy::Pruned`] also cuts the subtrees of [`SigmaWalk`] whose
+/// assigned-suffix LP relaxation is infeasible, while
+/// [`SigmaStrategy::Flat`] walks every combination. Both visit exactly the
+/// surviving σ in exactly the flat order, so everything downstream is
+/// byte-identical; pruning changes only work, witnessed by `stats`.
 fn for_each_gated(
     shared: &SweepShared,
     cand: &PlannedCandidate,
-    window: (u128, u128),
     stats: &mut SigmaPruneStats,
     visit: GatedVisitor<'_>,
 ) -> Result<(), MctError> {
@@ -298,196 +204,34 @@ fn for_each_gated(
         .map(|&(lo, hi)| ShiftRange::at(lo, hi, cand.tau))
         .collect();
     let prune = shared.opts.sigma == SigmaStrategy::Pruned;
-    let walk = SigmaWalk::new(&ranges, &shared.intervals, cand.tau, cand.prev, prune)
-        .window(window.0, window.1);
+    let walk = SigmaWalk::new(&ranges, &shared.intervals, cand.tau, cand.prev, prune);
     let lp = shared.opts.path_coupled_lp;
-    let mut subtree_infeasible = |partial: &[i64], j: usize| {
-        lp && lp_max_tau(
-            &shared.classes[j..],
-            partial,
+    let lp_tau = |classes: &[DelayClass], sigma: &[i64]| {
+        lp_max_tau(
+            classes,
+            sigma,
             shared.opts.delay_variation,
             shared.l_millis,
             cand.tau,
             cand.prev,
         )
-        .is_none()
     };
-    let mut gated = |sigma: &[i64], bound: TauRange| match gate_sigma(shared, cand, sigma, bound) {
-        None => Ok(true),
-        Some(gate) => visit(sigma, &gate).map(|()| true),
+    let mut subtree_infeasible = |partial: &[i64], j: usize| {
+        lp && lp_tau(&shared.classes[j..], partial) == LpTau::Infeasible
     };
-    walk.run(stats, &mut subtree_infeasible, &mut gated)?;
-    Ok(())
-}
-
-/// One unit of pool work: an ordinal window of one candidate's Φ tree.
-/// Small candidates are one full-window item; large ones split into
-/// contiguous windows so several workers advance one candidate together.
-struct WorkItem {
-    /// Candidate index in the plan.
-    cand: usize,
-    /// Ordinal window `[start, end)` of the candidate's enumeration.
-    window: (u128, u128),
-}
-
-/// Don't split a candidate below this many combinations — windows smaller
-/// than this are dominated by per-chunk overhead (cache warm-up, dispatch).
-const SPLIT_MIN: u128 = 256;
-
-/// Builds the dispatch list: items ordered by (candidate, window start), so
-/// chunk results concatenate back into flat enumeration order.
-fn plan_items(shared: &SweepShared, sweep: &SweepPlan, threads: usize) -> Vec<WorkItem> {
-    let mut items = Vec::new();
-    for (cand, planned) in sweep.candidates.iter().enumerate() {
-        let combos = planned.combos;
-        let splittable = threads > 1
-            && combos >= SPLIT_MIN
-            // An exploding candidate must surface as ONE SigmaExplosion.
-            && combos <= shared.opts.max_sigma_combos as u128;
-        let chunks = if splittable {
-            combos.min(4 * threads as u128)
-        } else {
-            1
+    walk.run(stats, &mut subtree_infeasible, &mut |sigma, hi| {
+        let lp_sup = match lp.then(|| lp_tau(&shared.classes, sigma)) {
+            // Path coupling proving infeasibility gates the σ out entirely.
+            Some(LpTau::Infeasible) => return Ok(()),
+            Some(LpTau::Sup(v)) => Some(v),
+            Some(LpTau::Unknown) | None => None,
         };
-        for k in 0..chunks {
-            items.push(WorkItem {
-                cand,
-                window: if chunks == 1 {
-                    FULL_WINDOW
-                } else {
-                    (combos * k / chunks, combos * (k + 1) / chunks)
-                },
-            });
-        }
-    }
-    items
-}
-
-/// The cross-worker coordination state of one pool run: the item dispatch
-/// counter, the (shrink-only, candidate-granular) stop index, and the
-/// deadline.
-struct PoolControl {
-    next: AtomicUsize,
-    stop_at: AtomicUsize,
-    deadline: Option<Instant>,
+        visit(sigma, &SigmaGate { hi, lp_sup })
+    })
 }
 
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() > d)
-}
-
-/// Reassembles one candidate from its chunk outcomes (in window order).
-///
-/// A terminal chunk (error or deadline) publishes the stop index *at* its
-/// own candidate, and workers only skip items strictly past the stop index
-/// — so every chunk of a candidate at or before the stop is recorded, and
-/// an unrecorded chunk can only belong to a candidate past the effective
-/// sweep (merged to `Pending`, which the reconciler never reaches).
-fn merge_chunks(chunks: Vec<Option<CandState>>) -> CandState {
-    let mut merged = CandidateEval::default();
-    let (mut deadline, mut pending) = (false, false);
-    for chunk in chunks {
-        match chunk {
-            Some(CandState::Failed(e)) => return CandState::Failed(e),
-            Some(CandState::DeadlineHit) => deadline = true,
-            Some(CandState::Done(eval)) => {
-                // Windows are disjoint and ordered, so concatenation *is*
-                // the flat enumeration order.
-                if merged.first_invalid.is_none() {
-                    merged.first_invalid = eval.first_invalid;
-                }
-                merged.sigmas.extend(eval.sigmas);
-                merged.failing_sups.extend(eval.failing_sups);
-            }
-            None | Some(CandState::Pending) => pending = true,
-        }
-    }
-    if deadline {
-        CandState::DeadlineHit
-    } else if pending {
-        CandState::Pending
-    } else {
-        CandState::Done(merged)
-    }
-}
-
-/// Replays per-candidate outcomes in descending-τ order, producing the
-/// exact report of a sequential sweep. Stops at the first terminal state
-/// (deadline, error, or — without an exhaustive floor — the candidate after
-/// the first failure).
-fn reconcile(
-    shared: &SweepShared,
-    sweep: &SweepPlan,
-    states: Vec<CandState>,
-    report: &mut MctReport,
-) -> Result<(), MctError> {
-    let mut seen: HashSet<Vec<i64>> = HashSet::new();
-    let mut prev_tau: Option<Rat> = None;
-    let mut smallest_examined: Option<Rat> = None;
-    let mut found_failure = false;
-    let mut completed = true;
-    for (cand, state) in sweep.candidates.iter().zip(states) {
-        match state {
-            CandState::Pending => {
-                completed = false;
-                break;
-            }
-            CandState::DeadlineHit => {
-                report.candidates_checked += 1;
-                report.timed_out = true;
-                completed = false;
-                break;
-            }
-            CandState::Failed(e) => return Err(e),
-            CandState::Done(eval) => {
-                report.candidates_checked += 1;
-                for sigma in eval.sigmas {
-                    report.sigma_checked += 1;
-                    if !seen.insert(sigma) {
-                        report.sigma_cache_hits += 1;
-                    }
-                }
-                let region_valid = eval.failing_sups.is_empty();
-                report.regions.push(ValidityRegion {
-                    tau_lo: cand.tau.as_f64() / 1000.0,
-                    tau_hi: prev_tau.map_or(f64::INFINITY, |p| p.as_f64() / 1000.0),
-                    valid: region_valid,
-                });
-                if !region_valid && !found_failure {
-                    found_failure = true;
-                    let bound = eval
-                        .failing_sups
-                        .iter()
-                        .copied()
-                        .fold(eval.failing_sups[0], Rat::max);
-                    report.bound_exact = bound;
-                    report.mct_upper_bound = bound.as_f64() / 1000.0;
-                    report.first_failing_tau = Some(cand.tau.as_f64() / 1000.0);
-                    report.failure = eval.first_invalid;
-                    if shared.early_exit() {
-                        return Ok(());
-                    }
-                }
-                prev_tau = Some(cand.tau);
-                smallest_examined = Some(cand.tau);
-            }
-        }
-    }
-    if completed && sweep.overflowed {
-        // The sequential loop counts the (max_candidates + 1)-th breakpoint
-        // before noticing the budget is spent.
-        report.candidates_checked += 1;
-    }
-    if !found_failure {
-        // Every examined period was valid: the certified bound is the
-        // smallest period checked. When nothing was certified the sound
-        // claim is the steady machine's: every shift is 1 above L.
-        report.exhausted = true;
-        let bound = smallest_examined.unwrap_or(Rat::new(shared.l_millis, 1));
-        report.bound_exact = bound;
-        report.mct_upper_bound = bound.as_f64() / 1000.0;
-    }
-    Ok(())
 }
 
 // ------------------------------------------------------------------ cones
@@ -585,35 +329,35 @@ impl ConeMeta<'_> {
     }
 }
 
-/// Fresh per-cone answers, shared by every worker: the cone verdicts,
-/// harvested into the cone's next entry, and the per-sink decision records,
-/// which live only as long as the run.
+/// Fresh per-cone answers: the cone verdicts, harvested into the cone's
+/// next entry, and the per-sink decision records, which live only as long
+/// as the run.
 struct ConeMemo {
-    cx: Mutex<HashMap<(Vec<i64>, i64), DecisionOutcome>>,
-    exact: Mutex<HashMap<Vec<i64>, ExactPart>>,
+    cx: HashMap<(Vec<i64>, i64), DecisionOutcome>,
+    exact: HashMap<Vec<i64>, ExactPart>,
     /// Per sink: its record at every projection decided so far.
-    records: Vec<Mutex<HashMap<Vec<i64>, SinkRecord>>>,
+    records: Vec<HashMap<Vec<i64>, SinkRecord>>,
 }
 
 impl ConeMemo {
     fn new(sinks: usize) -> Self {
         ConeMemo {
-            cx: Mutex::default(),
-            exact: Mutex::default(),
-            records: (0..sinks).map(|_| Mutex::default()).collect(),
+            cx: HashMap::new(),
+            exact: HashMap::new(),
+            records: vec![HashMap::new(); sinks],
         }
     }
 }
 
-/// One sink of a cone on one worker, carried from one σ to the next.
+/// One sink of a cone, carried from one σ to the next.
 #[derive(Default)]
 struct CarriedSink {
     /// The sink's projection at the last σ that visited it.
     key: Vec<i64>,
-    /// A snapshot of the sink's shared record at `key`.
+    /// A copy of the sink's record at `key`.
     record: SinkRecord,
-    /// The sink's function at `key`, once extracted. Dropped at every item
-    /// boundary, before any collection.
+    /// The sink's function at `key`, once extracted. Dropped at every
+    /// candidate boundary, before any collection.
     function: Option<Bdd>,
     /// The last walk that visited the sink.
     visited: u64,
@@ -621,13 +365,11 @@ struct CarriedSink {
     compared: u64,
 }
 
-/// A cone's sinks on one worker. Consecutive σ mostly share a sink's
-/// projection, so the cursor keeps each sink's projection, record snapshot
-/// and function between walks, and re-reads the shared record only when a
-/// σ moves the sink to another projection. A snapshot can miss verdicts
-/// that other workers added since; that costs at most a recomputation,
-/// because a record only gains verdicts and each verdict is a property of
-/// (sink, projection, check).
+/// A cone's sinks. Consecutive σ mostly share a sink's projection, so the
+/// cursor keeps each sink's projection, record snapshot and function
+/// between walks, and reads the record map only when a σ moves the sink to
+/// another projection. Every verdict goes to both the snapshot and the
+/// map, so the two never disagree.
 #[derive(Default)]
 struct SinkCursor {
     sinks: Vec<CarriedSink>,
@@ -638,11 +380,11 @@ struct SinkCursor {
 }
 
 /// One walk through a [`SinkCursor`]: σ's projection onto the cone, and the
-/// cone's shared records.
+/// cone's records.
 struct CursorWalk<'a, 'v> {
     cursor: &'a mut SinkCursor,
     meta: &'a ConeMeta<'v>,
-    memo: &'a ConeMemo,
+    records: &'a mut [HashMap<Vec<i64>, SinkRecord>],
     sub: &'a [i64],
 }
 
@@ -660,9 +402,8 @@ impl SinkVerdicts for CursorWalk<'_, '_> {
                 sink.key.clear();
                 sink.key.extend(key);
                 sink.function = None;
-                let records = self.memo.records[s].lock().expect("sink records");
-                match records.get(sink.key.as_slice()) {
-                    Some(shared) => sink.record.clone_from(shared),
+                match self.records[s].get(sink.key.as_slice()) {
+                    Some(stored) => sink.record.clone_from(stored),
                     None => sink.record.clone_from(&SinkRecord::default()),
                 }
             }
@@ -705,11 +446,10 @@ impl SinkVerdicts for CursorWalk<'_, '_> {
             cursor.reused -= 1;
         }
         sink.record.note(check, equal);
-        let mut records = self.memo.records[s].lock().expect("sink records");
-        match records.get_mut(sink.key.as_slice()) {
-            Some(shared) => shared.note(check, equal),
+        match self.records[s].get_mut(sink.key.as_slice()) {
+            Some(stored) => stored.note(check, equal),
             None => {
-                records.insert(sink.key.clone(), sink.record.clone());
+                self.records[s].insert(sink.key.clone(), sink.record.clone());
             }
         }
     }
@@ -870,35 +610,20 @@ enum ConeReach<'s> {
     Free,
     /// Replayed from the cone's seed.
     Seed(&'s ConeCacheEntry),
-    /// Computed by this run.
+    /// Computed by this run; the sweep decides in its manager.
     Fresh(Box<FreshCone>),
-    /// Computed by this run and already turned into the single worker's
-    /// environment.
-    Promoted,
-}
-
-impl ConeReach<'_> {
-    /// The reachable set, with the manager and table that own it.
-    fn set(&self) -> Option<(&BddManager, &TimedVarTable, Bdd)> {
-        match self {
-            ConeReach::Free => None,
-            ConeReach::Seed(s) => Some((&s.manager, &s.table, s.reach?)),
-            ConeReach::Fresh(fc) => Some((&fc.manager, &fc.table, fc.reach)),
-            ConeReach::Promoted => unreachable!("promoted cones already have an environment"),
-        }
-    }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Collection threshold forced onto every environment built on this
-    /// thread (tests of the candidate-boundary collection).
+    /// Collection threshold forced onto every environment (tests of the
+    /// candidate-boundary collection).
     pub(crate) static TEST_GC_THRESHOLD: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
-    /// Sinks extracted by sink-by-sink decisions on this thread.
+    /// Sinks extracted by sink-by-sink decisions.
     pub(crate) static TEST_SINK_EXTRACTIONS: std::cell::Cell<u64> =
         const { std::cell::Cell::new(0) };
-    /// Every `(cone, sink, projection, depth)` decided on this thread.
+    /// Every `(cone, sink, projection, depth)` decided.
     pub(crate) static TEST_SINK_KEYS: std::cell::RefCell<HashSet<SinkKey>> =
         std::cell::RefCell::default();
 }
@@ -907,9 +632,9 @@ thread_local! {
 #[cfg(test)]
 type SinkKey = (usize, usize, Vec<i64>, i64);
 
-/// A cone's symbolic environment on one worker: a private manager and
-/// table, the steady machine and frontier restriction, and the steady rows
-/// and sink cursor of its sink-by-sink decisions.
+/// A cone's symbolic environment: a private manager and table, the steady
+/// machine and frontier restriction, and the steady rows and sink cursor of
+/// its sink-by-sink decisions.
 struct ConeEnv<'v> {
     manager: BddManager,
     table: TimedVarTable,
@@ -919,11 +644,12 @@ struct ConeEnv<'v> {
 }
 
 impl<'v> ConeEnv<'v> {
-    /// Builds an environment, importing the cone's reachable set — a linear
-    /// transfer walk, not a repeat of the image fixpoint.
+    /// Builds an environment, importing the reachable set of the cone's
+    /// seed, if any — a linear transfer walk, not a repeat of the image
+    /// fixpoint.
     fn build(
         meta: &ConeMeta<'v>,
-        reach: &ConeReach<'_>,
+        seed: Option<&ConeCacheEntry>,
         opts: &MctOptions,
         order_hint: i64,
     ) -> Result<Self, MctError> {
@@ -933,8 +659,15 @@ impl<'v> ConeEnv<'v> {
             StaticOrder::compute(meta.extractor.view(), order_hint).apply(&mut table);
         }
         let mut ctx = DecisionContext::new(&meta.extractor, &mut manager, &mut table)?;
-        if let Some((m, t, set)) = reach.set() {
-            ctx = ctx.with_restriction(transfer_bdd(m, t, set, &mut manager, &mut table)?);
+        if let Some(s) = seed {
+            let set = s.reach.expect("restricting seeds carry a reach set");
+            ctx = ctx.with_restriction(transfer_bdd(
+                &s.manager,
+                &s.table,
+                set,
+                &mut manager,
+                &mut table,
+            )?);
         }
         Ok(Self::finish(meta, manager, table, ctx))
     }
@@ -986,7 +719,7 @@ impl<'v> ConeEnv<'v> {
     fn walk(
         &mut self,
         meta: &ConeMeta<'v>,
-        memo: &ConeMemo,
+        records: &mut [HashMap<Vec<i64>, SinkRecord>],
         sub: &[i64],
         m: i64,
     ) -> Result<(DecisionOutcome, u64), MctError> {
@@ -996,7 +729,7 @@ impl<'v> ConeEnv<'v> {
         let mut sinks = CursorWalk {
             cursor,
             meta,
-            memo,
+            records,
             sub,
         };
         let o = self.ctx.walk(
@@ -1009,10 +742,11 @@ impl<'v> ConeEnv<'v> {
         Ok((o, self.cursor.reused))
     }
 
-    /// Item-boundary maintenance: drop the carried sink functions, then
-    /// collect and compact. Per-σ machines are gone by now and the records,
-    /// snapshots and memoized verdicts hold no handles, so the context plus
-    /// the steady rows enumerate every live handle of this manager.
+    /// Candidate-boundary maintenance: drop the carried sink functions,
+    /// then collect and compact. Per-σ machines are gone by now and the
+    /// records, snapshots and memoized verdicts hold no handles, so the
+    /// context plus the steady rows enumerate every live handle of this
+    /// manager.
     fn settle(&mut self) {
         for sink in &mut self.cursor.sinks {
             sink.function = None;
@@ -1030,209 +764,160 @@ impl<'v> ConeEnv<'v> {
     }
 }
 
-/// One worker's private state: its lazily built cone environments and the
-/// key its σ decisions project into.
-struct Worker<'v> {
+/// The sweep's mutable state: each cone's lazily built environment and
+/// memo, the key σ decisions project into, and the diagnostics.
+struct SweepState<'v> {
     envs: Vec<Option<ConeEnv<'v>>>,
+    memos: Vec<ConeMemo>,
     /// The current cone projection `σ|c` and global depth `m`: the cone
     /// memo's key, borrowed for lookups and cloned only when a miss inserts
     /// it.
     key: (Vec<i64>, i64),
+    /// Cone decisions answered by a seed or a cone memo instead of a walk
+    /// (`mvec_memo_hits`).
+    memo_hits: u64,
+    /// Sinks a walk visited without making a fresh comparison: every check
+    /// was answered by the sink's record (`sigma_reused`).
+    reused: u64,
+    /// Φ subtrees cut by the pruned walk and the combinations they held
+    /// (`sigma_pruned_subtrees`, `sigma_pruned`).
+    pruned: SigmaPruneStats,
 }
 
-/// Everything one worker brings back.
-struct WorkerOut {
-    states: Vec<(usize, CandState)>,
-    kernel: BddStats,
-    /// Which cones this worker built an environment for.
-    built: Vec<bool>,
+impl SweepState<'_> {
+    /// Writes the kernel counters of every environment and the sweep's
+    /// diagnostics into `kernel`.
+    fn finish(&self, kernel: &mut BddStats) {
+        for env in self.envs.iter().flatten() {
+            kernel.absorb(&env.manager.stats());
+        }
+        kernel.mvec_memo_hits = self.memo_hits;
+        kernel.sigma_pruned_subtrees = self.pruned.subtrees;
+        kernel.sigma_pruned = self.pruned.combos;
+        kernel.sigma_reused = self.reused;
+    }
 }
 
-/// The shared, read-only state of the candidate pool.
+/// The read-only inputs of the sweep loop.
 struct Engine<'a, 'v> {
     shared: &'a SweepShared,
-    sweep: &'a SweepPlan,
     cones: &'a [ConeMeta<'v>],
     seeds: &'a [Option<&'a ConeCacheEntry>],
-    reach: &'a [ConeReach<'a>],
-    memos: &'a [ConeMemo],
-    counters: SweepCounters,
+    /// Per cone, the seed whose reachable set restricts a fresh
+    /// environment. Cones whose reachable set this run computed already
+    /// have their environment.
+    restrict: &'a [Option<&'a ConeCacheEntry>],
     order_hint: i64,
     parent_ns: usize,
     parent_np: usize,
 }
 
 impl<'v> Engine<'_, 'v> {
-    /// Runs the item loop on `threads` workers (on the calling thread when
-    /// there is one), merging chunk results back per candidate.
-    fn run_pool(
+    /// Walks the plan in descending τ, gating and deciding every σ, and
+    /// writes the report as it goes. Stops after the first failing
+    /// candidate unless the floor is exhaustive, and at the deadline; a
+    /// report already marked `timed_out` (the deadline expired inside the
+    /// reachability fixpoint) stops at the first candidate.
+    fn sweep(
         &self,
-        threads: usize,
-        envs: Vec<Option<ConeEnv<'v>>>,
+        st: &mut SweepState<'v>,
+        plan: &SweepPlan,
         deadline: Option<Instant>,
-    ) -> (Vec<CandState>, BddStats, Vec<bool>) {
-        let items = plan_items(self.shared, self.sweep, threads);
-        let control = PoolControl {
-            next: AtomicUsize::new(0),
-            stop_at: AtomicUsize::new(usize::MAX),
-            deadline,
-        };
-        let outs: Vec<WorkerOut> = if threads <= 1 {
-            vec![self.work(&items, &control, envs)]
-        } else {
-            #[cfg(test)]
-            let gc_threshold = TEST_GC_THRESHOLD.get();
-            let (items, control) = (&items, &control);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let envs = self.cones.iter().map(|_| None).collect();
-                        scope.spawn(move || {
-                            #[cfg(test)]
-                            TEST_GC_THRESHOLD.set(gc_threshold);
-                            self.work(items, control, envs)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            })
-        };
-        let mut slots: Vec<Option<CandState>> = items.iter().map(|_| None).collect();
-        let mut kernel = BddStats::default();
-        let mut built = vec![false; self.cones.len()];
-        for out in outs {
-            kernel.absorb(&out.kernel);
-            for (b, w) in built.iter_mut().zip(out.built) {
-                *b |= w;
-            }
-            for (index, state) in out.states {
-                slots[index] = Some(state);
-            }
-        }
-        // Regroup the chunk results per candidate, in window order.
-        let mut states = Vec::with_capacity(self.sweep.candidates.len());
-        let mut slots = slots.into_iter().zip(&items).peekable();
-        for cand in 0..self.sweep.candidates.len() {
-            let mut chunks = Vec::new();
-            while slots.peek().is_some_and(|(_, item)| item.cand == cand) {
-                chunks.push(slots.next().expect("peeked").0);
-            }
-            states.push(merge_chunks(chunks));
-        }
-        (states, kernel, built)
-    }
-
-    /// One worker: claim and evaluate items until the list (or the stop
-    /// index) is exhausted. The stop index only shrinks and items are
-    /// candidate-ordered, so a claim past it ends the worker; items *at*
-    /// the stop candidate still run, because its remaining chunks must
-    /// complete for the merge.
-    fn work(
-        &self,
-        items: &[WorkItem],
-        control: &PoolControl,
-        envs: Vec<Option<ConeEnv<'v>>>,
-    ) -> WorkerOut {
-        let mut w = Worker {
-            envs,
-            key: Default::default(),
-        };
-        let mut states = Vec::new();
-        loop {
-            let index = control.next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(index) else { break };
-            if item.cand > control.stop_at.load(Ordering::Acquire) {
+        report: &mut MctReport,
+    ) -> Result<(), MctError> {
+        let opts = &self.shared.opts;
+        let mut seen: HashSet<Vec<i64>> = HashSet::new();
+        let mut failed = false;
+        let mut completed = true;
+        let mut smallest_examined: Option<Rat> = None;
+        for cand in &plan.candidates {
+            report.candidates_checked += 1;
+            if report.timed_out || expired(deadline) {
+                report.timed_out = true;
+                completed = false;
                 break;
             }
-            let cand = &self.sweep.candidates[item.cand];
-            let state = if expired(control.deadline) {
-                CandState::DeadlineHit
-            } else if cand.combos > self.shared.opts.max_sigma_combos as u128 {
-                CandState::Failed(MctError::SigmaExplosion {
+            if cand.combos > opts.max_sigma_combos as u128 {
+                return Err(MctError::SigmaExplosion {
                     tau: cand.tau.as_f64() / 1000.0,
-                    cap: self.shared.opts.max_sigma_combos,
-                })
-            } else {
-                let outcome = self.eval_candidate(&mut w, cand, item.window);
-                for env in w.envs.iter_mut().flatten() {
-                    env.settle();
-                }
-                match outcome {
-                    Ok(eval) => CandState::Done(eval),
-                    Err(e) => CandState::Failed(e),
-                }
-            };
-            let terminal = match &state {
-                CandState::Done(eval) => !eval.failing_sups.is_empty() && self.shared.early_exit(),
-                _ => true,
-            };
-            if terminal {
-                control.stop_at.fetch_min(item.cand, Ordering::AcqRel);
+                    cap: opts.max_sigma_combos,
+                });
             }
-            states.push((index, state));
-        }
-        let mut kernel = BddStats::default();
-        for env in w.envs.iter().flatten() {
-            kernel.absorb(&env.manager.stats());
-        }
-        WorkerOut {
-            states,
-            kernel,
-            built: w.envs.iter().map(Option::is_some).collect(),
-        }
-    }
-
-    /// Evaluates one candidate window: enumerate the gated σ and decide
-    /// each.
-    fn eval_candidate(
-        &self,
-        w: &mut Worker<'v>,
-        cand: &PlannedCandidate,
-        window: (u128, u128),
-    ) -> Result<CandidateEval, MctError> {
-        let mut eval = CandidateEval::default();
-        let mut stats = SigmaPruneStats::default();
-        let mut visit = |sigma: &[i64], gate: &SigmaGate| -> Result<(), MctError> {
-            let outcome = self.decide(w, sigma)?;
-            if !outcome.is_valid() {
-                eval.first_invalid.get_or_insert(outcome);
-                eval.failing_sups.push(failing_sup(self.shared, cand, gate));
+            let mut first_invalid = None;
+            let mut sup: Option<Rat> = None;
+            let mut stats = SigmaPruneStats::default();
+            let walked = for_each_gated(self.shared, cand, &mut stats, &mut |sigma, gate| {
+                report.sigma_checked += 1;
+                if seen.contains(sigma) {
+                    report.sigma_cache_hits += 1;
+                } else {
+                    seen.insert(sigma.to_vec());
+                }
+                let outcome = self.decide(st, sigma)?;
+                if !outcome.is_valid() {
+                    first_invalid.get_or_insert(outcome);
+                    let s = failing_sup(self.shared, cand, gate);
+                    sup = Some(sup.map_or(s, |b| b.max(s)));
+                }
+                Ok(())
+            });
+            for env in st.envs.iter_mut().flatten() {
+                env.settle();
             }
-            eval.sigmas.push(sigma.to_vec());
-            Ok(())
-        };
-        for_each_gated(self.shared, cand, window, &mut stats, &mut visit)?;
-        if stats.subtrees > 0 {
-            self.counters
-                .pruned_subtrees
-                .fetch_add(stats.subtrees, Ordering::Relaxed);
-            self.counters
-                .pruned_combos
-                .fetch_add(stats.combos, Ordering::Relaxed);
+            walked?;
+            st.pruned.subtrees += stats.subtrees;
+            st.pruned.combos += stats.combos;
+            report.regions.push(ValidityRegion {
+                tau_lo: cand.tau.as_f64() / 1000.0,
+                tau_hi: cand.prev.map_or(f64::INFINITY, |p| p.as_f64() / 1000.0),
+                valid: sup.is_none(),
+            });
+            if let Some(bound) = sup.filter(|_| !failed) {
+                failed = true;
+                report.bound_exact = bound;
+                report.mct_upper_bound = bound.as_f64() / 1000.0;
+                report.first_failing_tau = Some(cand.tau.as_f64() / 1000.0);
+                report.failure = first_invalid;
+                if opts.exhaustive_floor.is_none() {
+                    return Ok(());
+                }
+            }
+            smallest_examined = Some(cand.tau);
         }
-        Ok(eval)
+        if completed && plan.overflowed {
+            // The loop counts the (max_candidates + 1)-th breakpoint before
+            // noticing the budget is spent.
+            report.candidates_checked += 1;
+        }
+        if !failed {
+            // Every examined period was valid: the certified bound is the
+            // smallest period checked. When nothing was certified the sound
+            // claim is the steady machine's: every shift is 1 above L.
+            report.exhausted = true;
+            let bound = smallest_examined.unwrap_or(Rat::new(self.shared.l_millis, 1));
+            report.bound_exact = bound;
+            report.mct_upper_bound = bound.as_f64() / 1000.0;
+        }
+        Ok(())
     }
 
     /// Decides one gated σ: every cone answers its projection, and the
     /// answers recombine into the whole machine's outcome.
-    fn decide(&self, w: &mut Worker<'v>, sigma: &[i64]) -> Result<DecisionOutcome, MctError> {
+    fn decide(&self, st: &mut SweepState<'v>, sigma: &[i64]) -> Result<DecisionOutcome, MctError> {
         if self.shared.opts.exact_check {
             let parts = (0..self.cones.len())
                 .map(|c| {
-                    self.cones[c].project(sigma, &mut w.key.0);
-                    self.exact_part(c, w)
+                    self.cones[c].project(sigma, &mut st.key.0);
+                    self.exact_part(c, st)
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             return self.merge_exact(&parts);
         }
-        w.key.1 = sigma.iter().copied().max().unwrap_or(1).max(1);
+        st.key.1 = sigma.iter().copied().max().unwrap_or(1).max(1);
         let mut first: Option<((u8, i64, u8, usize), DecisionOutcome)> = None;
         for (c, meta) in self.cones.iter().enumerate() {
-            meta.project(sigma, &mut w.key.0);
-            if let Some(mapped) = meta.in_parent(self.cx_outcome(c, w)?) {
+            meta.project(sigma, &mut st.key.0);
+            if let Some(mapped) = meta.in_parent(self.cx_outcome(c, st)?) {
                 if first.as_ref().is_none_or(|(k, _)| mapped.0 < *k) {
                     first = Some(mapped);
                 }
@@ -1241,7 +926,7 @@ impl<'v> Engine<'_, 'v> {
         Ok(first.map_or(DecisionOutcome::Valid, |(_, o)| o))
     }
 
-    /// Cone `c`'s environment on this worker, built on first use.
+    /// Cone `c`'s environment, built on first use.
     fn env<'e>(
         &self,
         c: usize,
@@ -1250,7 +935,7 @@ impl<'v> Engine<'_, 'v> {
         if envs[c].is_none() {
             envs[c] = Some(ConeEnv::build(
                 &self.cones[c],
-                &self.reach[c],
+                self.restrict[c],
                 &self.shared.opts,
                 self.order_hint,
             )?);
@@ -1259,64 +944,46 @@ impl<'v> Engine<'_, 'v> {
     }
 
     /// Cone `c`'s `C_x` verdict at the projection and global induction depth
-    /// in `w.key`, decided sink by sink when neither its seed nor its memo
+    /// in `st.key`, decided sink by sink when neither its seed nor its memo
     /// holds it.
-    fn cx_outcome(&self, c: usize, w: &mut Worker<'v>) -> Result<DecisionOutcome, MctError> {
+    fn cx_outcome(&self, c: usize, st: &mut SweepState<'v>) -> Result<DecisionOutcome, MctError> {
         let known = self.seeds[c]
-            .and_then(|s| s.outcomes_cx.get(&w.key).copied())
-            .or_else(|| {
-                self.memos[c]
-                    .cx
-                    .lock()
-                    .expect("cone memo")
-                    .get(&w.key)
-                    .copied()
-            });
+            .and_then(|s| s.outcomes_cx.get(&st.key).copied())
+            .or_else(|| st.memos[c].cx.get(&st.key).copied());
         if let Some(o) = known {
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+            st.memo_hits += 1;
             return Ok(o);
         }
-        let (sub, m) = (&w.key.0, w.key.1);
+        let (sub, m) = (&st.key.0, st.key.1);
         #[cfg(test)]
         TEST_SINK_KEYS.with_borrow_mut(|keys| {
             for s in 0..self.cones[c].starts.len() {
                 keys.insert((c, s, self.cones[c].sink_key(s, sub).collect(), m));
             }
         });
-        let env = self.env(c, &mut w.envs)?;
-        let (o, reused) = env.walk(&self.cones[c], &self.memos[c], sub, m)?;
-        self.counters.reused.fetch_add(reused, Ordering::Relaxed);
-        self.memos[c]
-            .cx
-            .lock()
-            .expect("cone memo")
-            .insert(w.key.clone(), o);
+        let env = self.env(c, &mut st.envs)?;
+        let (o, reused) = env.walk(&self.cones[c], &mut st.memos[c].records, sub, m)?;
+        st.reused += reused;
+        st.memos[c].cx.insert(st.key.clone(), o);
         Ok(o)
     }
 
-    /// Cone `c`'s exact-check part at the projection in `w.key`: the local
+    /// Cone `c`'s exact-check part at the projection in `st.key`: the local
     /// history depths always, plus the local product-machine verdict when
     /// the local product fits the bit budget.
-    fn exact_part(&self, c: usize, w: &mut Worker<'v>) -> Result<ExactPart, MctError> {
-        let sub = &w.key.0;
+    fn exact_part(&self, c: usize, st: &mut SweepState<'v>) -> Result<ExactPart, MctError> {
+        let sub = &st.key.0;
         let known = self.seeds[c]
             .and_then(|s| s.outcomes_exact.get(sub).copied())
-            .or_else(|| {
-                self.memos[c]
-                    .exact
-                    .lock()
-                    .expect("cone memo")
-                    .get(sub)
-                    .copied()
-            });
+            .or_else(|| st.memos[c].exact.get(sub).copied());
         if let Some(p) = known {
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+            st.memo_hits += 1;
             return Ok(p);
         }
         let meta = &self.cones[c];
         let view = meta.extractor.view();
         let budget = self.shared.opts.max_product_bits;
-        let env = self.env(c, &mut w.envs)?;
+        let env = self.env(c, &mut st.envs)?;
         // The product check does not factor per sink: build the machine.
         let machine = DiscreteMachine::with_shift_fn(
             &meta.extractor,
@@ -1355,11 +1022,7 @@ impl<'v> Engine<'_, 'v> {
             m_input,
             fix,
         };
-        self.memos[c]
-            .exact
-            .lock()
-            .expect("cone memo")
-            .insert(sub.clone(), part);
+        st.memos[c].exact.insert(sub.clone(), part);
         Ok(part)
     }
 
@@ -1615,7 +1278,7 @@ pub(crate) fn run(
         l_millis,
         opts: opts.clone(),
     };
-    let sweep = plan(&bp_delays, floor, &shared);
+    let sweep_plan = plan(&bp_delays, floor, &shared);
 
     // ---- Per-cone views, extractors, and provenance. --------------------
     let parent_ns = view.num_state_bits();
@@ -1661,10 +1324,6 @@ pub(crate) fn run(
     }
 
     // ---- Reachability. ---------------------------------------------------
-    let threads = match opts.num_threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
     let mut reach: Vec<ConeReach<'_>> = (0..total).map(|_| ConeReach::Free).collect();
     let mut reach_done = true;
     if opts.use_reachability && parent_ns > 0 {
@@ -1701,65 +1360,49 @@ pub(crate) fn run(
     }
 
     // ---- Sweep. ------------------------------------------------------------
-    let memos: Vec<ConeMemo> = metas
-        .iter()
-        .map(|m| ConeMemo::new(m.starts.len()))
-        .collect();
-    let mut envs: Vec<Option<ConeEnv<'_>>> = (0..total).map(|_| None).collect();
-    let (states, built) = if reach_done {
-        if threads <= 1 {
-            // The single worker sweeps in the reachability managers.
-            for (c, r) in reach.iter_mut().enumerate() {
-                if let ConeReach::Fresh(_) = r {
-                    let ConeReach::Fresh(fc) = std::mem::replace(r, ConeReach::Promoted) else {
-                        unreachable!("matched above");
-                    };
-                    envs[c] = Some(ConeEnv::promote(&metas[c], *fc)?);
-                }
+    let mut st = SweepState {
+        envs: (0..total).map(|_| None).collect(),
+        memos: metas
+            .iter()
+            .map(|m| ConeMemo::new(m.starts.len()))
+            .collect(),
+        key: Default::default(),
+        memo_hits: 0,
+        reused: 0,
+        pruned: SigmaPruneStats::default(),
+    };
+    let mut restrict: Vec<Option<&ConeCacheEntry>> = vec![None; total];
+    if reach_done {
+        // The sweep decides in the reachability managers.
+        for (c, r) in reach.into_iter().enumerate() {
+            match r {
+                ConeReach::Free => {}
+                ConeReach::Seed(s) => restrict[c] = Some(s),
+                ConeReach::Fresh(fc) => st.envs[c] = Some(ConeEnv::promote(&metas[c], *fc)?),
             }
         }
-        let engine = Engine {
-            shared: &shared,
-            sweep: &sweep,
-            cones: &metas,
-            seeds: &seeds,
-            reach: &reach,
-            memos: &memos,
-            counters: SweepCounters::default(),
-            order_hint,
-            parent_ns,
-            parent_np: view.num_input_bits(),
-        };
-        let (states, kernel, built) = engine.run_pool(threads, envs, deadline);
-        report.kernel.absorb(&kernel);
-        for r in &reach {
-            if let ConeReach::Fresh(fc) = r {
-                report.kernel.absorb(&fc.manager.stats());
-            }
-        }
-        engine.counters.diagnostics(&mut report.kernel);
-        (states, built)
     } else {
         // The deadline expired inside the fixpoint: the same partial report
         // as a deadline at the first candidate, and nothing harvested. The
         // aborted fixpoint's managers go uncounted — how far a wall-clock
         // deadline lets it get is not a property of the circuit, so its
         // kernel counters would only add noise.
-        let states = (0..sweep.candidates.len())
-            .map(|i| {
-                if i == 0 {
-                    CandState::DeadlineHit
-                } else {
-                    CandState::Pending
-                }
-            })
-            .collect();
         report.timed_out = true;
-        (states, vec![false; total])
+    }
+    let engine = Engine {
+        shared: &shared,
+        cones: &metas,
+        seeds: &seeds,
+        restrict: &restrict,
+        order_hint,
+        parent_ns,
+        parent_np: view.num_input_bits(),
     };
-    reconcile(&shared, &sweep, states, &mut report)?;
+    engine.sweep(&mut st, &sweep_plan, deadline, &mut report)?;
+    st.finish(&mut report.kernel);
 
     // ---- Harvest. ----------------------------------------------------------
+    let built: Vec<bool> = st.envs.iter().map(Option::is_some).collect();
     artifacts.cones_replayed = (0..total)
         .filter(|&c| seeds[c].is_some() && !built[c])
         .count();
@@ -1784,13 +1427,9 @@ pub(crate) fn run(
                     .outcomes_exact
                     .extend(s.outcomes_exact.iter().map(|(k, &v)| (k.clone(), v)));
             }
-            let memo = &memos[c];
-            entry
-                .outcomes_cx
-                .extend(std::mem::take(&mut *memo.cx.lock().expect("cone memo")));
-            entry
-                .outcomes_exact
-                .extend(std::mem::take(&mut *memo.exact.lock().expect("cone memo")));
+            let memo = &mut st.memos[c];
+            entry.outcomes_cx.extend(std::mem::take(&mut memo.cx));
+            entry.outcomes_exact.extend(std::mem::take(&mut memo.exact));
             *slot = Some(entry);
         }
     }
@@ -1846,7 +1485,7 @@ mod tests {
         c
     }
 
-    /// Everything except the (scheduling-dependent) kernel diagnostics.
+    /// Everything except the kernel diagnostics.
     fn strip(mut r: MctReport) -> String {
         r.kernel = Default::default();
         format!("{r:?}")
@@ -1856,33 +1495,21 @@ mod tests {
         MctAnalyzer::new(c).unwrap().run(opts)
     }
 
-    /// The sliced production path at {1, 2, 4} threads against the unsliced
-    /// single-thread reference.
+    /// The sliced production path against the unsliced reference.
     fn assert_identity(c: &Circuit, opts: &MctOptions) {
         let reference = run(
             c,
             &MctOptions {
                 decompose: false,
-                num_threads: 1,
                 ..opts.clone()
             },
         )
         .map(strip);
-        for threads in [1usize, 2, 4] {
-            let sliced = run(
-                c,
-                &MctOptions {
-                    num_threads: threads,
-                    ..opts.clone()
-                },
-            )
-            .map(strip);
-            assert_eq!(reference, sliced, "{} at {threads} threads", c.name());
-        }
+        assert_eq!(reference, run(c, opts).map(strip), "{}", c.name());
     }
 
     #[test]
-    fn slicing_and_threads_never_change_the_report() {
+    fn slicing_never_changes_the_report() {
         let variants = [
             MctOptions::fixed_delays(),
             MctOptions::paper(),
@@ -1944,26 +1571,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_means_available_parallelism() {
-        let c = figure2();
-        let opts = MctOptions {
-            exhaustive_floor: Some(1.0),
-            ..MctOptions::paper()
-        };
-        let seq = strip(run(&c, &opts).unwrap());
-        for threads in [0, 8] {
-            let par = run(
-                &c,
-                &MctOptions {
-                    num_threads: threads,
-                    ..opts.clone()
-                },
-            );
-            assert_eq!(seq, strip(par.unwrap()), "{threads} threads");
-        }
-    }
-
-    #[test]
     fn phase_locked_togglers_reach_two_states() {
         // Both togglers flip every cycle from 0, so the global machine
         // visits exactly {00, 11} — NOT the 4-state product of the per-cone
@@ -1984,7 +1591,7 @@ mod tests {
 
     /// With an aggressive collection threshold the arena stays bounded
     /// across the sweep: every candidate's machines are reclaimed at the
-    /// item boundary, leaving only the pinned steady machine and the
+    /// candidate boundary, leaving only the pinned steady machine and the
     /// restriction live.
     #[test]
     fn gc_bounds_arena_between_candidates() {
@@ -2062,13 +1669,10 @@ mod tests {
         assert_identity(&c, &opts);
     }
 
-    /// Carried sink functions never outlive an item boundary. With a
+    /// Carried sink functions never outlive a candidate boundary. With a
     /// collection forced at every boundary, σ-heavy rings report the same
-    /// bytes as without and as the unsliced reference, at one thread and at
-    /// two, and the single worker reuses exactly as many sinks. The 6-stage
-    /// ring's candidates hold at most 64 combinations, so two workers share
-    /// it candidate by candidate; the 8-stage ring at 0.1 steps has
-    /// 256-combination candidates, which two workers split into Φ windows.
+    /// bytes as without and as the unsliced reference, and reuse exactly as
+    /// many sinks.
     #[test]
     fn carried_sink_state_never_outlives_a_collection() {
         let opts = MctOptions {
@@ -2085,40 +1689,22 @@ mod tests {
             )
             .map(strip)
             .unwrap();
-            for threads in [1usize, 2] {
-                carried_state_case(&c, threads, sigmas, &opts, &reference);
-            }
-        }
-    }
-
-    fn carried_state_case(
-        c: &Circuit,
-        threads: usize,
-        sigmas: usize,
-        opts: &MctOptions,
-        reference: &str,
-    ) {
-        let opts = MctOptions {
-            num_threads: threads,
-            ..opts.clone()
-        };
-        let plain = run(c, &opts).unwrap();
-        TEST_GC_THRESHOLD.set(Some(0));
-        let forced = run(c, &opts);
-        TEST_GC_THRESHOLD.set(None);
-        let forced = forced.unwrap();
-        assert_eq!(forced.sigma_checked, sigmas, "{forced:?}");
-        assert!(forced.kernel.gc_runs > 0, "{:?}", forced.kernel);
-        if threads == 1 {
+            let plain = run(&c, &opts).unwrap();
+            TEST_GC_THRESHOLD.set(Some(0));
+            let forced = run(&c, &opts);
+            TEST_GC_THRESHOLD.set(None);
+            let forced = forced.unwrap();
+            assert_eq!(forced.sigma_checked, sigmas, "{forced:?}");
+            assert!(forced.kernel.gc_runs > 0, "{:?}", forced.kernel);
             assert_eq!(
                 forced.kernel.sigma_reused, plain.kernel.sigma_reused,
                 "{:?}",
                 forced.kernel
             );
+            let forced = strip(forced);
+            assert_eq!(forced, strip(plain));
+            assert_eq!(forced, reference);
         }
-        let forced = strip(forced);
-        assert_eq!(forced, strip(plain), "{threads} threads");
-        assert_eq!(forced, reference, "{threads} threads");
     }
 
     /// A three-cone composite: an enabled 3-bit counter, a 3-bit LFSR and
@@ -2182,38 +1768,23 @@ mod tests {
                 &c,
                 &MctOptions {
                     decompose: false,
-                    num_threads: 1,
                     ..opts.clone()
                 },
             )
             .map(strip)
             .unwrap();
-            for threads in [1, 2] {
-                let opts = MctOptions {
-                    num_threads: threads,
-                    ..opts.clone()
-                };
-                let (r1, a1) = MctAnalyzer::new(&c)
-                    .unwrap()
-                    .run_decomposed(&opts, &[])
-                    .unwrap();
-                assert_eq!(a1.cones_total, 3);
-                assert_eq!(
-                    strip(r1),
-                    reference,
-                    "counter_last {counter_last}, {threads} threads"
-                );
-                let (r2, a2) = MctAnalyzer::new(&c)
-                    .unwrap()
-                    .run_decomposed(&opts, &seeds_of(&a1.entries))
-                    .unwrap();
-                assert_eq!(a2.cones_replayed, 3);
-                assert_eq!(
-                    strip(r2),
-                    reference,
-                    "replay, counter_last {counter_last}, {threads} threads"
-                );
-            }
+            let (r1, a1) = MctAnalyzer::new(&c)
+                .unwrap()
+                .run_decomposed(&opts, &[])
+                .unwrap();
+            assert_eq!(a1.cones_total, 3);
+            assert_eq!(strip(r1), reference, "counter_last {counter_last}");
+            let (r2, a2) = MctAnalyzer::new(&c)
+                .unwrap()
+                .run_decomposed(&opts, &seeds_of(&a1.entries))
+                .unwrap();
+            assert_eq!(a2.cones_replayed, 3);
+            assert_eq!(strip(r2), reference, "replay, counter_last {counter_last}");
             // The failing bit is a declaration index: the one field the
             // two declaration orders may report differently.
             let mut r = run(&c, &opts).unwrap();

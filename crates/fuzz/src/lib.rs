@@ -13,7 +13,7 @@
 //!    arithmetic;
 //! 2. [`oracle`] checks each candidate — differential against the
 //!    simulator, metamorphic (rename / permutation / delay scaling /
-//!    order×threads determinism / cache replay), and robustness
+//!    variable-order determinism / cache replay), and robustness
 //!    (serialization round-trips, no panics);
 //! 3. [`shrink`] delta-debugs any failure down to a minimal repro;
 //! 4. [`corpus`] persists repros as timed `.bench` files with JSON

@@ -14,9 +14,8 @@
 //!   renaming signals and permuting leaf declarations preserve the
 //!   content-canonical digest (and renames preserve the report
 //!   byte-for-byte); scaling every delay by `k` scales the exact bound by
-//!   exactly `k`; the answer is bit-identical across variable orders and
-//!   thread counts; a canonical-identity cache replay returns the original
-//!   bytes.
+//!   exactly `k`; the answer is bit-identical across variable orders; a
+//!   canonical-identity cache replay returns the original bytes.
 //! * **robustness** — serialization round-trips: the timed `.bench` corpus
 //!   format reproduces the circuit exactly (both canonical digests), the
 //!   BLIF round-trip preserves sequential behaviour, and the cone entries
@@ -26,12 +25,11 @@
 //!   caught by the runner and reported as robustness failures.
 //! * **decompose** — slicing into cones of influence is a pure
 //!   performance lever: the recombined report must be byte-identical to
-//!   the unsliced reference (the whole circuit as one cone), at one worker
-//!   and with the candidate pool parallelized.
+//!   the unsliced reference (the whole circuit as one cone).
 //! * **sigma** — the pruned variable-delay Φ walk is a pure performance
 //!   lever too: it must visit exactly the feasible subsequence the flat
-//!   odometer examines, so the report is byte-identical across
-//!   {flat, pruned} × thread counts (the CLI pairs this oracle with a
+//!   odometer examines, so the report is byte-identical between the flat
+//!   and the pruned walk (the CLI pairs this oracle with a
 //!   wide-delay generator bias and path-coupled LPs so the pruning bound
 //!   actually engages).
 //! * **skew** — the clock-skew optimization tier can never worsen the
@@ -513,47 +511,35 @@ fn skew_soundness(
 }
 
 /// The decompose oracle: slicing into cones of influence and recombining
-/// must reproduce the unsliced reference (the whole circuit as one cone,
-/// one worker) byte for byte — the production run and the candidate pool
-/// parallelized alike. An engine error on either side is also a failure:
-/// the production analysis already succeeded, and every slicing must
-/// refuse identically.
+/// must reproduce the unsliced reference (the whole circuit as one cone)
+/// byte for byte. An engine error on the reference is also a failure: the
+/// production analysis already succeeded, and every slicing must refuse
+/// identically.
 fn decompose_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Option<Failure> {
     let reference = MctOptions {
         decompose: false,
-        num_threads: 1,
         ..ctx.opts.analysis.clone()
     };
-    let sliced = MctOptions {
-        num_threads: 3,
-        ..ctx.opts.analysis.clone()
-    };
-    let mut reports = vec![("production".to_string(), base_json.to_string())];
-    for (label, opts) in [("unsliced", &reference), ("sliced, threads=3", &sliced)] {
-        ctx.stats.analyses += 1;
-        match analyze(c, opts) {
-            Ok(r) => reports.push((label.into(), report_to_json(&r).to_compact())),
-            Err(e) => {
-                return Some(Failure {
-                    oracle: "decompose",
-                    detail: format!(
-                        "{label} analysis errored where the production run succeeded: {e}"
-                    ),
-                })
-            }
-        }
-    }
-    let (_, unsliced) = &reports[1];
-    for (label, j) in &reports {
-        if j != unsliced {
+    ctx.stats.analyses += 1;
+    let unsliced = match analyze(c, &reference) {
+        Ok(r) => report_to_json(&r).to_compact(),
+        Err(e) => {
             return Some(Failure {
                 oracle: "decompose",
                 detail: format!(
-                    "{label} report differs from the unsliced reference:\n  \
-                     unsliced: {unsliced}\n  {label}: {j}"
+                    "unsliced analysis errored where the production run succeeded: {e}"
                 ),
-            });
+            })
         }
+    };
+    if unsliced != base_json {
+        return Some(Failure {
+            oracle: "decompose",
+            detail: format!(
+                "production report differs from the unsliced reference:\n  \
+                 unsliced: {unsliced}\n  production: {base_json}"
+            ),
+        });
     }
     ctx.stats.decompose_checks += 1;
     None
@@ -561,44 +547,33 @@ fn decompose_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Opti
 
 /// The sigma oracle: the pruned Φ walk visits exactly the LP-feasible
 /// subsequence of the flat odometer, so the report must be byte-identical
-/// across {flat, pruned} × thread counts. The base report is the default
-/// pruned single-thread run; an engine error on any variant is also a
-/// failure — both strategies gate the σ explosion on the *unpruned*
-/// combination count, so they must refuse identically.
+/// between the two. The base report is the default pruned run; an engine
+/// error on the flat run is also a failure — both strategies gate the σ
+/// explosion on the *unpruned* combination count, so they must refuse
+/// identically.
 fn sigma_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Option<Failure> {
-    for (sigma, threads) in [
-        (SigmaStrategy::Flat, 1),
-        (SigmaStrategy::Flat, 4),
-        (SigmaStrategy::Pruned, 4),
-    ] {
-        let opts = MctOptions {
-            sigma,
-            num_threads: threads,
-            ..ctx.opts.analysis.clone()
-        };
-        ctx.stats.analyses += 1;
-        match analyze(c, &opts) {
-            Ok(r) => {
-                let j = report_to_json(&r).to_compact();
-                if j != base_json {
-                    return Some(Failure {
-                        oracle: "sigma",
-                        detail: format!(
-                            "report differs under sigma={sigma:?} threads={threads}:\n  \
-                             base: {base_json}\n  got:  {j}"
-                        ),
-                    });
-                }
-            }
-            Err(e) => {
+    let opts = MctOptions {
+        sigma: SigmaStrategy::Flat,
+        ..ctx.opts.analysis.clone()
+    };
+    ctx.stats.analyses += 1;
+    match analyze(c, &opts) {
+        Ok(r) => {
+            let j = report_to_json(&r).to_compact();
+            if j != base_json {
                 return Some(Failure {
                     oracle: "sigma",
                     detail: format!(
-                        "sigma={sigma:?} analysis errored where the base run succeeded \
-                         (threads={threads}): {e}"
+                        "report differs under the flat Φ walk:\n  base: {base_json}\n  got:  {j}"
                     ),
-                })
+                });
             }
+        }
+        Err(e) => {
+            return Some(Failure {
+                oracle: "sigma",
+                detail: format!("the flat Φ walk errored where the pruned base run succeeded: {e}"),
+            })
         }
     }
     ctx.stats.sigma_checks += 1;
@@ -802,33 +777,26 @@ fn metamorphic(
         Err(_) => ctx.stats.analysis_errors += 1,
     }
 
-    // 4. Variable order × thread count: bit-identical reports.
-    for (ordering, threads) in [
-        (VarOrder::Alloc, 1),
-        (VarOrder::Static, 2),
-        (VarOrder::Static, 4),
-    ] {
-        let opts = MctOptions {
-            ordering,
-            num_threads: threads,
-            ..ctx.opts.analysis.clone()
-        };
-        ctx.stats.analyses += 1;
-        match analyze(c, &opts) {
-            Ok(r) => {
-                let j = report_to_json(&r).to_compact();
-                if j != base_json {
-                    return Some(Failure {
-                        oracle: "metamorphic",
-                        detail: format!(
-                            "report differs under ordering={ordering:?} threads={threads}:\n  \
-                             base: {base_json}\n  got:  {j}"
-                        ),
-                    });
-                }
+    // 4. Variable order: bit-identical reports.
+    let opts = MctOptions {
+        ordering: VarOrder::Alloc,
+        ..ctx.opts.analysis.clone()
+    };
+    ctx.stats.analyses += 1;
+    match analyze(c, &opts) {
+        Ok(r) => {
+            let j = report_to_json(&r).to_compact();
+            if j != base_json {
+                return Some(Failure {
+                    oracle: "metamorphic",
+                    detail: format!(
+                        "report differs under the allocation variable order:\n  \
+                         base: {base_json}\n  got:  {j}"
+                    ),
+                });
             }
-            Err(_) => ctx.stats.analysis_errors += 1,
         }
+        Err(_) => ctx.stats.analysis_errors += 1,
     }
 
     None

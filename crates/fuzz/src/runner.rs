@@ -10,7 +10,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mct_gen::standard_suite;
 use mct_netlist::Circuit;
@@ -31,7 +31,8 @@ pub struct FuzzConfig {
     pub iters: u64,
     /// Optional wall-clock budget; the loop stops (deterministically per
     /// iteration boundary, nondeterministically in *which* boundary) once
-    /// it is exceeded.
+    /// it is exceeded, and a shrink in progress keeps the smallest failing
+    /// circuit it has found by then.
     pub time_budget_ms: Option<u64>,
     /// Corpus directory: existing `*.bench` entries join the mutation pool,
     /// and new shrunk repros are written here (when [`Self::write_repros`]).
@@ -93,6 +94,9 @@ pub struct FailureRecord {
     pub gates_after: usize,
     /// Flip-flop count after shrinking.
     pub dffs_after: usize,
+    /// The time budget ran out before the shrinker finished: the circuit
+    /// is the smallest failing one found by then.
+    pub shrink_cut_short: bool,
     /// File stem of the persisted repro, if one was written.
     pub repro: Option<String>,
     /// The shrunk circuit itself.
@@ -137,6 +141,7 @@ impl FuzzStats {
                     ("gates_before".into(), Json::Int(f.gates_before as i64)),
                     ("gates_after".into(), Json::Int(f.gates_after as i64)),
                     ("dffs_after".into(), Json::Int(f.dffs_after as i64)),
+                    ("shrink_cut_short".into(), Json::Bool(f.shrink_cut_short)),
                     (
                         "repro".into(),
                         match &f.repro {
@@ -252,12 +257,17 @@ impl FuzzStats {
         out.push_str(&format!("  failures        {:>8}\n", self.failures.len()));
         for f in &self.failures {
             out.push_str(&format!(
-                "    iter {:>5} [{}] {} gates -> {} gates, {} dffs{}\n",
+                "    iter {:>5} [{}] {} gates -> {} gates, {} dffs{}{}\n",
                 f.iteration,
                 f.oracle,
                 f.gates_before,
                 f.gates_after,
                 f.dffs_after,
+                if f.shrink_cut_short {
+                    " (shrink cut short)"
+                } else {
+                    ""
+                },
                 match &f.repro {
                     Some(s) => format!("  ({s}.bench)"),
                     None => String::new(),
@@ -303,14 +313,14 @@ pub fn run_with_oracle(cfg: &FuzzConfig, custom: Option<&CustomOracle<'_>>) -> F
         }
     }
 
-    let started = Instant::now();
+    let deadline = cfg
+        .time_budget_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let mut master = SmallRng::seed_from_u64(cfg.seed);
     for i in 0..cfg.iters {
-        if let Some(budget) = cfg.time_budget_ms {
-            if started.elapsed().as_millis() as u64 >= budget {
-                stats.budget_exhausted = true;
-                break;
-            }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            stats.budget_exhausted = true;
+            break;
         }
         let iter_seed = master.next_u64();
         let mut rng = SmallRng::seed_from_u64(iter_seed);
@@ -344,8 +354,9 @@ pub fn run_with_oracle(cfg: &FuzzConfig, custom: Option<&CustomOracle<'_>>) -> F
             }))
             .unwrap_or(true)
         };
-        let reduced = shrink(&candidate, predicate, cfg.shrink_evals);
+        let reduced = shrink(&candidate, predicate, cfg.shrink_evals, deadline);
         stats.shrink_evals += reduced.evals as u64;
+        stats.budget_exhausted |= reduced.cut_short;
 
         let mut record = FailureRecord {
             iteration: i,
@@ -354,6 +365,7 @@ pub fn run_with_oracle(cfg: &FuzzConfig, custom: Option<&CustomOracle<'_>>) -> F
             gates_before: candidate.num_gates(),
             gates_after: reduced.circuit.num_gates(),
             dffs_after: reduced.circuit.num_dffs(),
+            shrink_cut_short: reduced.cut_short,
             repro: None,
             circuit: reduced.circuit.clone(),
         };

@@ -1,12 +1,15 @@
 //! Delta-debugging shrinker: reduce a failing circuit while preserving the
 //! failure predicate.
 //!
-//! The shrinker runs greedy passes to a fixpoint (or an evaluation budget):
+//! The shrinker runs greedy passes to a fixpoint (or an evaluation budget,
+//! or a wall-clock deadline):
 //! splice gates out of the network, convert flip-flops to primary inputs,
 //! drop gate input pins, and snap delays to whole time units. Each edit is
 //! kept only if the candidate still satisfies the predicate, so the result
 //! is 1-minimal with respect to the edit set — removing any single
 //! remaining node loses the failure.
+
+use std::time::Instant;
 
 use mct_netlist::Circuit;
 
@@ -21,23 +24,33 @@ pub struct ShrinkOutcome {
     pub evals: usize,
     /// Accepted edits.
     pub steps: usize,
+    /// The deadline passed before the passes reached their fixpoint:
+    /// `circuit` is the smallest failing circuit found by then.
+    pub cut_short: bool,
 }
 
 /// Shrinks `circuit` under `predicate` (`true` = still failing), spending at
-/// most `max_evals` predicate evaluations. `circuit` itself must satisfy
-/// the predicate for the result to be meaningful.
+/// most `max_evals` predicate evaluations and starting none after
+/// `deadline`. `circuit` itself must satisfy the predicate for the result
+/// to be meaningful.
 pub fn shrink(
     circuit: &Circuit,
     predicate: impl Fn(&Circuit) -> bool,
     max_evals: usize,
+    deadline: Option<Instant>,
 ) -> ShrinkOutcome {
     let mut current = circuit.clone();
     let mut evals = 0usize;
     let mut steps = 0usize;
+    let mut cut_short = false;
 
-    let try_plan =
+    let mut try_plan =
         |current: &mut Circuit, plan: &EditPlan, evals: &mut usize, steps: &mut usize| -> bool {
-            if *evals >= max_evals {
+            if *evals >= max_evals || cut_short {
+                return false;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                cut_short = true;
                 return false;
             }
             let Some(candidate) = apply_plan(current, plan) else {
@@ -129,7 +142,7 @@ pub fn shrink(
             }
         }
 
-        if evals >= max_evals || !progressed {
+        if evals >= max_evals || !progressed || deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
     }
@@ -145,5 +158,6 @@ pub fn shrink(
         circuit: current,
         evals,
         steps,
+        cut_short,
     }
 }

@@ -180,3 +180,42 @@ fn planted_breakpoint_bug_is_caught_and_shrunk() {
     // The shrunk circuit must itself still witness the bug.
     assert!(check(&f.circuit).is_some(), "shrunk repro no longer fails");
 }
+
+/// A failure whose predicate is slow must not hold the run past its time
+/// budget: the shrinker stops within about one predicate run of the
+/// deadline, keeps the smallest failing circuit found by then, and the run
+/// still reports the failure.
+#[test]
+fn shrinking_stops_at_the_time_budget() {
+    use std::time::{Duration, Instant};
+    let slow = Duration::from_millis(50);
+    let check = |_: &Circuit| -> Option<String> {
+        std::thread::sleep(slow);
+        Some("always fails".into())
+    };
+    let oracle = CustomOracle {
+        name: "differential",
+        check: &check,
+    };
+    let budget = Duration::from_millis(300);
+    let cfg = FuzzConfig {
+        seed: 3,
+        iters: 1_000,
+        time_budget_ms: Some(budget.as_millis() as u64),
+        write_repros: false,
+        ..FuzzConfig::default()
+    };
+    let started = Instant::now();
+    let stats = run_with_oracle(&cfg, Some(&oracle));
+    let elapsed = started.elapsed();
+    assert!(elapsed < budget + 4 * slow, "ran {elapsed:?}");
+    assert!(stats.budget_exhausted);
+    assert_eq!(stats.failures.len(), 1, "{:?}", stats.failures);
+    let f = &stats.failures[0];
+    assert!(f.shrink_cut_short);
+    assert!(f.gates_after <= f.gates_before);
+    assert!(stats
+        .to_json(None)
+        .to_compact()
+        .contains("\"shrink_cut_short\":true"));
+}

@@ -51,4 +51,4 @@ mod simplex;
 
 pub use interval::Interval;
 pub use rat::Rat;
-pub use simplex::{LpOutcome, Simplex};
+pub use simplex::{LpOutcome, Simplex, MAX_PIVOTS};

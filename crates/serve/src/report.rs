@@ -6,20 +6,21 @@
 //! (carried as a `[num, den]` pair in milli-units, not as a float) and the
 //! failure diagnostics. That is what lets a cache hit answer with a report
 //! indistinguishable from re-running the analysis. The one deliberate
-//! exception is [`MctReport::kernel`] — per-run BDD-kernel diagnostics are
-//! scheduling-dependent and explicitly outside the deterministic contract,
+//! exception is [`MctReport::kernel`] — per-run BDD-kernel diagnostics
+//! depend on GC thresholds and on what a cache replays, and are explicitly
+//! outside the deterministic contract,
 //! so they are not serialized (a decoded report carries zeroed stats) and
 //! are reported per-request in the server log instead.
 //!
 //! The options encoding is a *partial overlay*: a request carries only the
 //! fields it wants to change, applied over [`MctOptions::default()`].
-//! Requests always run the production variable order and Φ walk; the
-//! retired `ordering`, `sigma` and `reorder_schedule` keys that older
-//! clients send are accepted and ignored. The
-//! fingerprint folds in every semantic field but deliberately skips
-//! `num_threads` and `time_budget_ms` — the sweep is deterministic at any
-//! thread count, and a longer budget can only produce the same (or a more
-//! complete) report, so neither should split the cache.
+//! Requests always run the production variable order, Φ walk and
+//! slicing on one sweep thread; the retired `ordering`, `sigma`,
+//! `reorder_schedule`, `decompose` and `num_threads` keys that older
+//! clients send are accepted and ignored. The fingerprint folds in every
+//! semantic field but deliberately skips `time_budget_ms` — a longer
+//! budget can only produce the same (or a more complete) report, so it
+//! should not split the cache.
 
 use mct_core::{DecisionOutcome, MctOptions, MctReport, SkewReport, ValidityRegion};
 use mct_lp::Rat;
@@ -265,7 +266,6 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
                 None => Json::Null,
             },
         ),
-        ("num_threads".into(), Json::Int(opts.num_threads as i64)),
         ("skew".into(), Json::Bool(opts.skew)),
         ("skew_bound".into(), opt_float(opts.skew_bound)),
     ])
@@ -274,9 +274,10 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
 /// Applies a partial options object over `base`. Unknown keys are
 /// rejected (typos should not silently fall back to defaults); `null`
 /// resets an optional field. The retired lever keys `ordering`, `sigma`,
-/// `reorder_schedule` and `decompose` are accepted with any value and
-/// ignored, so clients that still send them keep working (every analysis
-/// runs sliced into cones; no option selects the unsliced reference).
+/// `reorder_schedule`, `decompose` and `num_threads` are accepted with any
+/// value and ignored, so clients that still send them keep working (every
+/// analysis runs sliced into cones on one sweep thread; no option selects
+/// the unsliced reference).
 ///
 /// # Errors
 ///
@@ -344,9 +345,6 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                     ),
                 };
             }
-            "num_threads" => {
-                opts.num_threads = usize_field(v, "num_threads")?;
-            }
             "skew" => {
                 opts.skew = v.as_bool().ok_or("skew must be a bool")?;
             }
@@ -356,7 +354,7 @@ pub fn options_overlay(base: &MctOptions, value: &Json) -> Result<MctOptions, St
                     other => Some(other.as_f64().ok_or("skew_bound must be a number")?),
                 };
             }
-            "ordering" | "sigma" | "reorder_schedule" | "decompose" => {}
+            "ordering" | "sigma" | "reorder_schedule" | "decompose" | "num_threads" => {}
             other => return Err(format!("unknown option `{other}`")),
         }
     }
@@ -372,9 +370,7 @@ fn usize_field(v: &Json, name: &str) -> Result<usize, String> {
 
 /// Fingerprints the semantically relevant option fields for the cache key.
 ///
-/// Deliberately excluded: `num_threads` (the parallel sweep is
-/// deterministic — identical report at any thread count),
-/// `time_budget_ms` (timed-out reports are never cached, and among
+/// Deliberately excluded: `time_budget_ms` (timed-out reports are never cached, and among
 /// non-timed-out runs the budget does not affect the result), `ordering`
 /// and `sigma` (variable order and Φ walk change node counts and wall
 /// time, never the report — see [`mct_core::VarOrder`] and
@@ -532,10 +528,9 @@ mod tests {
     #[test]
     fn options_overlay_applies_and_rejects() {
         let base = MctOptions::default();
-        let patch = Json::parse(r#"{"delay_variation":null,"num_threads":4}"#).unwrap();
+        let patch = Json::parse(r#"{"delay_variation":null}"#).unwrap();
         let opts = options_overlay(&base, &patch).unwrap();
         assert_eq!(opts.delay_variation, None);
-        assert_eq!(opts.num_threads, 4);
         assert_eq!(opts.max_candidates, base.max_candidates);
 
         let bad = Json::parse(r#"{"dalay_variation":null}"#).unwrap();
@@ -544,7 +539,7 @@ mod tests {
 
         // Retired lever keys are accepted with any value and ignored.
         let retired = Json::parse(
-            r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5","decompose":false}"#,
+            r#"{"ordering":"sift","sigma":"flat","reorder_schedule":"growth:1.5","decompose":false,"num_threads":4}"#,
         )
         .unwrap();
         let opts = options_overlay(&base, &retired).unwrap();
@@ -559,7 +554,6 @@ mod tests {
             delay_variation: Some((4, 5)),
             exhaustive_floor: Some(1.25),
             time_budget_ms: Some(500),
-            num_threads: 3,
             skew: true,
             skew_bound: Some(2.5),
             ..MctOptions::default()
@@ -570,10 +564,9 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_threads_and_budget() {
+    fn fingerprint_ignores_budget_and_reference_levers() {
         let mut a = MctOptions::default();
         let b = MctOptions {
-            num_threads: 8,
             time_budget_ms: Some(10),
             ordering: mct_core::VarOrder::Alloc,
             decompose: false,

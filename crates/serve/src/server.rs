@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mct_core::{ConeCacheEntry, MctAnalyzer, MctOptions};
+use mct_core::{BddStats, ConeCacheEntry, MctAnalyzer, MctOptions};
 use mct_netlist::{circuit_digests, parse_bench, parse_blif, CanonicalHash, Circuit, DelayModel};
 
 use crate::cache::{CacheHit, CacheKey, CacheTier, ResultCache};
@@ -116,60 +116,36 @@ impl PhaseLatency {
 }
 
 /// Aggregated BDD-kernel diagnostics over every analysis this server ran
-/// (cache hits do no symbolic work and contribute nothing). Sums except
-/// `peak_nodes`, which is a high-water mark across requests.
+/// (cache hits do no symbolic work and contribute nothing): one slot per
+/// entry of [`BddStats::COUNTERS`], summed except for the high-water marks,
+/// which keep the largest value across requests.
 #[derive(Default)]
-struct KernelCounters {
-    peak_nodes: AtomicU64,
-    gc_runs: AtomicU64,
-    nodes_freed: AtomicU64,
-    ops_cache_hits: AtomicU64,
-    ops_cache_lookups: AtomicU64,
-    compactions: AtomicU64,
-    mvec_memo_hits: AtomicU64,
-    sigma_pruned_subtrees: AtomicU64,
-    sigma_pruned: AtomicU64,
-    sigma_reused: AtomicU64,
-}
+struct KernelCounters([AtomicU64; BddStats::COUNTERS.len()]);
 
 impl KernelCounters {
-    fn record(&self, k: &mct_core::BddStats) {
-        self.peak_nodes
-            .fetch_max(k.peak_nodes as u64, Ordering::Relaxed);
-        self.gc_runs.fetch_add(k.gc_runs, Ordering::Relaxed);
-        self.nodes_freed.fetch_add(k.nodes_freed, Ordering::Relaxed);
-        self.ops_cache_hits
-            .fetch_add(k.ops_cache_hits, Ordering::Relaxed);
-        self.ops_cache_lookups
-            .fetch_add(k.ops_cache_lookups, Ordering::Relaxed);
-        self.compactions.fetch_add(k.compactions, Ordering::Relaxed);
-        self.mvec_memo_hits
-            .fetch_add(k.mvec_memo_hits, Ordering::Relaxed);
-        self.sigma_pruned_subtrees
-            .fetch_add(k.sigma_pruned_subtrees, Ordering::Relaxed);
-        self.sigma_pruned
-            .fetch_add(k.sigma_pruned, Ordering::Relaxed);
-        self.sigma_reused
-            .fetch_add(k.sigma_reused, Ordering::Relaxed);
+    fn record(&self, k: &BddStats) {
+        for ((c, v), slot) in k.counters().zip(&self.0) {
+            if c.high_water {
+                slot.fetch_max(v, Ordering::Relaxed);
+            } else {
+                slot.fetch_add(v, Ordering::Relaxed);
+            }
+        }
     }
 
     fn to_json(&self) -> Json {
-        let load = |c: &AtomicU64| Json::Int(c.load(Ordering::Relaxed) as i64);
-        Json::Obj(vec![
-            ("peak_nodes".into(), load(&self.peak_nodes)),
-            ("gc_runs".into(), load(&self.gc_runs)),
-            ("nodes_freed".into(), load(&self.nodes_freed)),
-            ("ops_cache_hits".into(), load(&self.ops_cache_hits)),
-            ("ops_cache_lookups".into(), load(&self.ops_cache_lookups)),
-            ("compactions".into(), load(&self.compactions)),
-            ("mvec_memo_hits".into(), load(&self.mvec_memo_hits)),
-            (
-                "sigma_pruned_subtrees".into(),
-                load(&self.sigma_pruned_subtrees),
-            ),
-            ("sigma_pruned".into(), load(&self.sigma_pruned)),
-            ("sigma_reused".into(), load(&self.sigma_reused)),
-        ])
+        Json::Obj(
+            BddStats::COUNTERS
+                .iter()
+                .zip(&self.0)
+                .map(|(c, slot)| {
+                    (
+                        c.name.into(),
+                        Json::Int(slot.load(Ordering::Relaxed) as i64),
+                    )
+                })
+                .collect(),
+        )
     }
 }
 
@@ -763,25 +739,12 @@ fn follow_inflight(
     }
 }
 
-/// The kernel stats never enter the serialized report (they are
-/// scheduling-dependent), so the per-request log line is where they
-/// surface on the server side.
-fn log_kernel(shared: &Shared, peer: &str, circuit: &str, k: &mct_core::BddStats) {
+/// The kernel stats never enter the serialized report (they vary with GC
+/// thresholds and with what the cache replays), so the per-request log line
+/// is where they surface on the server side.
+fn log_kernel(shared: &Shared, peer: &str, circuit: &str, k: &BddStats) {
     if shared.cfg.log {
-        eprintln!(
-            "[mct-serve] peer={peer} type=kernel circuit={circuit} nodes={} peak={} gc_runs={} freed={} ops_cache={}/{} ({:.1}%) compactions={} sigma_pruned={} ({} subtrees) sigma_reused={}",
-            k.nodes,
-            k.peak_nodes,
-            k.gc_runs,
-            k.nodes_freed,
-            k.ops_cache_hits,
-            k.ops_cache_lookups,
-            100.0 * k.ops_hit_rate(),
-            k.compactions,
-            k.sigma_pruned,
-            k.sigma_pruned_subtrees,
-            k.sigma_reused,
-        );
+        eprintln!("[mct-serve] peer={peer} type=kernel circuit={circuit} {k}");
     }
 }
 

@@ -250,6 +250,28 @@ fn ordering_option_does_not_split_the_cache() {
     thread.join().unwrap().unwrap();
 }
 
+/// The sweep runs on one thread, so `num_threads` is a retired key too: a
+/// request that still sends it answers with the same cache key and report.
+#[test]
+fn num_threads_option_is_accepted_and_ignored() {
+    let (addr, thread) = start(ServerConfig {
+        listen: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let first = client.analyze(FIG2, "bench", Some("fig2"), None).unwrap();
+    assert_eq!(cache_label(&first), "miss");
+    let threads = Json::parse(r#"{"num_threads":4}"#).unwrap();
+    let second = client
+        .analyze(FIG2, "bench", Some("fig2"), Some(&threads))
+        .unwrap();
+    assert_eq!(cache_label(&second), "hit");
+    assert_eq!(first.get("key"), second.get("key"));
+    assert_eq!(report_text(&first), report_text(&second));
+    client.shutdown().unwrap();
+    thread.join().unwrap().unwrap();
+}
+
 #[test]
 fn sigma_counters_surface_in_stats_not_in_the_report() {
     let (addr, thread) = start(ServerConfig {
@@ -264,9 +286,9 @@ fn sigma_counters_surface_in_stats_not_in_the_report() {
         .unwrap();
     assert_eq!(cache_label(&first), "miss");
 
-    // The scheduling-dependent counters stay out of the serialized
-    // report (they would break bit-identical replay across thread
-    // counts)...
+    // The diagnostic counters stay out of the serialized report (a
+    // seeded replay skips work, so they would break bit-identical
+    // replay)...
     let report = first.get("report").unwrap();
     assert!(report.get("sigma_pruned").is_none());
     assert!(report.get("sigma_pruned_subtrees").is_none());
@@ -898,6 +920,7 @@ fn options_request_reports_server_defaults() {
         defaults.get("use_reachability").and_then(Json::as_bool),
         Some(true)
     );
+    assert!(defaults.get("num_threads").is_none(), "a retired key");
     client.shutdown().unwrap();
     thread.join().unwrap().unwrap();
 }

@@ -10,9 +10,9 @@
 //! numbering, and linear in the source node count (memoized on source
 //! nodes; `ite` re-canonicalizes under the destination order).
 //!
-//! The parallel sweep uses this to hand each worker the reachable-state
-//! restriction computed once on the main manager, instead of having every
-//! worker repeat the image fixpoint.
+//! The sweep uses this to import a seeded cone's reachable-state
+//! restriction from the cached entry's manager, instead of repeating the
+//! image fixpoint.
 
 use crate::error::TbfError;
 use crate::vars::TimedVarTable;

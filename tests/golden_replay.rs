@@ -46,7 +46,7 @@ fn corpus() -> Vec<(String, Circuit, MctOptions)> {
         out.push((name, circuit, MctOptions::paper()));
     }
     // Exact delays keep the σ enumeration small enough that every seed
-    // completes (mirrors `parallel_determinism.rs`).
+    // completes.
     for seed in 0..20u64 {
         let c = families::random_fsm(seed, 3 + (seed as usize % 3), seed as usize % 2, 10);
         out.push((format!("random_fsm/{seed}"), c, MctOptions::fixed_delays()));
@@ -56,36 +56,23 @@ fn corpus() -> Vec<(String, Circuit, MctOptions)> {
 
 /// A run that errors (budget caps) must error identically on every kernel,
 /// so error text participates in the golden capture too.
-fn report_line(circuit: &Circuit, threads: usize, base: &MctOptions) -> String {
-    let opts = MctOptions {
-        num_threads: threads,
-        ..base.clone()
-    };
+fn report_line(circuit: &Circuit, opts: &MctOptions) -> String {
     let outcome = MctAnalyzer::new(circuit)
         .expect("analyzable circuit")
-        .run(&opts);
+        .run(opts);
     match outcome {
         Ok(report) => report_to_json(&report).to_compact(),
         Err(e) => format!("error: {e}"),
     }
 }
 
-/// Renders the corpus under `mode` on one thread, asserting along the way
-/// that 2 and 4 worker threads reproduce each report byte for byte.
-fn render_across_threads(mode: &str, mode_opts: impl Fn(MctOptions) -> MctOptions) -> String {
+/// Renders the corpus with each circuit's options passed through
+/// `mode_opts`.
+fn render(mode_opts: impl Fn(MctOptions) -> MctOptions) -> String {
     let mut rendered = String::new();
     for (name, circuit, opts) in corpus() {
-        let opts = mode_opts(opts);
-        let base = report_line(&circuit, 1, &opts);
-        for threads in [2usize, 4] {
-            let got = report_line(&circuit, threads, &opts);
-            assert_eq!(
-                base, got,
-                "{name}: {mode} report at {threads} threads differs from the \
-                 single-threaded run"
-            );
-        }
-        writeln!(rendered, "{name}\t{base}").unwrap();
+        let line = report_line(&circuit, &mode_opts(opts));
+        writeln!(rendered, "{name}\t{line}").unwrap();
     }
     rendered
 }
@@ -117,19 +104,17 @@ fn replay_or_bless(path: &std::path::Path, rendered: &str) {
 }
 
 /// Reports of the production path (sliced into cones of influence) must
-/// be identical at 1, 2, and 4 worker threads and must match the golden
-/// capture from the previous kernel byte for byte. (The capture was taken
+/// match the golden capture from the previous kernel byte for byte. (The capture was taken
 /// under allocation order on the unsliced engine; `order_invariance.rs`
 /// checks that the production static order reproduces it.)
 #[test]
 fn reports_replay_byte_identical() {
-    let rendered = render_across_threads("production", |opts| opts);
+    let rendered = render(|opts| opts);
     replay_or_bless(&golden_file(), &rendered);
 }
 
 /// The unsliced reference (`decompose: false`: the whole circuit as one
-/// cone) must reproduce the same capture — one single-thread pass, so a
-/// recombination bug in the sliced path can never be blessed away
+/// cone) must reproduce the same capture, so a recombination bug in the sliced path can never be blessed away
 /// unnoticed: the two would disagree here first.
 #[test]
 fn unsliced_reference_replays_byte_identical() {
@@ -147,7 +132,7 @@ fn unsliced_reference_replays_byte_identical() {
         };
         assert_eq!(
             want,
-            report_line(&circuit, 1, &reference),
+            report_line(&circuit, &reference),
             "{name}: unsliced report differs from the golden capture"
         );
     }
@@ -157,13 +142,12 @@ fn unsliced_reference_replays_byte_identical() {
 /// tier is a *semantic* extension (the report gains a `skew` section and
 /// the cache fingerprint changes), so it gets its own file rather than a
 /// re-bless of the base goldens, which must stay byte-identical to their
-/// pre-skew capture. The skew-mode report must itself be byte-identical
-/// across thread counts.
+/// pre-skew capture.
 ///
 /// Regenerate with `MCT_BLESS=1 cargo test --test golden_replay`.
 #[test]
 fn skew_mode_reports_replay_byte_identical() {
-    let rendered = render_across_threads("skew-mode", |opts| MctOptions { skew: true, ..opts });
+    let rendered = render(|opts| MctOptions { skew: true, ..opts });
     replay_or_bless(&skew_golden_file(), &rendered);
 }
 
@@ -171,7 +155,7 @@ fn skew_mode_reports_replay_byte_identical() {
 /// by product-machine reachability instead of the sufficient condition
 /// `C_x`, and recombines per-cone verdicts by fixpoint iteration and bit
 /// budget rather than by mismatch position — a merge no other golden
-/// covers. Its capture pins those reports at every thread count. A 16-bit
+/// covers. Its capture pins those reports. A 16-bit
 /// product budget keeps the capture cheap and splits the corpus between
 /// certified bounds and `ProductTooLarge` errors, so both the verdict merge
 /// and the budget merge are pinned.
@@ -179,7 +163,7 @@ fn skew_mode_reports_replay_byte_identical() {
 /// Regenerate with `MCT_BLESS=1 cargo test --test golden_replay`.
 #[test]
 fn exact_mode_reports_replay_byte_identical() {
-    let rendered = render_across_threads("exact-mode", |opts| MctOptions {
+    let rendered = render(|opts| MctOptions {
         exact_check: true,
         max_product_bits: 16,
         ..opts

@@ -6,8 +6,7 @@
 //!
 //! This is the hard correctness bar of the ordering subsystem: variable
 //! order may change node counts and wall time, never results. The analyses
-//! earn this by comparing canonical function handles only. Thread-count
-//! invariance is checked against the golden capture in `golden_replay.rs`.
+//! earn this by comparing canonical function handles only.
 
 use mct_serve::report::report_to_json;
 use mct_suite::core::{MctAnalyzer, MctOptions, VarOrder};
@@ -36,8 +35,7 @@ fn serialized(circuit: &Circuit, opts: &MctOptions) -> String {
     }
 }
 
-/// One single-thread allocation-order vs static-order comparison per
-/// circuit.
+/// One allocation-order vs static-order comparison per circuit.
 fn check_alloc_matches_static(circuits: &[(String, Circuit, MctOptions)]) {
     for (name, circuit, opts) in circuits {
         let alloc = MctOptions {
@@ -92,8 +90,8 @@ fn skew_mode_reports_identical_across_ordering_policies() {
 }
 
 /// The cone-sliced production path must agree byte for byte with the
-/// unsliced sequential reference (the whole circuit as one cone) at every
-/// thread count — including on a genuinely multi-cone machine (the
+/// unsliced reference (the whole circuit as one cone) — including on a
+/// genuinely multi-cone machine (the
 /// three-component composite), where slicing actually splits the analysis.
 /// (The random machines of the corpus get the same check against the
 /// golden capture in `golden_replay.rs`.)
@@ -115,18 +113,11 @@ fn decomposed_reports_match_monolithic_reference() {
                 ..base.clone()
             },
         );
-        for threads in [1usize, 2, 4] {
-            let opts = MctOptions {
-                num_threads: threads,
-                ..base.clone()
-            };
-            assert_eq!(
-                reference,
-                serialized(circuit, &opts),
-                "{name}: sliced report at {threads} threads differs from the \
-                 unsliced sequential run"
-            );
-        }
+        assert_eq!(
+            reference,
+            serialized(circuit, base),
+            "{name}: sliced report differs from the unsliced run"
+        );
     }
 }
 
