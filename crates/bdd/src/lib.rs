@@ -53,7 +53,7 @@ mod snapshot;
 pub use cubes::{Cube, CubeIter};
 pub use hash::FxHashMap;
 pub use manager::{Bdd, BddManager, BddStats, CompactMap, QuantMemo, StatCounter, Var, VarSet};
-pub use snapshot::{validate_order, BddImportError, BddSnapshot, SnapshotNode};
+pub use snapshot::{BddImportError, BddSnapshot, SnapshotNode};
 
 #[cfg(test)]
 mod proptests;

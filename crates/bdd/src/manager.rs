@@ -15,9 +15,8 @@
 //!   `HashMap`, and ITE results go through a fixed-size direct-mapped ops
 //!   cache keyed by the Brace–Rudell standard triple;
 //! * a mark-and-sweep garbage collector ([`BddManager::collect_garbage`])
-//!   reclaims nodes not reachable from caller-supplied roots or pinned
-//!   handles, so long candidate sweeps no longer grow the arena
-//!   monotonically.
+//!   reclaims nodes not reachable from caller-supplied roots, so long
+//!   candidate sweeps no longer grow the arena monotonically.
 //!
 //! All operations that the timing engine applies to deep graphs (`ite`,
 //! `exists`, `and_exists`, `vector_compose`, `restrict`) run on explicit
@@ -323,8 +322,8 @@ enum IteFrame {
 /// All operations take `&mut self` because they may allocate nodes and
 /// populate memo tables. Handles stay valid until a garbage collection
 /// sweeps them; any handle passed as a root to
-/// [`collect_garbage`](Self::collect_garbage) (or pinned via
-/// [`protect`](Self::protect)) survives collections unchanged.
+/// [`collect_garbage`](Self::collect_garbage) survives collections
+/// unchanged.
 ///
 /// # Examples
 ///
@@ -361,8 +360,6 @@ pub struct BddManager {
     ite_results: Vec<Bdd>,
     ops_hits: u64,
     ops_lookups: u64,
-    /// Externally pinned node indices with pin counts.
-    pins: FxHashMap<u32, u32>,
     /// Completed [`compact`](Self::compact) relocations.
     compactions: u64,
     /// Armed by a collection that left the arena fragmented (or by
@@ -411,7 +408,6 @@ impl BddManager {
             ite_results: Vec::new(),
             ops_hits: 0,
             ops_lookups: 0,
-            pins: FxHashMap::default(),
             compactions: 0,
             compact_due: false,
             gc_base: base,
@@ -1352,32 +1348,8 @@ impl BddManager {
         f == g
     }
 
-    /// Pins `f` so it (and everything it references) survives garbage
-    /// collections even when not passed as an explicit root. Pins are
-    /// counted; matching [`unprotect`](Self::unprotect) calls release them.
-    pub fn protect(&mut self, f: Bdd) {
-        if !f.is_const() {
-            *self.pins.entry(f.0 >> 1).or_insert(0) += 1;
-        }
-    }
-
-    /// Releases one [`protect`](Self::protect) pin on `f`.
-    pub fn unprotect(&mut self, f: Bdd) {
-        if f.is_const() {
-            return;
-        }
-        let idx = f.0 >> 1;
-        if let Some(count) = self.pins.get_mut(&idx) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(&idx);
-            }
-        }
-    }
-
     /// Mark-and-sweep garbage collection: every node not reachable from
-    /// `roots` or from a [`protect`](Self::protect) pin is freed and its
-    /// arena slot recycled. Handles to freed nodes become invalid; handles
+    /// `roots` is freed and its arena slot recycled. Handles to freed nodes become invalid; handles
     /// to surviving nodes are unchanged. The ops cache is cleared (it may
     /// reference freed nodes).
     ///
@@ -1391,7 +1363,6 @@ impl BddManager {
                 stack.push(f.index());
             }
         }
-        stack.extend(self.pins.keys().map(|&i| i as usize));
         while let Some(idx) = stack.pop() {
             if marked[idx] {
                 continue;
@@ -1483,8 +1454,8 @@ impl BddManager {
 
     /// Overrides the live-node count that arms
     /// [`maybe_collect_garbage`](Self::maybe_collect_garbage). A threshold
-    /// of 0 collects at every opportunity (useful for shaking out unpinned
-    /// roots; the `MCT_BDD_GC_STRESS` environment variable applies the same
+    /// of 0 collects at every opportunity (useful for shaking out unrooted
+    /// handles; the `MCT_BDD_GC_STRESS` environment variable applies the same
     /// setting process-wide).
     pub fn set_gc_threshold(&mut self, live_nodes: usize) {
         self.gc_base = live_nodes;
@@ -1536,29 +1507,23 @@ impl BddManager {
     /// **This is the one operation that invalidates surviving handles.**
     /// Every retained handle — the `roots` passed here and any copy held
     /// elsewhere — must be rewritten through the returned [`CompactMap`]
-    /// before its next use. Internal pins are remapped automatically, but
-    /// the caller's *copies* of pinned handles are not: only call this at
-    /// a boundary where every outstanding handle is enumerable. Nodes that
-    /// are live but unreachable from `roots` and the pinned set survive at
-    /// the tail of the new arena (callers typically compact right after
+    /// before its next use: only call this at a boundary where every
+    /// outstanding handle is enumerable. Nodes that are live but
+    /// unreachable from `roots` survive at the tail of the new arena (callers typically compact right after
     /// [`collect_garbage`](Self::collect_garbage), where none exist).
     pub fn compact(&mut self, roots: &[Bdd]) -> CompactMap {
         let old_len = self.nodes.len();
         let mut map = vec![EMPTY; old_len];
         map[0] = 0;
         // `order[new] = old`: terminal first, then a DFS preorder from the
-        // caller's roots followed by the pinned set (sorted — the pin map
-        // iterates in hash order — so the layout is deterministic).
+        // caller's roots.
         let mut order: Vec<u32> = Vec::with_capacity(self.unique_len + 1);
         order.push(0);
-        let mut pins: Vec<u32> = self.pins.keys().copied().collect();
-        pins.sort_unstable();
         let mut stack: Vec<u32> = Vec::new();
         let seeds = roots
             .iter()
             .filter(|f| !f.is_const())
-            .map(|f| f.index() as u32)
-            .chain(pins.iter().copied());
+            .map(|f| f.index() as u32);
         for seed in seeds {
             if map[seed as usize] != EMPTY {
                 continue;
@@ -1583,7 +1548,7 @@ impl BddManager {
                 }
             }
         }
-        // Live nodes the walk missed (unrooted, unpinned, not yet swept)
+        // Live nodes the walk missed (unrooted, not yet swept)
         // keep their relative arena order at the tail.
         for (idx, slot) in map.iter_mut().enumerate().take(old_len).skip(1) {
             if self.nodes[idx].var < FREE_VAR && *slot == EMPTY {
@@ -1607,11 +1572,6 @@ impl BddManager {
         }
         self.nodes = nodes;
         self.free.clear();
-        self.pins = self
-            .pins
-            .iter()
-            .map(|(&idx, &count)| (map[idx as usize], count))
-            .collect();
         self.rebuild_unique_from_arena(order.len() - 1);
         self.clear_caches();
         self.compactions += 1;
@@ -2151,25 +2111,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_respects_protect_pins() {
-        let (mut m, a, b, _) = setup();
-        let f = m.and(a, b);
-        m.protect(f);
-        m.collect_garbage(&[]);
-        // a∧b survives via the pin; rebuilding it (from fresh literals —
-        // the old leaf nodes were swept) must find the same handle.
-        let a2 = m.var(Var::new(0));
-        let b2 = m.var(Var::new(1));
-        assert_eq!(m.and(a2, b2), f);
-        let _ = (a, b);
-        m.unprotect(f);
-        let freed_after = m.collect_garbage(&[]);
-        assert!(freed_after > 0);
-        // Everything is gone now except the terminal.
-        assert_eq!(m.num_nodes(), 1);
-    }
-
-    #[test]
     fn maybe_gc_threshold_and_rearm() {
         let mut m = BddManager::new();
         m.set_gc_threshold(8);
@@ -2256,24 +2197,6 @@ mod tests {
         let map = m.compact(&[f]);
         assert_eq!(map.rewrite(m.one()), m.one());
         assert_eq!(map.rewrite(m.zero()), m.zero());
-    }
-
-    #[test]
-    fn compact_remaps_pins() {
-        let mut m = BddManager::new();
-        let f = chain(&mut m, 10);
-        m.protect(f);
-        let junk = chain(&mut m, 14);
-        let _ = junk;
-        m.collect_garbage(&[]);
-        let map = m.compact(&[]);
-        let f2 = map.rewrite(f);
-        // The pin survived the relocation: a collection with no roots keeps
-        // the pinned function alive at its new handle.
-        m.collect_garbage(&[]);
-        let g = chain(&mut m, 10);
-        assert_eq!(g, f2);
-        m.unprotect(f2);
     }
 
     /// A 4-bit counter's image step `∃ cur. set ∧ T`, renamed back to the

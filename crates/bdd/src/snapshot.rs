@@ -13,14 +13,14 @@
 //! before that held.
 //!
 //! Import rebuilds bottom-up with [`BddManager::ite`], so the result is
-//! canonical under the *destination* manager's order — the same
-//! re-canonicalization technique the engine's `transfer_bdd` path uses.
-//! Nothing in the destination manager is mutated until the snapshot has
-//! fully validated.
+//! canonical under the *destination* manager's order; it is the one way a
+//! BDD moves between managers. Nothing in the destination manager is
+//! mutated until the snapshot has fully validated.
 
 use crate::hash::FxHashMap;
 use crate::manager::{Bdd, BddManager, Var};
 use std::fmt;
+use std::ops::Range;
 
 /// One node of a [`BddSnapshot`]: a decision variable plus signed
 /// references to the two children (see the module docs for the encoding).
@@ -65,6 +65,70 @@ impl BddSnapshot {
             + self.order.len() as u64 * 4
             + self.nodes.len() as u64 * std::mem::size_of::<SnapshotNode>() as u64
             + self.roots.len() as u64 * 8
+    }
+
+    /// Checks the snapshot's shape: the order is a permutation of
+    /// `0..num_vars`, every node decides a variable below `num_vars`, every
+    /// child reference names an earlier node, and every root names a node.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found, as a [`BddImportError`].
+    pub fn validate(&self) -> Result<(), BddImportError> {
+        validate_order(&self.order, self.num_vars)?;
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.var >= self.num_vars {
+                return Err(BddImportError::NodeVarOutOfRange {
+                    node: i,
+                    var: n.var,
+                    num_vars: self.num_vars,
+                });
+            }
+            for reference in [n.lo, n.hi] {
+                let id = reference.unsigned_abs();
+                if reference == 0 || id > i as u64 + 1 {
+                    return Err(BddImportError::DanglingRef { node: i, reference });
+                }
+            }
+        }
+        let limit = self.nodes.len() as u64 + 1;
+        for (i, &reference) in self.roots.iter().enumerate() {
+            if reference == 0 || reference.unsigned_abs() > limit {
+                return Err(BddImportError::DanglingRoot { root: i, reference });
+            }
+        }
+        Ok(())
+    }
+
+    /// Renumbers the variables the nodes decide on to `0..k` in level
+    /// order, drops the rest, and returns the former index of each kept
+    /// variable. An export names every variable its manager knows; this
+    /// leaves only the ones the exported graphs test.
+    ///
+    /// # Panics
+    ///
+    /// If the snapshot is malformed (see [`validate`](Self::validate)).
+    pub fn compact_vars(&mut self) -> Vec<u32> {
+        let mut used = vec![false; self.num_vars as usize];
+        for n in &self.nodes {
+            used[n.var as usize] = true;
+        }
+        let kept: Vec<u32> = self
+            .order
+            .iter()
+            .copied()
+            .filter(|&v| used[v as usize])
+            .collect();
+        let mut renumber = vec![0; self.num_vars as usize];
+        for (new, &old) in kept.iter().enumerate() {
+            renumber[old as usize] = new as u32;
+        }
+        for n in &mut self.nodes {
+            n.var = renumber[n.var as usize];
+        }
+        self.num_vars = kept.len() as u32;
+        self.order = (0..self.num_vars).collect();
+        kept
     }
 }
 
@@ -173,12 +237,9 @@ impl fmt::Display for BddImportError {
 
 impl std::error::Error for BddImportError {}
 
-/// Validates that `order` is a permutation of `0..num_vars`.
-///
-/// This is the shared order-hardening check (also used by higher layers
-/// before letting an on-disk order vector near a live table): length must
+/// Validates that `order` is a permutation of `0..num_vars`: length must
 /// match, every entry in range, no duplicates.
-pub fn validate_order(order: &[u32], num_vars: u32) -> Result<(), BddImportError> {
+fn validate_order(order: &[u32], num_vars: u32) -> Result<(), BddImportError> {
     if order.len() != num_vars as usize {
         return Err(BddImportError::OrderLength {
             expected: num_vars,
@@ -217,7 +278,7 @@ impl BddManager {
     /// let snap = m.export_bdd(&[f]);
     /// let mut n = BddManager::new();
     /// let map: Vec<Var> = (0..snap.num_vars).map(Var::new).collect();
-    /// let back = n.import_bdd(&snap, &map).unwrap();
+    /// let back = n.import_bdd(&snap, 0..1, &map).unwrap();
     /// assert!(n.eval(back[0], |v| v.index() == 0));
     /// ```
     pub fn export_bdd(&self, roots: &[Bdd]) -> BddSnapshot {
@@ -281,51 +342,54 @@ impl BddManager {
         }
     }
 
-    /// Rebuilds the snapshot's roots in this manager, remapping snapshot
-    /// variable index `v` to `var_map[v]`.
+    /// Rebuilds the snapshot roots `roots` (a range of `snap.roots`) in
+    /// this manager, remapping snapshot variable index `v` to `var_map[v]`.
+    /// Only the nodes those roots reach are built.
     ///
-    /// The snapshot is fully validated first — order permutation, node
-    /// variables, topological references — and a malformed snapshot returns
-    /// a structured [`BddImportError`] without touching this manager.
-    /// Reconstruction runs bottom-up through [`ite`](Self::ite), so the
-    /// result is canonical under this manager's order regardless of the
-    /// order the snapshot was exported under.
+    /// The snapshot is fully validated first ([`BddSnapshot::validate`])
+    /// and a malformed snapshot returns a structured [`BddImportError`]
+    /// without touching this manager. Reconstruction runs bottom-up through
+    /// [`ite`](Self::ite), so the result is canonical under this manager's
+    /// order regardless of the order the snapshot was exported under.
+    ///
+    /// # Panics
+    ///
+    /// If `roots` reaches past the end of `snap.roots`.
     pub fn import_bdd(
         &mut self,
         snap: &BddSnapshot,
+        roots: Range<usize>,
         var_map: &[Var],
     ) -> Result<Vec<Bdd>, BddImportError> {
-        validate_order(&snap.order, snap.num_vars)?;
+        snap.validate()?;
         if var_map.len() < snap.num_vars as usize {
             return Err(BddImportError::VarMapLength {
                 expected: snap.num_vars,
                 got: var_map.len(),
             });
         }
-        for (i, n) in snap.nodes.iter().enumerate() {
-            if n.var >= snap.num_vars {
-                return Err(BddImportError::NodeVarOutOfRange {
-                    node: i,
-                    var: n.var,
-                    num_vars: snap.num_vars,
-                });
+        let roots = &snap.roots[roots];
+        // Children precede parents, so one backward pass marks everything
+        // the selected roots reach.
+        let mut needed = vec![false; snap.nodes.len()];
+        let mark = |reference: i64, needed: &mut [bool]| {
+            if let Some(i) = (reference.unsigned_abs() as usize).checked_sub(2) {
+                needed[i] = true;
             }
-            for reference in [n.lo, n.hi] {
-                let id = reference.unsigned_abs();
-                if reference == 0 || id > i as u64 + 1 {
-                    return Err(BddImportError::DanglingRef { node: i, reference });
-                }
-            }
+        };
+        for &reference in roots {
+            mark(reference, &mut needed);
         }
-        let limit = snap.nodes.len() as u64 + 1;
-        for (i, &reference) in snap.roots.iter().enumerate() {
-            if reference == 0 || reference.unsigned_abs() > limit {
-                return Err(BddImportError::DanglingRoot { root: i, reference });
+        for i in (0..snap.nodes.len()).rev() {
+            if needed[i] {
+                mark(snap.nodes[i].lo, &mut needed);
+                mark(snap.nodes[i].hi, &mut needed);
             }
         }
 
         // Validated: rebuild bottom-up. `built[i]` is the regular-form
-        // function of snapshot node i under this manager.
+        // function of snapshot node i under this manager (a placeholder
+        // for nodes no selected root reaches).
         let mut built: Vec<Bdd> = Vec::with_capacity(snap.nodes.len());
         let resolve = |reference: i64, built: &[Bdd]| -> Bdd {
             let id = reference.unsigned_abs();
@@ -340,14 +404,17 @@ impl BddManager {
                 h
             }
         };
-        for n in &snap.nodes {
+        for (n, &need) in snap.nodes.iter().zip(&needed) {
+            if !need {
+                built.push(Bdd::FALSE);
+                continue;
+            }
             let lo = resolve(n.lo, &built);
             let hi = resolve(n.hi, &built);
             let v = self.var(var_map[n.var as usize]);
             built.push(self.ite(v, hi, lo));
         }
-        Ok(snap
-            .roots
+        Ok(roots
             .iter()
             .map(|&reference| resolve(reference, &built))
             .collect())
@@ -379,7 +446,7 @@ mod tests {
         };
         let mut dst = BddManager::new();
         let map: Vec<Var> = (0..nf.num_vars).map(Var::new).collect();
-        let back = dst.import_bdd(&nf, &map).unwrap();
+        let back = dst.import_bdd(&nf, 0..2, &map).unwrap();
         assert_eq!(back[0], back[1]);
         for bits in 0..8u32 {
             let asg = |v: Var| bits >> v.index() & 1 == 1;
@@ -396,7 +463,7 @@ mod tests {
         // destination variable 2 − v, so every parent/child pair flips.
         let mut dst = BddManager::new();
         let map: Vec<Var> = (0..snap.num_vars).map(|v| Var::new(2 - v)).collect();
-        let back = dst.import_bdd(&snap, &map).unwrap()[0];
+        let back = dst.import_bdd(&snap, 0..1, &map).unwrap()[0];
         for bits in 0..8u32 {
             let asg = |v: Var| bits >> (2 - v.index()) & 1 == 1;
             let src_asg = |v: Var| bits >> v.index() & 1 == 1;
@@ -411,7 +478,7 @@ mod tests {
         let mut dst = BddManager::new();
         // Shift every variable up by 10 in the destination.
         let map: Vec<Var> = (0..snap.num_vars).map(|v| Var::new(v + 10)).collect();
-        let back = dst.import_bdd(&snap, &map).unwrap()[0];
+        let back = dst.import_bdd(&snap, 0..1, &map).unwrap()[0];
         for bits in 0..8u32 {
             let asg = |v: Var| v.index() >= 10 && bits >> (v.index() - 10) & 1 == 1;
             let src_asg = |v: Var| bits >> v.index() & 1 == 1;
@@ -429,7 +496,7 @@ mod tests {
         assert_eq!(snap.roots[1], -1);
         assert_eq!(snap.roots[2], -snap.roots[3]);
         let mut dst = BddManager::new();
-        let back = dst.import_bdd(&snap, &[Var::new(0)]).unwrap();
+        let back = dst.import_bdd(&snap, 0..4, &[Var::new(0)]).unwrap();
         assert!(back[0].is_true());
         assert!(back[1].is_false());
         assert_eq!(dst.not(back[2]), back[3]);
@@ -447,28 +514,28 @@ mod tests {
         let mut bad = good.clone();
         bad.order.pop();
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::OrderLength { .. })
         ));
 
         let mut bad = good.clone();
         bad.order[0] = 99;
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::OrderVarOutOfRange { var: 99, .. })
         ));
 
         let mut bad = good.clone();
         bad.order[1] = bad.order[0];
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::OrderDuplicateVar { .. })
         ));
 
         let mut bad = good.clone();
         bad.nodes[0].var = 77;
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::NodeVarOutOfRange { var: 77, .. })
         ));
 
@@ -476,31 +543,51 @@ mod tests {
         let mut bad = good.clone();
         bad.nodes[0].lo = bad.nodes.len() as i64 + 1;
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::DanglingRef { node: 0, .. })
         ));
         let mut bad = good.clone();
         bad.nodes[0].hi = 0;
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::DanglingRef { node: 0, .. })
         ));
 
         let mut bad = good.clone();
         bad.roots[0] = 1000;
         assert!(matches!(
-            dst.import_bdd(&bad, &map),
+            dst.import_bdd(&bad, 0..1, &map),
             Err(BddImportError::DanglingRoot { root: 0, .. })
         ));
 
         // Short variable map.
         assert!(matches!(
-            dst.import_bdd(&good, &[]),
+            dst.import_bdd(&good, 0..1, &[]),
             Err(BddImportError::VarMapLength { .. })
         ));
 
         // The manager stayed pristine through all rejections.
         assert_eq!(dst.num_nodes(), 1);
+    }
+
+    #[test]
+    fn compact_vars_keeps_only_decided_variables_in_level_order() {
+        let mut m = BddManager::new();
+        let a = m.var(Var::new(2));
+        let b = m.var(Var::new(7));
+        m.var(Var::new(9)); // known to the manager, decided by no root
+        let f = m.and(a, b);
+        let mut snap = m.export_bdd(&[f]);
+        assert_eq!(snap.num_vars, 10);
+        assert_eq!(snap.compact_vars(), vec![2, 7]);
+        assert_eq!((snap.num_vars, &snap.order[..]), (2, &[0, 1][..]));
+        assert!(snap.validate().is_ok());
+        let mut dst = BddManager::new();
+        let back = dst
+            .import_bdd(&snap, 0..1, &[Var::new(0), Var::new(1)])
+            .unwrap()[0];
+        assert!(dst.eval(back, |_| true));
+        assert!(!dst.eval(back, |v| v.index() == 0));
     }
 
     #[test]

@@ -139,3 +139,76 @@ fn deep_sat_count_is_exact() {
     let g = deep_conjunction(&mut m);
     assert_eq!(m.sat_fraction_of(g), 0.5f64.powi(DEPTH as i32));
 }
+
+/// A deep graph moves between managers through one snapshot: exported
+/// and imported onto renumbered variables, then through the reversed
+/// variable map, where every rebuilt level lands above the levels already
+/// built and each bottom-up `ite` walks down the whole chain below it.
+/// That walk is quadratic in the depth, so the reversed leg runs on a
+/// tenth of the chain.
+#[test]
+fn deep_snapshot_round_trips_under_a_reversed_map() {
+    let mut src = BddManager::new();
+    let f = deep_parity(&mut src);
+    let snap = src.export_bdd(&[f]);
+    assert_eq!(snap.nodes.len(), DEPTH as usize);
+    let shifted: Vec<Var> = (0..DEPTH).map(|v| Var::new(v + DEPTH)).collect();
+    let mut dst = BddManager::new();
+    let g = dst.import_bdd(&snap, 0..1, &shifted).unwrap()[0];
+    assert_eq!(dst.size(g), 2 * DEPTH as usize + 1);
+    let back = dst.export_bdd(&[g]);
+    assert_eq!(back.nodes.len(), DEPTH as usize);
+    for ones in [0, 1, 2, DEPTH] {
+        let src_asg = |v: Var| v.index() < ones;
+        let dst_asg = |v: Var| v.index() - DEPTH < ones;
+        assert_eq!(dst.eval(g, dst_asg), src.eval(f, src_asg), "{ones} ones");
+        assert_eq!(dst.eval(g, dst_asg), ones % 2 == 1);
+    }
+
+    let depth = DEPTH / 10;
+    let mut src = BddManager::new();
+    let mut f = src.zero();
+    for i in (0..depth).rev() {
+        let v = src.var(Var::new(i));
+        f = src.xor(v, f);
+    }
+    let snap = src.export_bdd(&[f]);
+    let reversed: Vec<Var> = (0..depth).map(|v| Var::new(depth - 1 - v)).collect();
+    let mut dst = BddManager::new();
+    let g = dst.import_bdd(&snap, 0..1, &reversed).unwrap()[0];
+    // Parity is symmetric: the reversed chain is one node per level again.
+    assert_eq!(dst.size(g), 2 * depth as usize + 1);
+    for ones in [0, 1, 2, depth] {
+        let src_asg = |v: Var| v.index() < ones;
+        let dst_asg = |v: Var| depth - 1 - v.index() < ones;
+        assert_eq!(dst.eval(g, dst_asg), src.eval(f, src_asg), "{ones} ones");
+    }
+}
+
+/// Importing only the reach root of a layers-plus-reach snapshot builds
+/// none of the nodes that only the layers use: a deep layer beside a
+/// two-variable reach set costs the destination only the reach set's
+/// nodes.
+#[test]
+fn importing_the_reach_root_skips_layer_only_nodes() {
+    let mut src = BddManager::new();
+    let layer = deep_parity(&mut src);
+    let a = src.var(Var::new(0));
+    let b = src.var(Var::new(1));
+    let reach = src.and(a, b);
+    let snap = src.export_bdd(&[layer, reach]);
+    let map: Vec<Var> = (0..snap.num_vars).map(Var::new).collect();
+
+    let mut dst = BddManager::new();
+    let r = dst.import_bdd(&snap, 1..2, &map).unwrap()[0];
+    let mut direct = BddManager::new();
+    let (da, db) = (direct.var(Var::new(0)), direct.var(Var::new(1)));
+    direct.and(da, db);
+    assert_eq!(dst.num_nodes(), direct.num_nodes());
+    assert!(dst.eval(r, |v| v.index() < 2));
+    assert!(!dst.eval(r, |v| v.index() == 0));
+
+    let mut all = BddManager::new();
+    all.import_bdd(&snap, 0..2, &map).unwrap();
+    assert!(all.num_nodes() > DEPTH as usize);
+}

@@ -16,9 +16,6 @@
 //! * `decompose/*` — the unsliced reference vs the cone-sliced production
 //!   path on the multi-cone composite machines, plus the seeded replay
 //!   path (`BENCH_6.json`);
-//! * `persist/*` — cold analysis vs a warm start from disk-stored cone
-//!   entries, plus store codec export/import throughput
-//!   (`BENCH_7.json`);
 //! * `sigma/*` — flat-odometer vs LP-pruned Φ enumeration on the
 //!   shared-trunk sigma-star family, with byte-identity asserted between
 //!   the two (`BENCH_8.json`).
@@ -640,105 +637,6 @@ fn bench_decompose(h: &mut Harness) {
     }
 }
 
-/// Persistence round trips on the reach-dominated composite machines:
-/// cold analysis vs a warm start whose cone entries are loaded from the
-/// disk store (the restarted-daemon path), plus raw export/import
-/// throughput of the store codec. The artifact size is printed per
-/// machine — `BENCH_7.json` was transcribed from an earlier form of this
-/// output, when the persisted artifact was a whole-circuit reach set.
-fn bench_persist(h: &mut Harness) {
-    use mct_core::{ConeCacheEntry, ConeData};
-    let suite = standard_suite();
-    for name in ["syn-s5378x", "syn-s15850x"] {
-        if !["cold", "disk-warm", "export", "import"]
-            .iter()
-            .any(|s| h.wants(&format!("persist/{name}/{s}")))
-        {
-            continue;
-        }
-        let entry = suite
-            .iter()
-            .find(|e| e.circuit.name() == name)
-            .expect("suite circuit");
-        let opts = MctOptions::paper();
-        // One cold run harvests the entries every other scenario reuses.
-        let (_, artifacts) = MctAnalyzer::new(&entry.circuit)
-            .unwrap()
-            .run_decomposed(&opts, &[])
-            .unwrap();
-        let data: Vec<ConeData> = artifacts
-            .entries
-            .iter()
-            .map(|e| {
-                e.as_ref()
-                    .expect("a cold run harvests every cone")
-                    .export_data()
-            })
-            .collect();
-        let encoded: Vec<Vec<u8>> = data.iter().map(mct_store::encode_cone).collect();
-        let bytes: usize = encoded.iter().map(Vec::len).sum();
-        println!("persist/{name}/artifact{bytes:>21} bytes");
-
-        h.bench(&format!("persist/{name}/cold"), || {
-            MctAnalyzer::new(&entry.circuit)
-                .unwrap()
-                .run(&opts)
-                .unwrap()
-                .mct_upper_bound
-        });
-        // The restarted-daemon path: read the entries back from a store
-        // directory, decode and import them, then seed the analysis —
-        // every reachability fixpoint is replaced by replay.
-        let dir =
-            std::env::temp_dir().join(format!("mct-bench-persist-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = mct_store::Store::open(&dir, None).expect("open store dir");
-        let key = ConeCacheEntry::key(&opts);
-        for (i, d) in data.iter().enumerate() {
-            store
-                .save_cone(&format!("{i:032x}"), key, d)
-                .expect("persist artifact");
-        }
-        h.bench(&format!("persist/{name}/disk-warm"), || {
-            let seeds: Vec<ConeCacheEntry> = (0..data.len())
-                .map(|i| {
-                    let d = store
-                        .load_cone(&format!("{i:032x}"), key)
-                        .expect("persisted artifact");
-                    ConeCacheEntry::import_data(&d).expect("well-formed artifact")
-                })
-                .collect();
-            let refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Some).collect();
-            MctAnalyzer::new(&entry.circuit)
-                .unwrap()
-                .run_decomposed(&opts, &refs)
-                .unwrap()
-                .0
-                .mct_upper_bound
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        h.bench(&format!("persist/{name}/export"), || {
-            artifacts
-                .entries
-                .iter()
-                .flatten()
-                .map(|e| mct_store::encode_cone(&e.export_data()).len())
-                .sum::<usize>()
-        });
-        h.bench(&format!("persist/{name}/import"), || {
-            encoded
-                .iter()
-                .map(|b| {
-                    let d = mct_store::decode_cone(b).expect("round-trip");
-                    ConeCacheEntry::import_data(&d)
-                        .expect("round-trip")
-                        .approx_bytes()
-                })
-                .sum::<u64>()
-        });
-    }
-}
-
 /// Flat-odometer vs pruned-walk Φ enumeration on the shared-trunk sigma
 /// star (the Section-7 variable-delay engine; `BENCH_8.json` is
 /// transcribed from this output). Wide variation plus path-coupled LPs is
@@ -818,7 +716,6 @@ fn main() {
     bench_bdd_ops(&mut h);
     bench_ordering(&mut h);
     bench_decompose(&mut h);
-    bench_persist(&mut h);
     bench_sigma(&mut h);
     if h.results.is_empty() {
         eprintln!("no scenario matched the filter");

@@ -14,7 +14,10 @@
 //!
 //! options:
 //!   --blif            treat <file> as BLIF (default: by extension, else .bench)
-//!   --model unit|mapped               delay annotation (default mapped)
+//!   --model unit|mapped               delay annotation (default mapped); a
+//!                     .bench file with `# .delay`, `# .clock_to_q` or
+//!                     `# .init` lines (a fuzz repro) keeps its own delays
+//!                     and power-on values instead
 //!   --fixed           exact delays instead of 90–100% variation
 //!   --no-reachability disable the reachable-state-space restriction
 //!   --exact           exact product-machine equivalence check
@@ -311,11 +314,24 @@ fn load(path: &str, flags: &Flags) -> Result<Circuit, String> {
     let as_blif = flags.blif.unwrap_or_else(|| path.ends_with(".blif"));
     let circuit = if as_blif {
         parse_blif(&text, &flags.model)
+    } else if has_timing_annotations(&text) {
+        mct_fuzz::parse_timed_bench(&text)
     } else {
         parse_bench(&text, &flags.model)
     }
     .map_err(|e| format!("{path}: {e}"))?;
     Ok(circuit)
+}
+
+/// Whether `.bench` text carries the annotations a fuzz repro is written
+/// with: `# .delay`, `# .clock_to_q` or `# .init` lines.
+fn has_timing_annotations(text: &str) -> bool {
+    text.lines().any(|line| {
+        line.trim()
+            .strip_prefix("# .")
+            .and_then(|body| body.split_whitespace().next())
+            .is_some_and(|word| matches!(word, "delay" | "clock_to_q" | "init"))
+    })
 }
 
 fn mct_options(flags: &Flags) -> MctOptions {

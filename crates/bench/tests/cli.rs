@@ -100,6 +100,37 @@ fn analyze_json_emits_a_parsable_report() {
     assert_eq!(report.get("timed_out").and_then(Json::as_bool), Some(false));
 }
 
+/// A fuzz repro replays from the CLI: `mct analyze` reads its `# .delay`
+/// and `# .init` annotations, so it reports the bound an in-process run
+/// of the annotated circuit reports, not the mapped-model one.
+#[test]
+fn analyze_replays_an_annotated_fuzz_repro() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus/bpgrid.bench");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let circuit = mct_fuzz::parse_timed_bench(&text).unwrap();
+    let expected = mct_core::MctAnalyzer::new(&circuit)
+        .unwrap()
+        .run(&mct_core::MctOptions::paper())
+        .unwrap()
+        .bound_exact;
+
+    let output = mct()
+        .args(["analyze", "--json"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "stderr: {}", stderr_of(&output));
+    let report = Json::parse(stdout_of(&output).trim()).expect("stdout is JSON");
+    let bound: Vec<i64> = report
+        .get("bound_exact")
+        .and_then(Json::as_arr)
+        .expect("bound_exact")
+        .iter()
+        .map(|v| v.as_i64().expect("integer"))
+        .collect();
+    assert_eq!(bound, [expected.num(), expected.den()]);
+}
+
 /// Kills the serve child if a test assertion unwinds first.
 struct ServeGuard(Child);
 

@@ -137,12 +137,6 @@ impl<'c> DecisionContext<'c> {
     ) -> Result<Self, MctError> {
         let view = extractor.view();
         let steady = DiscreteMachine::steady_state(extractor, manager, table)?;
-        // The steady machine lives for the whole sweep; pin it so garbage
-        // collections (inside the reachability fixpoint, between sweep
-        // candidates) never reclaim it.
-        for &f in steady.next_state.iter().chain(&steady.outputs) {
-            manager.protect(f);
-        }
         let init = view.circuit().initial_state();
         Ok(DecisionContext {
             view,
@@ -153,8 +147,8 @@ impl<'c> DecisionContext<'c> {
     }
 
     /// Handles that must survive a garbage collection run between sweep
-    /// candidates: the steady machine (also pinned at construction) and the
-    /// frontier restriction.
+    /// candidates: the steady machine and the frontier restriction. Any
+    /// collection while the context lives must root them.
     pub fn gc_roots(&self) -> Vec<Bdd> {
         let mut roots: Vec<Bdd> =
             Vec::with_capacity(self.steady.next_state.len() + self.steady.outputs.len() + 1);
@@ -167,8 +161,7 @@ impl<'c> DecisionContext<'c> {
     /// Rewrites every held handle through a compaction `map` (see
     /// [`BddManager::compact`]). Must be called — with the same manager's
     /// map — immediately after any compaction while this context is live;
-    /// the manager remaps its own pin table, but the handle *copies* held
-    /// here go stale without this.
+    /// the handles held here go stale without this.
     pub fn rebind(&mut self, map: &CompactMap) {
         for f in self
             .steady
@@ -561,24 +554,6 @@ pub(crate) struct SinkRecord {
     mismatch: Option<i64>,
     /// Induction verdicts by depth `m`.
     induction: Vec<(i64, bool)>,
-}
-
-impl Clone for SinkRecord {
-    fn clone(&self) -> Self {
-        SinkRecord {
-            verified: self.verified,
-            mismatch: self.mismatch,
-            induction: self.induction.clone(),
-        }
-    }
-
-    /// Overwrites `self` in place, reusing its allocation: snapshots taken
-    /// once per σ allocate nothing.
-    fn clone_from(&mut self, source: &Self) {
-        self.verified = source.verified;
-        self.mismatch = source.mismatch;
-        self.induction.clone_from(&source.induction);
-    }
 }
 
 impl SinkRecord {

@@ -48,15 +48,15 @@ pub fn decide_exact(
         .map(|run| run.outcome)
 }
 
-/// Result of [`decide_exact_detail`]: the outcome plus the fixpoint
-/// iteration at which divergence first became reachable.
+/// One exact product check: the outcome plus the fixpoint iteration at
+/// which divergence first became reachable.
 ///
 /// The iteration index makes per-cone exact verdicts mergeable: the
 /// whole machine's check reports the lowest-indexed diverging output of the
 /// *earliest* diverging fixpoint frontier, so the recombined diagnostic
 /// must order cone verdicts by `(bad_iteration, parent output index)`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ExactRun {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ExactRun {
     /// The equivalence verdict.
     pub outcome: DecisionOutcome,
     /// Fixpoint iteration (0 = the initial set, before any image) at which

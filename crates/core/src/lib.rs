@@ -83,11 +83,11 @@ mod sweep;
 mod proptests;
 
 pub use analyzer::{MctAnalyzer, MctOptions, MctReport, SigmaStrategy, ValidityRegion, VarOrder};
-pub use artifact::{ArtifactError, ConeCacheEntry, ConeData, ExactPartData, OutcomeData};
+pub use artifact::{ArtifactError, ConeCacheEntry, ExactPart};
 pub use breakpoints::BreakpointIter;
 pub use decision::{DecisionContext, DecisionOutcome};
 pub use error::MctError;
-pub use exact::decide_exact;
+pub use exact::{decide_exact, ExactRun};
 pub use mct_bdd::BddStats;
 pub use sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats};
 pub use skew::SkewReport;

@@ -79,8 +79,8 @@ use mct_bdd::{Bdd, BddManager, BddStats, Var};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
 use mct_tbf::{
-    count_states, transfer_bdd, ConeExtractor, DelayClass, DiscreteMachine, Image, StaticOrder,
-    TimedVar, TimedVarTable,
+    count_states, ConeExtractor, DelayClass, DiscreteMachine, Image, StaticOrder, TimedVar,
+    TimedVarTable,
 };
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -336,7 +336,7 @@ struct ConeMemo {
     cx: HashMap<(Vec<i64>, i64), DecisionOutcome>,
     exact: HashMap<Vec<i64>, ExactPart>,
     /// Per sink: its record at every projection decided so far.
-    records: Vec<HashMap<Vec<i64>, SinkRecord>>,
+    records: Vec<SinkRecords>,
 }
 
 impl ConeMemo {
@@ -344,9 +344,17 @@ impl ConeMemo {
         ConeMemo {
             cx: HashMap::new(),
             exact: HashMap::new(),
-            records: vec![HashMap::new(); sinks],
+            records: (0..sinks).map(|_| SinkRecords::default()).collect(),
         }
     }
+}
+
+/// One sink's records, one per projection, each in a slot that a
+/// projection index names.
+#[derive(Default)]
+struct SinkRecords {
+    slots: HashMap<Vec<i64>, usize>,
+    records: Vec<SinkRecord>,
 }
 
 /// One sink of a cone, carried from one σ to the next.
@@ -354,8 +362,8 @@ impl ConeMemo {
 struct CarriedSink {
     /// The sink's projection at the last σ that visited it.
     key: Vec<i64>,
-    /// A copy of the sink's record at `key`.
-    record: SinkRecord,
+    /// The slot of the sink's record at `key`, once it has one.
+    slot: Option<usize>,
     /// The sink's function at `key`, once extracted. Dropped at every
     /// candidate boundary, before any collection.
     function: Option<Bdd>,
@@ -366,10 +374,9 @@ struct CarriedSink {
 }
 
 /// A cone's sinks. Consecutive σ mostly share a sink's projection, so the
-/// cursor keeps each sink's projection, record snapshot and function
-/// between walks, and reads the record map only when a σ moves the sink to
-/// another projection. Every verdict goes to both the snapshot and the
-/// map, so the two never disagree.
+/// cursor keeps each sink's projection, record slot and function between
+/// walks, and reads the projection index only when a σ moves the sink to
+/// another projection.
 #[derive(Default)]
 struct SinkCursor {
     sinks: Vec<CarriedSink>,
@@ -384,7 +391,7 @@ struct SinkCursor {
 struct CursorWalk<'a, 'v> {
     cursor: &'a mut SinkCursor,
     meta: &'a ConeMeta<'v>,
-    records: &'a mut [HashMap<Vec<i64>, SinkRecord>],
+    records: &'a mut [SinkRecords],
     sub: &'a [i64],
 }
 
@@ -402,13 +409,11 @@ impl SinkVerdicts for CursorWalk<'_, '_> {
                 sink.key.clear();
                 sink.key.extend(key);
                 sink.function = None;
-                match self.records[s].get(sink.key.as_slice()) {
-                    Some(stored) => sink.record.clone_from(stored),
-                    None => sink.record.clone_from(&SinkRecord::default()),
-                }
+                sink.slot = self.records[s].slots.get(sink.key.as_slice()).copied();
             }
         }
-        sink.record.known(check)
+        let records = &self.records[s].records;
+        sink.slot.and_then(|slot| records[slot].known(check))
     }
 
     fn function(
@@ -445,13 +450,15 @@ impl SinkVerdicts for CursorWalk<'_, '_> {
             sink.compared = cursor.walks;
             cursor.reused -= 1;
         }
-        sink.record.note(check, equal);
-        match self.records[s].get_mut(sink.key.as_slice()) {
-            Some(stored) => stored.note(check, equal),
-            None => {
-                self.records[s].insert(sink.key.clone(), sink.record.clone());
-            }
-        }
+        let records = &mut self.records[s];
+        let slot = *sink.slot.get_or_insert_with(|| {
+            records
+                .slots
+                .insert(sink.key.clone(), records.records.len());
+            records.records.push(SinkRecord::default());
+            records.records.len() - 1
+        });
+        records.records[slot].note(check, equal);
     }
 }
 
@@ -573,33 +580,35 @@ impl FreshCone {
         })
     }
 
-    /// The cone's entry skeleton: its layers and reachable set, transferred
-    /// into a private manager (so sweep-time collections cannot reclaim
-    /// them). Requires [`complete`](Self::complete).
-    fn entry(&self) -> Result<ConeCacheEntry, MctError> {
-        let layers = self.layers.as_ref().expect("harvests keep layers");
+    /// The cone's layers and, with `with_reach`, its reachable set, as an
+    /// entry over only the variables they decide on (the manager's
+    /// preregistered static-order copies stay out). Requires
+    /// [`complete`](Self::complete).
+    fn entry(&self, with_reach: bool) -> ConeCacheEntry {
+        let layers = self.layers.as_ref().expect("entries keep layers");
         let (tail, period) = layers.rho.expect("complete ran");
-        let mut entry = ConeCacheEntry::empty();
-        for &l in &layers.seq {
-            let t = transfer_bdd(
-                &self.manager,
-                &self.table,
-                l,
-                &mut entry.manager,
-                &mut entry.table,
-            )?;
-            entry.layers.push(t);
+        let mut roots = layers.seq.clone();
+        if with_reach {
+            roots.push(self.reach);
         }
-        entry.tail = tail;
-        entry.period = period;
-        entry.reach = Some(transfer_bdd(
-            &self.manager,
-            &self.table,
-            self.reach,
-            &mut entry.manager,
-            &mut entry.table,
-        )?);
-        Ok(entry)
+        let mut snapshot = self.manager.export_bdd(&roots);
+        let vars = snapshot
+            .compact_vars()
+            .into_iter()
+            .map(|v| {
+                self.table
+                    .timed_var(Var::new(v))
+                    .expect("cone BDDs only use table-allocated variables")
+            })
+            .collect();
+        ConeCacheEntry {
+            vars,
+            snapshot,
+            tail,
+            period,
+            has_reach: with_reach,
+            ..ConeCacheEntry::empty()
+        }
     }
 }
 
@@ -645,8 +654,8 @@ struct ConeEnv<'v> {
 
 impl<'v> ConeEnv<'v> {
     /// Builds an environment, importing the reachable set of the cone's
-    /// seed, if any — a linear transfer walk, not a repeat of the image
-    /// fixpoint.
+    /// seed, if any — one linear import of the reach root's nodes, not a
+    /// repeat of the image fixpoint.
     fn build(
         meta: &ConeMeta<'v>,
         seed: Option<&ConeCacheEntry>,
@@ -660,14 +669,8 @@ impl<'v> ConeEnv<'v> {
         }
         let mut ctx = DecisionContext::new(&meta.extractor, &mut manager, &mut table)?;
         if let Some(s) = seed {
-            let set = s.reach.expect("restricting seeds carry a reach set");
-            ctx = ctx.with_restriction(transfer_bdd(
-                &s.manager,
-                &s.table,
-                set,
-                &mut manager,
-                &mut table,
-            )?);
+            let root = s.reach_root().expect("restricting seeds carry a reach set");
+            ctx = ctx.with_restriction(s.import(&mut manager, root, |&tv| table.var(tv))[0]);
         }
         Ok(Self::finish(meta, manager, table, ctx))
     }
@@ -719,7 +722,7 @@ impl<'v> ConeEnv<'v> {
     fn walk(
         &mut self,
         meta: &ConeMeta<'v>,
-        records: &mut [HashMap<Vec<i64>, SinkRecord>],
+        records: &mut [SinkRecords],
         sub: &[i64],
         m: i64,
     ) -> Result<(DecisionOutcome, u64), MctError> {
@@ -744,7 +747,7 @@ impl<'v> ConeEnv<'v> {
 
     /// Candidate-boundary maintenance: drop the carried sink functions,
     /// then collect and compact. Per-σ machines are gone by now and the
-    /// records, snapshots and memoized verdicts hold no handles, so the
+    /// records and memoized verdicts hold no handles, so the
     /// context plus the steady rows enumerate every live handle of this
     /// manager.
     fn settle(&mut self) {
@@ -1082,7 +1085,7 @@ fn reachability<'s>(
     for (c, meta) in metas.iter().enumerate() {
         reach.push(match seeds[c] {
             _ if !stateful.contains(&c) => ConeReach::Free,
-            Some(s) if s.reach.is_some() && s.has_layers() => ConeReach::Seed(s),
+            Some(s) if s.has_reach && s.has_layers() => ConeReach::Seed(s),
             _ => ConeReach::Fresh(Box::new(FreshCone::new(
                 &meta.extractor,
                 opts,
@@ -1095,7 +1098,7 @@ fn reachability<'s>(
         // One stateful cone owns every flip-flop: its own reachable set is
         // the global one, and no layer product is needed.
         match &mut reach[c] {
-            ConeReach::Seed(s) => count_states(&s.manager, s.reach.expect("checked"), parent_ns),
+            ConeReach::Seed(s) => s.reach_states(parent_ns),
             ConeReach::Fresh(fc) => {
                 if !fc.saturate(deadline) {
                     return Ok(None);
@@ -1116,15 +1119,18 @@ fn reachability<'s>(
                 }
             }
         }
-        let mut shapes: Vec<_> = stateful
+        let fresh: Vec<Option<ConeCacheEntry>> = reach
             .iter()
-            .map(|&c| match &reach[c] {
-                ConeReach::Seed(s) => (c, (s.tail, s.period), &s.layers[..], &s.manager, &s.table),
-                ConeReach::Fresh(fc) => {
-                    let layers = fc.layers.as_ref().expect("layer products keep layers");
-                    let rho = layers.rho.expect("complete ran");
-                    (c, rho, &layers.seq[..], &fc.manager, &fc.table)
-                }
+            .map(|r| match r {
+                ConeReach::Fresh(fc) => Some(fc.entry(false)),
+                _ => None,
+            })
+            .collect();
+        let mut shapes: Vec<(usize, &ConeCacheEntry)> = stateful
+            .iter()
+            .map(|&c| match (&reach[c], &fresh[c]) {
+                (ConeReach::Seed(s), _) => (c, *s),
+                (_, Some(e)) => (c, e),
                 _ => unreachable!("stateful cones have a reach source"),
             })
             .collect();
@@ -1132,7 +1138,7 @@ fn reachability<'s>(
         // cycle from step 0 on top, long-tailed ones (a counter with an
         // enable input grows one state per layer) at the bottom, below the
         // few distinct combinations the cycling cones contribute.
-        shapes.sort_by_key(|&(_, (tail, _), ..)| tail);
+        shapes.sort_by_key(|&(_, e)| e.tail);
         let mut counting = BddManager::new();
         let mut table = TimedVarTable::new();
         table.preregister(shapes.iter().flat_map(|&(c, ..)| {
@@ -1141,28 +1147,25 @@ fn reachability<'s>(
                 .iter()
                 .map(|&leaf| TimedVar::Arbitrary { leaf, delay: 1 })
         }));
-        // Import each layer in local coordinates, then rebase it onto the
-        // cone's parent-leaf variables.
-        let mut imported: Vec<Vec<Bdd>> = Vec::with_capacity(shapes.len());
-        for &(c, _, layers, src_mgr, src_tbl) in &shapes {
-            let map: Vec<(Var, Var)> = metas[c]
-                .dffs
-                .iter()
-                .enumerate()
-                .map(|(l, &leaf)| {
-                    (
-                        table.var(TimedVar::Shifted { leaf: l, shift: 0 }),
-                        table.var(TimedVar::Arbitrary { leaf, delay: 1 }),
-                    )
+        // Import each cone's layers once, sending its local state variables
+        // straight to its parent-leaf variables.
+        let imported: Vec<Vec<Bdd>> = shapes
+            .iter()
+            .map(|&(c, e)| {
+                let dffs = &metas[c].dffs;
+                e.import(&mut counting, e.layer_roots(), |&tv| {
+                    table.var(match tv {
+                        TimedVar::Shifted { leaf, shift: 0 } if leaf < dffs.len() => {
+                            TimedVar::Arbitrary {
+                                leaf: dffs[leaf],
+                                delay: 1,
+                            }
+                        }
+                        other => other,
+                    })
                 })
-                .collect();
-            let mut rebased = Vec::with_capacity(layers.len());
-            for &l in layers {
-                let local = transfer_bdd(src_mgr, src_tbl, l, &mut counting, &mut table)?;
-                rebased.push(counting.rename_vars(local, &map));
-            }
-            imported.push(rebased);
-        }
+            })
+            .collect();
         let mut roots: Vec<Bdd> = imported.iter().flatten().copied().collect();
         let mut reached = counting.zero();
         for k in 0.. {
@@ -1170,11 +1173,11 @@ fn reachability<'s>(
                 return Ok(None);
             }
             let mut a_k = counting.one();
-            for (&(_, (tail, period), ..), layers) in shapes.iter().zip(&imported) {
+            for (&(_, e), layers) in shapes.iter().zip(&imported) {
                 let j = if k < layers.len() {
                     k
                 } else {
-                    tail + (k - tail) % period
+                    e.tail + (k - e.tail) % e.period
                 };
                 a_k = counting.and(a_k, layers[j]);
             }
@@ -1344,8 +1347,8 @@ pub(crate) fn run(
             None => reach_done = false,
         }
     }
-    // Harvested layers go to private entry managers before any sweep-time
-    // collection can reclaim them.
+    // Harvested layers are exported before any sweep-time collection can
+    // reclaim them.
     let mut pending: Vec<Option<ConeCacheEntry>> = (0..total).map(|_| None).collect();
     if harvest && reach_done {
         for (slot, r) in pending.iter_mut().zip(reach.iter_mut()) {
@@ -1354,7 +1357,7 @@ pub(crate) fn run(
                     reach_done = false;
                     break;
                 }
-                *slot = Some(fc.entry()?);
+                *slot = Some(fc.entry(true));
             }
         }
     }
@@ -1413,20 +1416,20 @@ pub(crate) fn run(
                 continue; // fully replayed: the caller's entry is current
             }
             let mut entry = match (pending[c].take(), seed) {
-                (Some(e), _) => e,
-                // Partial replay: carry the seed's layers forward so the
-                // new entry supersedes the old one completely.
-                (None, Some(s)) => s.copy_layers()?,
+                (Some(mut e), Some(s)) => {
+                    e.outcomes_cx
+                        .extend(s.outcomes_cx.iter().map(|(k, &v)| (k.clone(), v)));
+                    e.outcomes_exact
+                        .extend(s.outcomes_exact.iter().map(|(k, &v)| (k.clone(), v)));
+                    e
+                }
+                (Some(e), None) => e,
+                // Partial replay: the seed's layers and verdicts carry
+                // forward, so the new entry supersedes the old one
+                // completely.
+                (None, Some(s)) => s.clone(),
                 (None, None) => ConeCacheEntry::empty(),
             };
-            if let Some(s) = seed {
-                entry
-                    .outcomes_cx
-                    .extend(s.outcomes_cx.iter().map(|(k, &v)| (k.clone(), v)));
-                entry
-                    .outcomes_exact
-                    .extend(s.outcomes_exact.iter().map(|(k, &v)| (k.clone(), v)));
-            }
             let memo = &mut st.memos[c];
             entry.outcomes_cx.extend(std::mem::take(&mut memo.cx));
             entry.outcomes_exact.extend(std::mem::take(&mut memo.exact));
@@ -1591,7 +1594,7 @@ mod tests {
 
     /// With an aggressive collection threshold the arena stays bounded
     /// across the sweep: every candidate's machines are reclaimed at the
-    /// candidate boundary, leaving only the pinned steady machine and the
+    /// candidate boundary, leaving only the rooted steady machine and the
     /// restriction live.
     #[test]
     fn gc_bounds_arena_between_candidates() {

@@ -850,9 +850,8 @@ fn robustness(ctx: &mut OracleCtx, c: &Circuit, stim_seed: u64) -> Option<Failur
         }
     }
     // Cone-entry persistence round trip: the entries a seeded run harvests
-    // must survive the store's binary encoding, import into *fresh*
-    // managers (identity variable order), and seed a repeat analysis to
-    // the byte-identical report.
+    // must survive the store's binary encoding and its validation at load,
+    // and seed a repeat analysis to the byte-identical report.
     ctx.stats.analyses += 1;
     let cold = MctAnalyzer::new(c)
         .map_err(|e| format!("analyzer construction: {e:?}"))
@@ -875,22 +874,13 @@ fn robustness(ctx: &mut OracleCtx, c: &Circuit, stim_seed: u64) -> Option<Failur
             seeds.push(None);
             continue;
         };
-        let bytes = mct_store::encode_cone(&entry.export_data());
-        let decoded = match mct_store::decode_cone(&bytes) {
-            Ok(d) => d,
+        let bytes = mct_store::encode_cone(entry);
+        match mct_store::decode_cone(&bytes) {
+            Ok(decoded) => seeds.push(Some(decoded)),
             Err(e) => {
                 return Some(Failure {
                     oracle: "robustness",
-                    detail: format!("cone entry failed to decode its own encoding: {e}"),
-                })
-            }
-        };
-        match ConeCacheEntry::import_data(&decoded) {
-            Ok(imported) => seeds.push(Some(imported)),
-            Err(e) => {
-                return Some(Failure {
-                    oracle: "robustness",
-                    detail: format!("round-tripped cone entry failed to import: {e:?}"),
+                    detail: format!("cone entry failed to load its own encoding: {e}"),
                 })
             }
         }

@@ -20,7 +20,8 @@
 //!    persisted in the versioned binary store format.
 //!    The store is byte-accounted under the same `--cache-max-bytes`
 //!    budget with its own LRU. Entries are promoted back into memory on
-//!    read; corrupt, truncated, or mis-versioned files are misses.
+//!    read; corrupt, truncated, badly shaped or mis-versioned files are
+//!    misses.
 //! 3. **Cones** — per-cone replay seeds ([`mct_core::ConeCacheEntry`] —
 //!    reach layers plus decision outcomes for one cone of influence),
 //!    keyed by the cone's *layout* digest and the entry key
@@ -363,10 +364,7 @@ impl ResultCache {
             return Some((entry, CacheTier::Memory));
         }
         let store = self.store.as_mut()?;
-        let imported = store
-            .load_cone(&layout_hex(cone), key)
-            .and_then(|data| ConeCacheEntry::import_data(&data).ok());
-        match imported {
+        match store.load_cone(&layout_hex(cone), key) {
             Some(entry) => {
                 self.counters.cone_hits += 1;
                 Some((entry, CacheTier::Disk))
@@ -385,7 +383,7 @@ impl ResultCache {
     /// least-recently stored beyond that.
     pub fn store_cone(&mut self, cone: CanonicalHash, key: u64, entry: ConeCacheEntry) {
         if let Some(store) = &mut self.store {
-            let _ = store.save_cone(&layout_hex(cone), key, &entry.export_data());
+            let _ = store.save_cone(&layout_hex(cone), key, &entry);
         }
         self.tick += 1;
         let bytes = entry.approx_bytes();

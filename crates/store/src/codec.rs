@@ -32,10 +32,11 @@
 //! Every decode path is bounds-checked and every declared length is
 //! validated against the bytes actually remaining, so hostile input costs
 //! at most one pass over the file and never a panic or an outsized
-//! allocation.
+//! allocation. A payload that decodes must also pass
+//! [`ConeCacheEntry::new`]'s shape validation before it becomes an entry.
 
 use mct_bdd::{BddSnapshot, SnapshotNode};
-use mct_core::{ConeData, ExactPartData, OutcomeData};
+use mct_core::{ArtifactError, ConeCacheEntry, DecisionOutcome, ExactPart, ExactRun};
 use mct_tbf::TimedVar;
 use std::fmt;
 
@@ -53,7 +54,7 @@ pub enum ArtifactKind {
     // Kind bytes 1 (a whole-circuit reach snapshot) and 2 (a learned
     // variable order) are retired: never reuse them, so files an older
     // writer left behind can never decode as new data.
-    /// A [`ConeData`] cone replay seed.
+    /// A [`ConeCacheEntry`] cone replay seed.
     Cone = 3,
 }
 
@@ -105,6 +106,8 @@ pub enum StoreError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
+    /// A payload that decodes but is badly shaped as a cone entry.
+    Invalid(ArtifactError),
 }
 
 impl fmt::Display for StoreError {
@@ -130,6 +133,7 @@ impl fmt::Display for StoreError {
             StoreError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after payload")
             }
+            StoreError::Invalid(e) => write!(f, "invalid cone entry: {e}"),
         }
     }
 }
@@ -215,17 +219,18 @@ impl Writer {
         }
     }
 
-    fn outcome(&mut self, o: &OutcomeData) {
-        self.u16(o.kind.len() as u16);
-        self.buf.extend_from_slice(o.kind.as_bytes());
-        match o.cycle {
+    fn outcome(&mut self, o: DecisionOutcome) {
+        let (kind, cycle, index) = o.parts();
+        self.u16(kind.len() as u16);
+        self.buf.extend_from_slice(kind.as_bytes());
+        match cycle {
             Some(c) => {
                 self.u8(1);
                 self.i64(c);
             }
             None => self.u8(0),
         }
-        match o.index {
+        match index {
             Some(i) => {
                 self.u8(1);
                 self.u64(i as u64);
@@ -364,11 +369,10 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn outcome(&mut self) -> R<OutcomeData> {
+    fn outcome(&mut self) -> R<DecisionOutcome> {
         let kind_len = self.u16()? as usize;
         let kind = std::str::from_utf8(self.take(kind_len)?)
-            .map_err(|_| StoreError::Malformed("outcome kind utf8"))?
-            .to_owned();
+            .map_err(|_| StoreError::Malformed("outcome kind utf8"))?;
         let cycle = match self.u8()? {
             0 => None,
             1 => Some(self.i64()?),
@@ -381,7 +385,7 @@ impl<'a> Reader<'a> {
             ),
             _ => return Err(StoreError::Malformed("index flag")),
         };
-        Ok(OutcomeData { kind, cycle, index })
+        DecisionOutcome::from_parts(kind, cycle, index).ok_or(StoreError::Malformed("outcome kind"))
     }
 
     fn finish(self) -> R<()> {
@@ -434,35 +438,41 @@ pub fn peek_kind(bytes: &[u8]) -> R<ArtifactKind> {
 
 // ---------------------------------------------------------------- public
 
-/// Encodes a cone replay seed.
-pub fn encode_cone(data: &ConeData) -> Vec<u8> {
+/// Encodes a cone replay seed. Outcomes are sorted by key, so equal
+/// entries encode to equal bytes.
+pub fn encode_cone(entry: &ConeCacheEntry) -> Vec<u8> {
     let mut w = Writer::new(ArtifactKind::Cone);
-    w.timed_vars(&data.vars);
-    w.snapshot(&data.snapshot);
-    w.u64(data.tail);
-    w.u64(data.period);
-    w.u8(data.has_reach as u8);
-    w.u32(data.outcomes_cx.len() as u32);
-    for (sub, m, o) in &data.outcomes_cx {
+    let (tail, period) = entry.rho();
+    w.timed_vars(entry.vars());
+    w.snapshot(entry.snapshot());
+    w.u64(tail as u64);
+    w.u64(period as u64);
+    w.u8(entry.has_reach() as u8);
+    let mut cx: Vec<_> = entry.outcomes_cx().collect();
+    cx.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    w.u32(cx.len() as u32);
+    for (sub, m, o) in cx {
         w.sub(sub);
-        w.i64(*m);
+        w.i64(m);
         w.outcome(o);
     }
-    w.u32(data.outcomes_exact.len() as u32);
-    for (sub, part) in &data.outcomes_exact {
+    let mut exact: Vec<_> = entry.outcomes_exact().collect();
+    exact.sort_by(|a, b| a.0.cmp(b.0));
+    w.u32(exact.len() as u32);
+    for (sub, part) in exact {
         w.sub(sub);
         w.i64(part.m_state);
         w.i64(part.m_input);
-        match &part.fix {
+        match part.fix {
             None => w.u8(0),
-            Some((o, bad)) => {
+            Some(run) => {
                 w.u8(1);
-                w.outcome(o);
-                match bad {
+                w.outcome(run.outcome);
+                match run.bad_iteration {
                     None => w.u8(0),
                     Some(it) => {
                         w.u8(1);
-                        w.u64(*it);
+                        w.u64(it);
                     }
                 }
             }
@@ -471,12 +481,14 @@ pub fn encode_cone(data: &ConeData) -> Vec<u8> {
     w.buf
 }
 
-/// Decodes a cone replay seed.
+/// Decodes a cone replay seed and validates its shape
+/// ([`ConeCacheEntry::new`]).
 ///
 /// # Errors
 ///
-/// [`StoreError`] on any malformed, truncated, or mis-versioned input.
-pub fn decode_cone(bytes: &[u8]) -> R<ConeData> {
+/// [`StoreError`] on any malformed, truncated, mis-versioned or badly
+/// shaped input.
+pub fn decode_cone(bytes: &[u8]) -> R<ConeCacheEntry> {
     let mut r = Reader::new(bytes);
     read_header(&mut r, ArtifactKind::Cone)?;
     let vars = r.timed_vars()?;
@@ -488,18 +500,17 @@ pub fn decode_cone(bytes: &[u8]) -> R<ConeData> {
         1 => true,
         _ => return Err(StoreError::Malformed("has_reach flag")),
     };
+    let mut entry = ConeCacheEntry::new(vars, snapshot, tail, period, has_reach)
+        .map_err(StoreError::Invalid)?;
     let cx_count = r.u32()?;
     let cx_count = r.len(cx_count as u64, 16)?;
-    let mut outcomes_cx = Vec::with_capacity(cx_count);
     for _ in 0..cx_count {
         let sub = r.sub()?;
         let m = r.i64()?;
-        let o = r.outcome()?;
-        outcomes_cx.push((sub, m, o));
+        entry.insert_cx(sub, m, r.outcome()?);
     }
     let ex_count = r.u32()?;
     let ex_count = r.len(ex_count as u64, 21)?;
-    let mut outcomes_exact = Vec::with_capacity(ex_count);
     for _ in 0..ex_count {
         let sub = r.sub()?;
         let m_state = r.i64()?;
@@ -507,95 +518,101 @@ pub fn decode_cone(bytes: &[u8]) -> R<ConeData> {
         let fix = match r.u8()? {
             0 => None,
             1 => {
-                let o = r.outcome()?;
-                let bad = match r.u8()? {
+                let outcome = r.outcome()?;
+                let bad_iteration = match r.u8()? {
                     0 => None,
                     1 => Some(r.u64()?),
                     _ => return Err(StoreError::Malformed("bad-iteration flag")),
                 };
-                Some((o, bad))
+                Some(ExactRun {
+                    outcome,
+                    bad_iteration,
+                })
             }
             _ => return Err(StoreError::Malformed("fix flag")),
         };
-        outcomes_exact.push((
+        entry.insert_exact(
             sub,
-            ExactPartData {
+            ExactPart {
                 m_state,
                 m_input,
                 fix,
             },
-        ));
+        );
     }
     r.finish()?;
-    Ok(ConeData {
-        vars,
-        snapshot,
-        tail,
-        period,
-        has_reach,
-        outcomes_cx,
-        outcomes_exact,
-    })
+    Ok(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_cone() -> ConeData {
-        ConeData {
-            vars: vec![TimedVar::Shifted { leaf: 0, shift: 0 }],
-            snapshot: BddSnapshot {
-                num_vars: 1,
-                order: vec![0],
-                nodes: vec![SnapshotNode {
-                    var: 0,
-                    lo: -1,
-                    hi: 1,
-                }],
-                roots: vec![2, -2],
-            },
-            tail: 1,
-            period: 1,
-            has_reach: true,
-            outcomes_cx: vec![(
-                vec![3, -4],
-                2,
-                OutcomeData {
-                    kind: "basis_state".into(),
-                    cycle: Some(2),
-                    index: Some(0),
-                },
-            )],
-            outcomes_exact: vec![(
-                vec![3],
-                ExactPartData {
-                    m_state: 2,
-                    m_input: 1,
-                    fix: Some((
-                        OutcomeData {
-                            kind: "valid".into(),
-                            cycle: None,
-                            index: None,
-                        },
-                        Some(4),
-                    )),
-                },
-            )],
+    /// A one-variable snapshot with one layer, which is also the reach set.
+    fn sample_snapshot() -> BddSnapshot {
+        BddSnapshot {
+            num_vars: 1,
+            order: vec![0],
+            nodes: vec![SnapshotNode {
+                var: 0,
+                lo: -1,
+                hi: 1,
+            }],
+            roots: vec![2, -2],
         }
     }
 
-    /// A cone artifact with no variables and an empty snapshot.
-    fn empty_cone() -> ConeData {
-        ConeData {
-            vars: Vec::new(),
-            snapshot: BddSnapshot::default(),
-            tail: 0,
-            period: 0,
-            has_reach: false,
-            outcomes_cx: Vec::new(),
-            outcomes_exact: Vec::new(),
-        }
+    fn sample_cone() -> ConeCacheEntry {
+        let mut entry = ConeCacheEntry::new(
+            vec![TimedVar::Shifted { leaf: 0, shift: 0 }],
+            sample_snapshot(),
+            0,
+            1,
+            true,
+        )
+        .unwrap();
+        entry.insert_cx(
+            vec![3, -4],
+            2,
+            DecisionOutcome::BasisStateMismatch { cycle: 2, bit: 0 },
+        );
+        entry.insert_exact(
+            vec![3],
+            ExactPart {
+                m_state: 2,
+                m_input: 1,
+                fix: Some(ExactRun {
+                    outcome: DecisionOutcome::Valid,
+                    bad_iteration: Some(4),
+                }),
+            },
+        );
+        entry
+    }
+
+    /// A cone entry with no variables and an empty snapshot.
+    fn empty_cone() -> ConeCacheEntry {
+        ConeCacheEntry::new(Vec::new(), BddSnapshot::default(), 0, 0, false).unwrap()
+    }
+
+    /// A cone file's bytes for raw fields, outcomes omitted: lets a test
+    /// write shapes [`ConeCacheEntry::new`] refuses to build.
+    fn raw_cone(
+        vars: &[TimedVar],
+        snapshot: &BddSnapshot,
+        tail: u64,
+        period: u64,
+        has_reach: u8,
+    ) -> Vec<u8> {
+        let mut w = Writer::new(ArtifactKind::Cone);
+        w.timed_vars(vars);
+        w.snapshot(snapshot);
+        w.u64(tail);
+        w.u64(period);
+        w.u8(has_reach);
+        w.u32(0);
+        w.u32(0);
+        w.buf
     }
 
     #[test]
@@ -609,16 +626,14 @@ mod tests {
 
     #[test]
     fn every_timed_var_tag_round_trips() {
-        let data = ConeData {
-            vars: vec![
-                TimedVar::Old { leaf: 5 },
-                TimedVar::Arbitrary { leaf: 2, delay: -7 },
-                TimedVar::Primed { leaf: 1, depth: 3 },
-                TimedVar::Absolute { leaf: 0, cycle: -1 },
-                TimedVar::Next { leaf: 4 },
-            ],
-            ..empty_cone()
-        };
+        let vars = vec![
+            TimedVar::Old { leaf: 5 },
+            TimedVar::Arbitrary { leaf: 2, delay: -7 },
+            TimedVar::Primed { leaf: 1, depth: 3 },
+            TimedVar::Absolute { leaf: 0, cycle: -1 },
+            TimedVar::Next { leaf: 4 },
+        ];
+        let data = ConeCacheEntry::new(vars, BddSnapshot::default(), 0, 0, false).unwrap();
         let bytes = encode_cone(&data);
         assert_eq!(decode_cone(&bytes).unwrap(), data);
     }
@@ -679,5 +694,99 @@ mod tests {
             decode_cone(&bytes).unwrap_err(),
             StoreError::Truncated { .. }
         ));
+    }
+
+    #[test]
+    fn unknown_outcome_kind_is_malformed() {
+        let mut bytes = encode_cone(&sample_cone());
+        let kind = b"basis_state";
+        let at = bytes
+            .windows(kind.len())
+            .position(|w| w == kind)
+            .expect("the encoded verdict");
+        bytes[at..at + kind.len()].copy_from_slice(b"mystery_kid");
+        assert_eq!(
+            decode_cone(&bytes).unwrap_err(),
+            StoreError::Malformed("outcome kind")
+        );
+    }
+
+    #[test]
+    fn badly_shaped_payloads_are_invalid() {
+        let vars = [TimedVar::Shifted { leaf: 0, shift: 0 }];
+        let good = sample_snapshot();
+        assert!(decode_cone(&raw_cone(&vars, &good, 0, 1, 1)).is_ok());
+        let invalid = |bytes: Vec<u8>| match decode_cone(&bytes) {
+            Err(StoreError::Invalid(e)) => e,
+            other => panic!("expected an invalid entry, got {other:?}"),
+        };
+        assert!(matches!(
+            invalid(raw_cone(&vars, &good, 1, 1, 1)),
+            ArtifactError::BadRho { .. }
+        ));
+        assert!(matches!(
+            invalid(raw_cone(&[], &good, 0, 1, 1)),
+            ArtifactError::VarCount { .. }
+        ));
+        assert!(matches!(
+            invalid(raw_cone(&[vars[0], vars[0]], &good, 0, 1, 1)),
+            ArtifactError::DuplicateTimedVar { .. }
+        ));
+        let no_roots = BddSnapshot {
+            roots: Vec::new(),
+            ..good.clone()
+        };
+        assert!(matches!(
+            invalid(raw_cone(&vars, &no_roots, 0, 1, 1)),
+            ArtifactError::RootCount { .. }
+        ));
+        let mut dangling = good;
+        dangling.nodes[0].lo = 2;
+        assert!(matches!(
+            invalid(raw_cone(&vars, &dangling, 0, 1, 1)),
+            ArtifactError::Bdd(_)
+        ));
+    }
+
+    /// Harvested entries survive the codec: decoded, they seed a repeat
+    /// analysis that replays every cone to the cold report.
+    #[test]
+    fn harvested_entries_round_trip_into_a_seeded_run() {
+        use mct_core::{MctAnalyzer, MctOptions};
+        use mct_netlist::{Circuit, GateKind, Time};
+        let t = Time::from_f64;
+        let mut c = Circuit::new("tri");
+        let q0 = c.add_dff("q0", false, Time::ZERO);
+        let n0 = c.add_gate("n0", GateKind::Not, &[q0], t(1.0));
+        c.connect_dff_data("q0", n0).unwrap();
+        let q1 = c.add_dff("q1", true, Time::UNIT);
+        let n1 = c.add_gate("n1", GateKind::Not, &[q1], t(2.0));
+        c.connect_dff_data("q1", n1).unwrap();
+        let a = c.add_input("a");
+        let ab = c.add_gate("ab", GateKind::Buf, &[a], t(3.0));
+        for out in [q0, q1, ab] {
+            c.set_output(out);
+        }
+        let opts = MctOptions::default();
+        let strip = |mut r: mct_core::MctReport| {
+            r.kernel = Default::default();
+            format!("{r:?}")
+        };
+        let (cold, artifacts) = MctAnalyzer::new(&c)
+            .unwrap()
+            .run_decomposed(&opts, &[])
+            .unwrap();
+        let seeds: Vec<ConeCacheEntry> = artifacts
+            .entries
+            .iter()
+            .map(|e| decode_cone(&encode_cone(e.as_ref().unwrap())).unwrap())
+            .collect();
+        let refs: Vec<Option<&ConeCacheEntry>> = seeds.iter().map(Some).collect();
+        let (warm, replay) = MctAnalyzer::new(&c)
+            .unwrap()
+            .run_decomposed(&opts, &refs)
+            .unwrap();
+        assert_eq!(replay.cones_replayed, 3);
+        assert_eq!(strip(warm), strip(cold));
     }
 }

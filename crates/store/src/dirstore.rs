@@ -34,7 +34,7 @@
 //! everything else.
 
 use crate::codec::{decode_cone, encode_cone, peek_kind, ArtifactKind};
-use mct_core::ConeData;
+use mct_core::ConeCacheEntry;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -250,14 +250,19 @@ impl Store {
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn save_cone(&mut self, layout_hex: &str, key: u64, data: &ConeData) -> io::Result<bool> {
-        self.save(&cone_name(layout_hex, key), &encode_cone(data))
+    pub fn save_cone(
+        &mut self,
+        layout_hex: &str,
+        key: u64,
+        entry: &ConeCacheEntry,
+    ) -> io::Result<bool> {
+        self.save(&cone_name(layout_hex, key), &encode_cone(entry))
     }
 
     /// Loads the cone replay seed for a (cone layout digest, entry key)
-    /// pair. Any missing, truncated, corrupted, or mis-versioned file is a
-    /// miss (`None`), never a panic.
-    pub fn load_cone(&mut self, layout_hex: &str, key: u64) -> Option<ConeData> {
+    /// pair. Any missing, truncated, corrupted, mis-versioned or badly
+    /// shaped file is a miss (`None`), never a panic.
+    pub fn load_cone(&mut self, layout_hex: &str, key: u64) -> Option<ConeCacheEntry> {
         let bytes = self.load(&cone_name(layout_hex, key))?;
         decode_cone(&bytes).ok()
     }
@@ -290,8 +295,8 @@ impl Store {
     }
 
     /// Garbage-collects the directory: removes binary artifacts that no
-    /// longer decode (truncated, corrupt, or written by a different format
-    /// version), then — when `max_bytes` is given — LRU-prunes the rest
+    /// longer load (truncated, corrupt, badly shaped, or written by a
+    /// different format version), then — when `max_bytes` is given — LRU-prunes the rest
     /// down to that budget.
     pub fn gc(&mut self, max_bytes: Option<u64>) -> GcOutcome {
         let mut outcome = GcOutcome::default();
@@ -358,16 +363,9 @@ mod tests {
     }
 
     /// A cone artifact over `n` timed variables with an empty snapshot.
-    fn cone_of(n: usize) -> ConeData {
-        ConeData {
-            vars: (0..n).map(|leaf| TimedVar::Next { leaf }).collect(),
-            snapshot: mct_bdd::BddSnapshot::default(),
-            tail: 0,
-            period: 0,
-            has_reach: false,
-            outcomes_cx: Vec::new(),
-            outcomes_exact: Vec::new(),
-        }
+    fn cone_of(n: usize) -> ConeCacheEntry {
+        let vars = (0..n).map(|leaf| TimedVar::Next { leaf }).collect();
+        ConeCacheEntry::new(vars, mct_bdd::BddSnapshot::default(), 0, 0, false).unwrap()
     }
 
     #[test]

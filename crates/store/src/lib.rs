@@ -5,8 +5,8 @@
 //! machine's reachable set — plus final report JSON. This crate gives the
 //! seeds a durable form:
 //!
-//! * a **binary codec** (DDDMP-flavoured) for the plain-data mirror from
-//!   `mct-core` ([`ConeData`]): a fixed
+//! * a **binary codec** (DDDMP-flavoured) for `mct-core`'s plain-data
+//!   [`ConeCacheEntry`](mct_core::ConeCacheEntry): a fixed
 //!   header carrying magic, format version, artifact kind, and a
 //!   complement-edge flag, then little-endian fixed-width payloads whose
 //!   node lists are topologically sorted with signed (negative =
@@ -20,8 +20,10 @@
 //!
 //! Decoding is hostile-input safe by construction: every read is
 //! bounds-checked, every length is validated against the bytes that
-//! remain, and any malformed, truncated, or mis-versioned file surfaces as
-//! a [`StoreError`] the caller treats as a cache miss — never a panic.
+//! remain, a decoded entry's shape is validated before it is returned,
+//! and any malformed, truncated, badly shaped or mis-versioned file
+//! surfaces as a [`StoreError`] the caller treats as a cache miss — never
+//! a panic.
 //! Seeds are keyed by the cone's **layout** digest plus the entry key
 //! (`mct_core::ConeCacheEntry::key`): snapshot BDD variables are register
 //! *positions*, so two cones with equal behaviour but different register
@@ -37,5 +39,3 @@ pub use codec::{
     decode_cone, encode_cone, peek_kind, ArtifactKind, StoreError, FORMAT_VERSION, MAGIC,
 };
 pub use dirstore::{cone_name, GcOutcome, Store, StoreEntry};
-
-pub use mct_core::ConeData;

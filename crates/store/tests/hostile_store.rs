@@ -1,13 +1,13 @@
 //! Hostile-input tier for the store parser, mirroring the netlist crate's
-//! `hostile_inputs.rs`: corrupted, truncated, and mis-versioned store
-//! files must surface as cache misses (errors / `None`), never as panics,
-//! hangs, or outsized allocations — and must never corrupt a live manager.
+//! `hostile_inputs.rs`: corrupted, truncated, mis-versioned and badly
+//! shaped store files must surface as cache misses (errors / `None`),
+//! never as panics, hangs, or outsized allocations — and must never
+//! corrupt a live manager.
 
 use mct_bdd::{BddManager, BddSnapshot, SnapshotNode, Var};
-use mct_core::{ConeCacheEntry, ConeData};
+use mct_core::ArtifactError;
 use mct_store::{
-    cone_name, decode_cone, encode_cone, peek_kind, ArtifactKind, Store, StoreError,
-    FORMAT_VERSION, MAGIC,
+    cone_name, decode_cone, peek_kind, ArtifactKind, Store, StoreError, FORMAT_VERSION, MAGIC,
 };
 use mct_tbf::TimedVar;
 use std::fs;
@@ -19,9 +19,62 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The fields of a cone file, written by hand from the layout in the
+/// codec's documentation, so a test can store shapes no entry has.
+struct RawCone {
+    vars: Vec<TimedVar>,
+    snapshot: BddSnapshot,
+    tail: u64,
+    period: u64,
+    has_reach: bool,
+}
+
+impl RawCone {
+    /// The file's bytes, with no outcomes.
+    fn bytes(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.extend_from_slice(MAGIC);
+        b.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        b.push(ArtifactKind::Cone as u8);
+        b.push(1); // flags: complement edges
+        b.extend_from_slice(&(self.vars.len() as u32).to_le_bytes());
+        for tv in &self.vars {
+            let (tag, leaf, aux) = match *tv {
+                TimedVar::Shifted { leaf, shift } => (0u8, leaf, shift),
+                TimedVar::Next { leaf } => (2, leaf, 0),
+                other => panic!("no test writes {other:?}"),
+            };
+            b.push(tag);
+            b.extend_from_slice(&(leaf as u64).to_le_bytes());
+            b.extend_from_slice(&aux.to_le_bytes());
+        }
+        let s = &self.snapshot;
+        b.extend_from_slice(&s.num_vars.to_le_bytes());
+        for v in &s.order {
+            b.extend_from_slice(&v.to_le_bytes());
+        }
+        b.extend_from_slice(&(s.nodes.len() as u64).to_le_bytes());
+        for n in &s.nodes {
+            b.extend_from_slice(&n.var.to_le_bytes());
+            b.extend_from_slice(&n.lo.to_le_bytes());
+            b.extend_from_slice(&n.hi.to_le_bytes());
+        }
+        b.extend_from_slice(&(s.roots.len() as u32).to_le_bytes());
+        for r in &s.roots {
+            b.extend_from_slice(&r.to_le_bytes());
+        }
+        b.extend_from_slice(&self.tail.to_le_bytes());
+        b.extend_from_slice(&self.period.to_le_bytes());
+        b.push(self.has_reach as u8);
+        b.extend_from_slice(&0u32.to_le_bytes()); // C_x verdicts
+        b.extend_from_slice(&0u32.to_le_bytes()); // exact parts
+        b
+    }
+}
+
 /// A one-layer cone seed whose layer is also its reach set.
-fn valid_cone() -> ConeData {
-    ConeData {
+fn valid_cone() -> RawCone {
+    RawCone {
         vars: vec![
             TimedVar::Shifted { leaf: 0, shift: 0 },
             TimedVar::Next { leaf: 0 },
@@ -46,9 +99,17 @@ fn valid_cone() -> ConeData {
         tail: 0,
         period: 1,
         has_reach: true,
-        outcomes_cx: Vec::new(),
-        outcomes_exact: Vec::new(),
     }
+}
+
+/// Stores `bytes` as a cone file and loads it back: `Some` iff it loaded.
+fn stored_and_loaded(tag: &str, bytes: &[u8]) -> bool {
+    let dir = tmpdir(tag);
+    let mut store = Store::open(&dir, None).unwrap();
+    store.save(&cone_name("00", 0), bytes).unwrap();
+    let loaded = store.load_cone("00", 0).is_some();
+    let _ = fs::remove_dir_all(&dir);
+    loaded
 }
 
 #[test]
@@ -68,7 +129,7 @@ fn zero_length_file_is_a_miss() {
 fn bad_magic_is_a_miss() {
     let dir = tmpdir("magic");
     let mut store = Store::open(&dir, None).unwrap();
-    let mut bytes = encode_cone(&valid_cone());
+    let mut bytes = valid_cone().bytes();
     bytes[..4].copy_from_slice(b"DDMP");
     store.save(&cone_name("00", 0), &bytes).unwrap();
     assert_eq!(store.load_cone("00", 0), None);
@@ -78,7 +139,7 @@ fn bad_magic_is_a_miss() {
 
 #[test]
 fn future_version_is_a_miss_not_a_guess() {
-    let mut bytes = encode_cone(&valid_cone());
+    let mut bytes = valid_cone().bytes();
     bytes[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     assert_eq!(
         decode_cone(&bytes).unwrap_err(),
@@ -90,7 +151,8 @@ fn future_version_is_a_miss_not_a_guess() {
 
 #[test]
 fn truncated_node_list_every_prefix() {
-    let bytes = encode_cone(&valid_cone());
+    let bytes = valid_cone().bytes();
+    assert!(stored_and_loaded("intact", &bytes));
     for cut in 0..bytes.len() {
         assert!(
             decode_cone(&bytes[..cut]).is_err(),
@@ -101,42 +163,87 @@ fn truncated_node_list_every_prefix() {
 
 #[test]
 fn every_single_byte_flip_never_panics() {
-    let bytes = encode_cone(&valid_cone());
+    let bytes = valid_cone().bytes();
     for i in 0..bytes.len() {
         let mut mutated = bytes.clone();
         mutated[i] ^= 0xff;
         // Any result is fine (some flips produce a different valid value);
-        // what this asserts is "no panic, no hang" on every 1-byte corruption,
-        // and that a *decoded* artifact still imports or errors cleanly.
-        if let Ok(data) = decode_cone(&mutated) {
-            let _ = ConeCacheEntry::import_data(&data);
-        }
+        // what this asserts is "no panic, no hang" on every 1-byte
+        // corruption, shape validation included.
+        let _ = decode_cone(&mutated);
     }
 }
 
 #[test]
-fn dangling_node_refs_fail_import_not_decode() {
+fn dangling_node_refs_are_refused_at_load() {
     // Structurally valid bytes whose node references point forward: the
-    // codec accepts the shape, the manager-level import must reject it.
+    // byte layout parses, the shape validation at load must reject it.
     let mut data = valid_cone();
     data.snapshot.nodes[0].lo = 3; // forward ref to node 1 from node 0
-    let decoded = decode_cone(&encode_cone(&data)).unwrap();
-    assert!(ConeCacheEntry::import_data(&decoded).is_err());
+    assert!(matches!(
+        decode_cone(&data.bytes()),
+        Err(StoreError::Invalid(ArtifactError::Bdd(_)))
+    ));
+    assert!(!stored_and_loaded("dangling", &data.bytes()));
     // And via the raw manager API, with a pristine manager untouched.
     let mut m = BddManager::new();
     let map: Vec<Var> = (0..2).map(Var::new).collect();
-    assert!(m.import_bdd(&decoded.snapshot, &map).is_err());
+    assert!(m.import_bdd(&data.snapshot, 0..2, &map).is_err());
     assert_eq!(m.num_nodes(), 1);
 }
 
 #[test]
-fn wrong_var_count_fails_import() {
+fn wrong_var_count_is_refused_at_load() {
     // The order says 2 vars but the timed-var vector names only 1: the
-    // artifact importer must reject rather than index out of range.
+    // load must reject rather than index out of range.
     let mut data = valid_cone();
     data.vars.truncate(1);
-    let decoded = decode_cone(&encode_cone(&data)).unwrap();
-    assert!(ConeCacheEntry::import_data(&decoded).is_err());
+    assert!(matches!(
+        decode_cone(&data.bytes()),
+        Err(StoreError::Invalid(ArtifactError::VarCount { .. }))
+    ));
+    assert!(!stored_and_loaded("varcount", &data.bytes()));
+}
+
+/// Every badly shaped file — a bad ρ shape, a wrong root count, duplicate
+/// or missing timed variables, a malformed snapshot — is a miss at load,
+/// and `gc` removes it while keeping the well-formed file.
+#[test]
+fn badly_shaped_files_are_misses_and_gc_removes_them() {
+    let mut shapes: Vec<(&str, RawCone)> = Vec::new();
+    let mut bad = valid_cone();
+    bad.tail = 1;
+    shapes.push(("rho", bad));
+    let mut bad = valid_cone();
+    bad.snapshot.roots.clear();
+    shapes.push(("roots", bad));
+    let mut bad = valid_cone();
+    bad.vars[1] = bad.vars[0];
+    shapes.push(("duplicate", bad));
+    let mut bad = valid_cone();
+    bad.vars.pop();
+    shapes.push(("missing", bad));
+    let mut bad = valid_cone();
+    bad.snapshot.order = vec![1, 1];
+    shapes.push(("snapshot", bad));
+
+    let dir = tmpdir("shapes");
+    let mut store = Store::open(&dir, None).unwrap();
+    store
+        .save(&cone_name("good", 0), &valid_cone().bytes())
+        .unwrap();
+    for (name, raw) in &shapes {
+        assert!(
+            matches!(decode_cone(&raw.bytes()), Err(StoreError::Invalid(_))),
+            "{name}"
+        );
+        store.save(&cone_name(name, 0), &raw.bytes()).unwrap();
+        assert!(store.load_cone(name, 0).is_none(), "{name}");
+    }
+    let outcome = store.gc(None);
+    assert_eq!(outcome.removed, shapes.len());
+    assert!(store.load_cone("good", 0).is_some(), "valid artifact kept");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -161,8 +268,10 @@ fn hostile_lengths_never_allocate_wildly() {
 fn corrupt_files_are_misses_and_gc_prunes_them() {
     let dir = tmpdir("gc-prune");
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_cone("good", 0, &valid_cone()).unwrap();
-    let mut corrupt = encode_cone(&valid_cone());
+    store
+        .save(&cone_name("good", 0), &valid_cone().bytes())
+        .unwrap();
+    let mut corrupt = valid_cone().bytes();
     corrupt.truncate(corrupt.len() / 2);
     store.save(&cone_name("bad0", 0), &corrupt).unwrap();
     store.save(&cone_name("bad1", 0), b"MCTB").unwrap();
@@ -182,7 +291,9 @@ fn corrupt_files_are_misses_and_gc_prunes_them() {
 fn deleted_store_directory_degrades_to_misses() {
     let dir = tmpdir("rmrf");
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_cone("aa", 0, &valid_cone()).unwrap();
+    store
+        .save(&cone_name("aa", 0), &valid_cone().bytes())
+        .unwrap();
     fs::remove_dir_all(&dir).unwrap();
     // Accounted but gone: loads miss, saves may error, nothing panics.
     assert!(store.load_cone("aa", 0).is_none());
@@ -226,7 +337,9 @@ fn retired_order_kind_is_refused_listed_and_collected() {
         fs::write(dir.join(file), retired_kind_file(kind)).unwrap();
     }
     let mut store = Store::open(&dir, None).unwrap();
-    store.save_cone("00ff", 7, &valid_cone()).unwrap();
+    store
+        .save(&cone_name("00ff", 7), &valid_cone().bytes())
+        .unwrap();
 
     let entries = store.ls();
     let kind_of = |file: &str| entries.iter().find(|e| e.file == file).map(|e| e.kind);

@@ -16,12 +16,6 @@ pub enum TbfError {
     },
     /// A structural problem in the underlying netlist.
     Netlist(NetlistError),
-    /// A BDD handed to [`transfer_bdd`](crate::transfer_bdd) decides on a
-    /// variable its source table has no [`TimedVar`](crate::TimedVar) for.
-    UnmappedVariable {
-        /// The raw source variable index.
-        index: u32,
-    },
 }
 
 impl fmt::Display for TbfError {
@@ -32,10 +26,6 @@ impl fmt::Display for TbfError {
                 "cone extraction exceeded {entries} distinct (node, path-delay) states"
             ),
             TbfError::Netlist(e) => write!(f, "netlist error: {e}"),
-            TbfError::UnmappedVariable { index } => write!(
-                f,
-                "BDD variable {index} has no timed-variable mapping in the source table"
-            ),
         }
     }
 }

@@ -52,7 +52,6 @@ mod image;
 mod order;
 mod reachability;
 mod symbolic;
-mod transfer;
 mod vars;
 mod waveform;
 
@@ -63,7 +62,6 @@ pub use image::Image;
 pub use order::StaticOrder;
 pub use reachability::{count_states, reachable_states};
 pub use symbolic::circuit_tbf;
-pub use transfer::transfer_bdd;
 pub use vars::{TimedVar, TimedVarTable};
 pub use waveform::Waveform;
 
