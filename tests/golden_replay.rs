@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 const GOLDEN_PATH: &str = "tests/data/golden_reports.tsv";
 const SKEW_GOLDEN_PATH: &str = "tests/data/golden_skew_reports.tsv";
 const EXACT_GOLDEN_PATH: &str = "tests/data/golden_exact_reports.tsv";
+const LP_GOLDEN_PATH: &str = "tests/data/golden_lp_reports.tsv";
 
 fn golden_file() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH)
@@ -26,6 +27,10 @@ fn skew_golden_file() -> std::path::PathBuf {
 
 fn exact_golden_file() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(EXACT_GOLDEN_PATH)
+}
+
+fn lp_golden_file() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(LP_GOLDEN_PATH)
 }
 
 /// Every circuit in the golden corpus: each `examples/*.bench` netlist plus
@@ -169,4 +174,45 @@ fn exact_mode_reports_replay_byte_identical() {
         ..opts
     });
     replay_or_bless(&exact_golden_file(), &rendered);
+}
+
+/// LP mode (`MctOptions::path_coupled_lp`) couples each delay class to a
+/// representative gate path with the Section-7 linear program, so it drops
+/// shift combinations no delay assignment realizes and tightens the sup of
+/// the ones it keeps: a bound, region and failure path no other golden
+/// covers. Its capture holds the golden corpus under LP coupling, plus the
+/// variable-delay sweeps where LP coupling does the most work: the
+/// shared-trunk `sigma_star(2)` and `sigma_star(3)` under a 50–100%
+/// variation interval, and the two example netlists swept to 0.5.
+///
+/// Regenerate with `MCT_BLESS=1 cargo test --test golden_replay`.
+#[test]
+fn lp_mode_reports_replay_byte_identical() {
+    let lp = |opts| MctOptions {
+        path_coupled_lp: true,
+        ..opts
+    };
+    let mut rendered = render(lp);
+    let wide = MctOptions {
+        delay_variation: Some((1, 2)),
+        exhaustive_floor: Some(0.5),
+        max_sigma_combos: 1 << 22,
+        ..MctOptions::paper()
+    };
+    for branches in [2, 3] {
+        let line = report_line(&families::sigma_star(branches), &lp(wide.clone()));
+        writeln!(rendered, "sigma_star({branches})/wide/floor0.5\t{line}").unwrap();
+    }
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
+    for name in ["fig2.bench", "skew_ring.bench"] {
+        let text = std::fs::read_to_string(examples.join(name)).expect("read bench file");
+        let circuit = parse_bench(&text, &DelayModel::Mapped).expect("parse bench file");
+        let opts = MctOptions {
+            exhaustive_floor: Some(0.5),
+            ..MctOptions::paper()
+        };
+        let line = report_line(&circuit, &lp(opts));
+        writeln!(rendered, "{name}/floor0.5\t{line}").unwrap();
+    }
+    replay_or_bless(&lp_golden_file(), &rendered);
 }
