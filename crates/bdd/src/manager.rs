@@ -1482,7 +1482,6 @@ impl BddManager {
             ops_cache_lookups: self.ops_lookups,
             compactions: self.compactions,
             mvec_memo_hits: 0,
-            sigma_pruned_subtrees: 0,
             sigma_pruned: 0,
             sigma_reused: 0,
             skew_lp_iterations: 0,
@@ -1656,12 +1655,9 @@ pub struct BddStats {
     /// Filled in by the analysis layer (the memos live above the kernel);
     /// [`BddManager::stats`] reports 0.
     pub mvec_memo_hits: u64,
-    /// Φ prefix subtrees cut by the pruned variable-delay walk before their
-    /// shift combinations were generated. Filled in by the analysis layer;
-    /// [`BddManager::stats`] reports 0.
-    pub sigma_pruned_subtrees: u64,
-    /// Shift combinations contained in the cut subtrees (never enumerated).
-    /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.
+    /// Failing shift combinations that the path-coupled LP proved
+    /// unrealizable and dropped from the failing set. Filled in by the
+    /// analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_pruned: u64,
     /// Sinks that a sink-by-sink decision visited without making a fresh
     /// comparison: the sink's decision record answered every check. Filled
@@ -1709,7 +1705,7 @@ impl StatCounter {
 
 impl BddStats {
     /// Every counter, in the order sinks report them.
-    pub const COUNTERS: [StatCounter; 13] = [
+    pub const COUNTERS: [StatCounter; 12] = [
         StatCounter::new("nodes", true, |s| &mut s.nodes),
         StatCounter::new("peak_nodes", true, |s| &mut s.peak_nodes),
         StatCounter::new("gc_runs", false, |s| &mut s.gc_runs),
@@ -1718,9 +1714,6 @@ impl BddStats {
         StatCounter::new("ops_cache_lookups", false, |s| &mut s.ops_cache_lookups),
         StatCounter::new("compactions", false, |s| &mut s.compactions),
         StatCounter::new("mvec_memo_hits", false, |s| &mut s.mvec_memo_hits),
-        StatCounter::new("sigma_pruned_subtrees", false, |s| {
-            &mut s.sigma_pruned_subtrees
-        }),
         StatCounter::new("sigma_pruned", false, |s| &mut s.sigma_pruned),
         StatCounter::new("sigma_reused", false, |s| &mut s.sigma_reused),
         StatCounter::new("skew_lp_iterations", false, |s| &mut s.skew_lp_iterations),

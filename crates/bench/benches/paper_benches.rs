@@ -15,10 +15,7 @@
 //!   on/off, Φ-signature cache effectiveness (exhaustive sweep);
 //! * `decompose/*` — the unsliced reference vs the cone-sliced production
 //!   path on the multi-cone composite machines, plus the seeded replay
-//!   path (`BENCH_6.json`);
-//! * `sigma/*` — flat-odometer vs LP-pruned Φ enumeration on the
-//!   shared-trunk sigma-star family, with byte-identity asserted between
-//!   the two (`BENCH_8.json`).
+//!   path (`BENCH_6.json`).
 //!
 //! Run with `cargo bench` or `cargo bench --bench paper_benches -- table1`
 //! to filter by scenario-name substring.
@@ -637,73 +634,6 @@ fn bench_decompose(h: &mut Harness) {
     }
 }
 
-/// Flat-odometer vs pruned-walk Φ enumeration on the shared-trunk sigma
-/// star (the Section-7 variable-delay engine; `BENCH_8.json` is
-/// transcribed from this output). Wide variation plus path-coupled LPs is
-/// the regime where the pruning bound engages — every σ of Φ(τ) satisfies
-/// the closed form, so every cut comes from the LP suffix relaxation over
-/// the shared trunk delay. A deterministic probe per size prints the
-/// visited/pruned/reused counters and asserts the flat and pruned reports
-/// byte-identical: pruning and cone reuse are performance levers, never
-/// semantic ones.
-fn bench_sigma(h: &mut Harness) {
-    use mct_core::SigmaStrategy;
-    use mct_serve::report::report_to_json;
-    for branches in [2usize, 3, 4] {
-        let name = format!("star{branches}");
-        if !["flat", "pruned"]
-            .iter()
-            .any(|s| h.wants(&format!("sigma/{name}/{s}")))
-        {
-            continue;
-        }
-        let circuit = mct_gen::families::sigma_star(branches);
-        let base = MctOptions {
-            delay_variation: Some((1, 2)),
-            path_coupled_lp: true,
-            exhaustive_floor: Some(0.5),
-            max_sigma_combos: 1 << 22,
-            ..MctOptions::default()
-        };
-        let run = |sigma: SigmaStrategy| {
-            MctAnalyzer::new(&circuit)
-                .unwrap()
-                .run(&MctOptions {
-                    sigma,
-                    ..base.clone()
-                })
-                .unwrap()
-        };
-        // Deterministic probe: byte-identity between the strategies, plus
-        // the counter columns of BENCH_8.json.
-        let flat = run(SigmaStrategy::Flat);
-        let pruned = run(SigmaStrategy::Pruned);
-        assert_eq!(
-            report_to_json(&pruned).to_compact(),
-            report_to_json(&flat).to_compact(),
-            "report differs between the flat and the pruned walk"
-        );
-        assert!(
-            pruned.kernel.sigma_pruned > 0,
-            "pruning never engaged on sigma_star({branches}) — the bench \
-             family must exercise the walk, not vacuously pass"
-        );
-        println!(
-            "sigma/{name}/probe{:>30} visited, {} pruned ({} subtrees), {} reused",
-            pruned.sigma_checked,
-            pruned.kernel.sigma_pruned,
-            pruned.kernel.sigma_pruned_subtrees,
-            pruned.kernel.sigma_reused,
-        );
-        h.bench(&format!("sigma/{name}/flat"), || {
-            run(SigmaStrategy::Flat).sigma_checked
-        });
-        h.bench(&format!("sigma/{name}/pruned"), || {
-            run(SigmaStrategy::Pruned).sigma_checked
-        });
-    }
-}
-
 fn main() {
     let mut h = Harness::new();
     bench_table1(&mut h);
@@ -716,7 +646,6 @@ fn main() {
     bench_bdd_ops(&mut h);
     bench_ordering(&mut h);
     bench_decompose(&mut h);
-    bench_sigma(&mut h);
     if h.results.is_empty() {
         eprintln!("no scenario matched the filter");
         std::process::exit(1);

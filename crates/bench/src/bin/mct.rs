@@ -813,10 +813,10 @@ fn cmd_fuzz(flags: &Flags) -> Result<(), String> {
         ..mct_fuzz::FuzzConfig::default()
     };
     if flags.oracle == mct_fuzz::OracleSelect::Sigma {
-        // The sigma oracle targets the Φ-subtree pruning walk, which only
-        // has work to do when classes have several feasible shifts and the
-        // per-path LPs are on: bias delays wide and widen the variation
-        // interval (75–100%) on every compared side.
+        // The sigma oracle compares LP-coupled runs with closed-form ones,
+        // which differ only when classes have several feasible shifts and
+        // some of them fail: bias delays wide, widen the variation
+        // interval (75–100%), and make the LP-coupled run the base.
         cfg.gen.wide_delays = true;
         cfg.oracle.analysis.delay_variation = Some((3, 4));
         cfg.oracle.analysis.path_coupled_lp = true;

@@ -146,9 +146,10 @@ impl ConeCacheEntry {
     /// The cache key of entries produced under `opts`: it covers exactly
     /// what an entry's content depends on. `use_reachability` sets the
     /// restriction behind every `C_x` verdict, and `max_product_bits`
-    /// decides which exact-check parts are `None`. Delay variation, LP
-    /// coupling, floors, and budgets only change *which* σ a run visits,
-    /// so entries warm-start runs under any of them.
+    /// decides which exact-check parts are `None`. Delay variation, floors,
+    /// and budgets only change *which* σ a run visits, and LP coupling
+    /// only which failing σ count toward the bound (every mode decides
+    /// every σ it visits), so entries warm-start runs under any of them.
     pub fn key(opts: &MctOptions) -> u64 {
         let mut h: u64 = 0x6d63_745f_636f_6e65; // "mct_cone"
         for v in [opts.use_reachability as u64, opts.max_product_bits as u64] {

@@ -36,9 +36,10 @@
 //! `{k/j}` where some shift changes, skipping already-seen shift
 //! signatures. With bounded gate-delay variation (the paper's Section 7,
 //! delays in `[0.9·d, d]`), each shift becomes a *set*; the analyzer
-//! enumerates the feasible combinations `σ ∈ Φ(τ)` (by exact interval
-//! arithmetic, or by the per-path linear programs via the simplex solver)
-//! and reports `D̄_s = max_{σ ∈ Ω} τ(σ)` over the failing set `Ω`.
+//! decides every combination `σ ∈ Φ(τ)` (each feasible by exact interval
+//! arithmetic) and reports `D̄_s = max_{σ ∈ Ω} τ(σ)` over the failing set
+//! `Ω`, optionally coupling each failing σ's τ range through the per-path
+//! linear programs via the simplex solver.
 //!
 //! # Examples
 //!
@@ -82,13 +83,13 @@ mod sweep;
 #[cfg(test)]
 mod proptests;
 
-pub use analyzer::{MctAnalyzer, MctOptions, MctReport, SigmaStrategy, ValidityRegion, VarOrder};
+pub use analyzer::{MctAnalyzer, MctOptions, MctReport, ValidityRegion, VarOrder};
 pub use artifact::{ArtifactError, ConeCacheEntry, ExactPart};
 pub use breakpoints::BreakpointIter;
 pub use decision::{DecisionContext, DecisionOutcome};
 pub use error::MctError;
 pub use exact::{decide_exact, ExactRun};
 pub use mct_bdd::BddStats;
-pub use sigma::{feasible_tau_range, ShiftRange, SigmaIter, SigmaPruneStats};
+pub use sigma::{feasible_tau_range, ShiftRange, SigmaIter};
 pub use skew::SkewReport;
 pub use sweep::DecomposeArtifacts;

@@ -116,31 +116,6 @@ impl Iterator for SigmaIter {
     }
 }
 
-/// Running counters of a pruned Φ walk: how many subtrees were cut before
-/// their combinations were generated, and how many combinations those
-/// subtrees contained. Saturating — counts are diagnostics, never gates.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct SigmaPruneStats {
-    /// Subtrees (including single leaves) cut by a partial-assignment bound.
-    pub subtrees: u64,
-    /// Combinations contained in the cut subtrees.
-    pub combos: u64,
-}
-
-impl SigmaPruneStats {
-    fn record(&mut self, combos: u128) {
-        self.subtrees = self.subtrees.saturating_add(1);
-        self.combos = self
-            .combos
-            .saturating_add(combos.min(u64::MAX as u128) as u64);
-    }
-}
-
-/// Smallest subtree (in leaves) worth an external-oracle probe: one probe
-/// costs about one leaf-level feasibility check, so cutting a single leaf
-/// can never win.
-const ORACLE_MIN_SUBTREE: u128 = 2;
-
 /// Callback of [`SigmaWalk::run`]: one visited leaf and the sup of its
 /// closed-form τ range (`None`: unbounded above).
 pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], Option<Rat>) -> Result<(), E>;
@@ -149,37 +124,25 @@ pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], Option<Rat>) -> R
 ///
 /// Classes are assigned from the most-significant odometer digit (the last
 /// index) down to index 0, children in increasing shift order, so leaves are
-/// visited in **exactly** the [`SigmaIter`] order — a pruned walk emits a
-/// subsequence of the flat enumeration, never a reordering.
+/// visited in **exactly** the [`SigmaIter`] order.
 ///
 /// Every σ of `Φ(τ)` is closed-form feasible on the examined interval
 /// `[τ, prev)`: each class's shift range is taken at τ itself, so
 /// `k^min_i/σ_i ≤ τ` and, when `σ_i > 1`, `τ < k^max_i/(σ_i − 1)`. The
-/// walk therefore never cuts on the closed form; it carries only the
-/// running sup `min(prev, min_i k^max_i/(σ_i − 1))` down to each leaf, which
-/// is what [`feasible_tau_range`] returns as the leaf's upper end.
-///
-/// With pruning enabled, an external oracle (the LP suffix relaxation) is
-/// consulted where a cut can pay for itself: at internal nodes whose
-/// subtree holds at least [`ORACLE_MIN_SUBTREE`] leaves. One oracle call
-/// costs about one leaf-level feasibility check, so probing a weight-1
-/// subtree can never win — the leaf below is checked individually either
-/// way. Skipping the probe leaves the visited sequence (and the serialized
-/// report) unchanged; only the diagnostic prune counters shift.
+/// walk therefore visits every σ; it carries only the running sup
+/// `min(prev, min_i k^max_i/(σ_i − 1))` down to each leaf, which is what
+/// [`feasible_tau_range`] returns as the leaf's upper end, at one division
+/// per tree node instead of one per class and leaf.
 pub(crate) struct SigmaWalk<'a> {
     ranges: &'a [ShiftRange],
     intervals: &'a [(i64, i64)],
     interval_hi: Option<Rat>,
-    prune: bool,
-    /// `weights[j] = Π_{i<j} len_i` — the subtree size at depth `j`.
-    weights: Vec<u128>,
 }
 
 impl<'a> SigmaWalk<'a> {
     /// Prepares a walk of `Φ` over the examined τ interval
     /// `[interval_lo, interval_hi)`, where `ranges` are the shift ranges at
-    /// `interval_lo`. With `prune` false the walk visits every combination
-    /// (the flat odometer through a different engine).
+    /// `interval_lo`.
     ///
     /// # Panics
     ///
@@ -190,47 +153,24 @@ impl<'a> SigmaWalk<'a> {
         intervals: &'a [(i64, i64)],
         interval_lo: Rat,
         interval_hi: Option<Rat>,
-        prune: bool,
     ) -> Self {
         assert!(
             interval_hi.is_none_or(|h| interval_lo < h),
             "empty examined interval"
         );
         debug_assert_eq!(ranges.len(), intervals.len());
-        let n = ranges.len();
-        let mut weights = vec![1u128; n + 1];
-        for j in 0..n {
-            weights[j + 1] = weights[j].saturating_mul(ranges[j].len() as u128);
-        }
         SigmaWalk {
             ranges,
             intervals,
             interval_hi,
-            prune,
-            weights,
         }
     }
 
-    /// Runs the walk. `subtree_infeasible(partial, j)` is a *sound* oracle
-    /// consulted at internal nodes (the LP suffix relaxation): `partial` is
-    /// the assigned suffix `σ[j..]`; returning true certifies every
-    /// completion infeasible. `visit` sees each surviving leaf in odometer
-    /// order, with the sup of its closed-form τ range.
-    pub fn run<E>(
-        &self,
-        stats: &mut SigmaPruneStats,
-        subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
-        visit: LeafVisitor<'_, E>,
-    ) -> Result<(), E> {
+    /// Runs the walk: `visit` sees each σ in odometer order, with the sup
+    /// of its closed-form τ range.
+    pub fn run<E>(&self, visit: LeafVisitor<'_, E>) -> Result<(), E> {
         let mut sigma = vec![0i64; self.ranges.len()];
-        self.rec(
-            self.ranges.len(),
-            self.interval_hi,
-            &mut sigma,
-            stats,
-            subtree_infeasible,
-            visit,
-        )
+        self.rec(self.ranges.len(), self.interval_hi, &mut sigma, visit)
     }
 
     fn rec<E>(
@@ -238,20 +178,8 @@ impl<'a> SigmaWalk<'a> {
         j: usize,
         hi: Option<Rat>,
         sigma: &mut Vec<i64>,
-        stats: &mut SigmaPruneStats,
-        subtree_infeasible: &mut dyn FnMut(&[i64], usize) -> bool,
         visit: LeafVisitor<'_, E>,
     ) -> Result<(), E> {
-        let w = self.weights[j];
-        if self.prune
-            && j > 0
-            && j < self.ranges.len()
-            && w >= ORACLE_MIN_SUBTREE
-            && subtree_infeasible(&sigma[j..], j)
-        {
-            stats.record(w);
-            return Ok(());
-        }
         if j == 0 {
             return visit(sigma, hi);
         }
@@ -265,7 +193,7 @@ impl<'a> SigmaWalk<'a> {
             } else {
                 hi
             };
-            self.rec(j - 1, c_hi, sigma, stats, subtree_infeasible, visit)?;
+            self.rec(j - 1, c_hi, sigma, visit)?;
         }
         Ok(())
     }
@@ -443,25 +371,9 @@ mod tests {
             .collect()
     }
 
-    /// Every leaf a walk visits, with the sup it was handed.
-    fn visited(
-        walk: &SigmaWalk<'_>,
-        stats: &mut SigmaPruneStats,
-        oracle: &mut dyn FnMut(&[i64], usize) -> bool,
-    ) -> Vec<(Vec<i64>, Option<Rat>)> {
-        let mut seen = Vec::new();
-        walk.run::<()>(stats, oracle, &mut |s, hi| {
-            seen.push((s.to_vec(), hi));
-            Ok(())
-        })
-        .unwrap();
-        seen
-    }
-
     /// Property: every σ of Φ(τ) is closed-form feasible on `[τ, prev)`,
-    /// so both walks visit the whole flat enumeration in order, each leaf
-    /// with the sup of [`feasible_tau_range`], and cut nothing without an
-    /// oracle.
+    /// so the walk visits the whole flat enumeration in order, each leaf
+    /// with the sup of [`feasible_tau_range`].
     #[test]
     fn every_sigma_of_phi_is_closed_form_feasible() {
         for (intervals, tau, prev, ranges) in random_cases() {
@@ -473,54 +385,15 @@ mod tests {
                     (s, hi)
                 })
                 .collect();
-            for prune in [false, true] {
-                let mut stats = SigmaPruneStats::default();
-                let walk = SigmaWalk::new(&ranges, &intervals, tau, prev, prune);
-                let seen = visited(&walk, &mut stats, &mut |_, _| false);
-                assert_eq!(seen, expected, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
-                assert_eq!(stats, SigmaPruneStats::default());
-            }
+            let mut seen = Vec::new();
+            SigmaWalk::new(&ranges, &intervals, tau, prev)
+                .run::<()>(&mut |s, hi| {
+                    seen.push((s.to_vec(), hi));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(seen, expected, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
         }
-    }
-
-    /// The oracle cuts whole subtrees: the pruned walk visits the flat
-    /// enumeration minus the cut suffixes, in order, and every combination
-    /// is either visited or counted pruned. The unpruned walk never asks.
-    #[test]
-    fn oracle_cuts_count_every_skipped_combination() {
-        let intervals = vec![(500, 1000), (1000, 2000), (2500, 5000)];
-        let tau = Rat::new(400, 1);
-        let prev = Some(Rat::new(500, 1));
-        let ranges: Vec<ShiftRange> = intervals
-            .iter()
-            .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
-            .collect();
-        let total = SigmaIter::combination_count(&ranges);
-        // Cut every suffix whose top digit is its smallest shift.
-        let top = ranges[2].lo;
-        let mut cut = |partial: &[i64], _: usize| *partial.last().unwrap() == top;
-        let mut stats = SigmaPruneStats::default();
-        let pruned = visited(
-            &SigmaWalk::new(&ranges, &intervals, tau, prev, true),
-            &mut stats,
-            &mut cut,
-        );
-        let flat: Vec<Vec<i64>> = SigmaIter::new(&ranges).filter(|s| s[2] != top).collect();
-        let pruned: Vec<Vec<i64>> = pruned.into_iter().map(|(s, _)| s).collect();
-        assert_eq!(pruned, flat);
-        assert_eq!(stats.subtrees, 1);
-        assert_eq!(total, flat.len() as u128 + stats.combos as u128);
-        let mut asked = false;
-        let all = visited(
-            &SigmaWalk::new(&ranges, &intervals, tau, prev, false),
-            &mut SigmaPruneStats::default(),
-            &mut |_, _| {
-                asked = true;
-                true
-            },
-        );
-        assert!(!asked);
-        assert_eq!(all.len() as u128, total);
     }
 
     #[test]
@@ -529,7 +402,7 @@ mod tests {
         let intervals = vec![(3600, 4000)];
         let tau = Rat::new(4000, 1);
         let ranges = vec![ShiftRange::at(3600, 4000, tau)];
-        SigmaWalk::new(&ranges, &intervals, tau, Some(tau), true);
+        SigmaWalk::new(&ranges, &intervals, tau, Some(tau));
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub struct GenConfig {
     /// Bias pin delays toward the top of [`DELAY_GRID_MILLIS`]. Under
     /// bounded delay variation the per-class shift interval width scales
     /// with the delay itself, so large delays give each class several
-    /// feasible shifts — the regime that exercises the Φ-subtree pruning
-    /// walk instead of degenerate one-combination products.
+    /// feasible shifts — the regime that exercises the Φ walk and LP
+    /// coupling instead of degenerate one-combination products.
     pub wide_delays: bool,
 }
 

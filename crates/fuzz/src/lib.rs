@@ -52,6 +52,9 @@ pub mod shrink;
 pub use corpus::{load_corpus, parse_timed_bench, save_repro, write_timed_bench, Provenance};
 pub use edit::{apply_plan, permute_registers, rename_signals, scale_delays, EditPlan};
 pub use generate::{mutate_circuit, perturb_delays, random_circuit, GenConfig};
-pub use oracle::{check_circuit, Failure, OracleCtx, OracleOptions, OracleSelect, OracleStats};
+pub use oracle::{
+    check_circuit, lp_coupling_violation, Failure, OracleCtx, OracleOptions, OracleSelect,
+    OracleStats,
+};
 pub use runner::{run, run_with_oracle, CustomOracle, FailureRecord, FuzzConfig, FuzzStats};
 pub use shrink::{shrink, ShrinkOutcome};

@@ -26,19 +26,21 @@
 //! * **decompose** — slicing into cones of influence is a pure
 //!   performance lever: the recombined report must be byte-identical to
 //!   the unsliced reference (the whole circuit as one cone).
-//! * **sigma** — the pruned variable-delay Φ walk is a pure performance
-//!   lever too: it must visit exactly the feasible subsequence the flat
-//!   odometer examines, so the report is byte-identical between the flat
-//!   and the pruned walk (the CLI pairs this oracle with a
-//!   wide-delay generator bias and path-coupled LPs so the pruning bound
-//!   actually engages).
+//! * **sigma** — LP path coupling only drops failing shift combinations
+//!   and tightens the sup of the ones it keeps, while both modes decide
+//!   every σ of Φ: rerun with `path_coupled_lp` flipped, the LP run must
+//!   agree with the closed-form run on errors, σ counts and region ends,
+//!   keep every closed-form-valid region valid, and bound no higher (the
+//!   CLI pairs this oracle with a wide-delay generator bias and LP
+//!   coupling, so many classes have several shifts). It runs only when
+//!   selected on its own ([`OracleSelect::Sigma`]).
 //! * **skew** — the clock-skew optimization tier can never worsen the
 //!   bound; its witness machine, re-annotated and re-certified, must run
 //!   correctly through the event simulator strictly above the bound it
 //!   claims; and explicitly-zero `# .skew` annotations are an arithmetic
 //!   identity — the report is byte-identical to the unannotated baseline.
 
-use mct_core::{ConeCacheEntry, MctAnalyzer, MctOptions, MctReport, SigmaStrategy, VarOrder};
+use mct_core::{ConeCacheEntry, MctAnalyzer, MctOptions, MctReport, VarOrder};
 use mct_lp::Rat;
 use mct_netlist::{circuit_digests, parse_blif, write_blif, Circuit, DelayModel, Time};
 use mct_serve::report::{options_fingerprint, report_to_json};
@@ -51,7 +53,8 @@ use crate::edit::{permute_registers, rename_signals, scale_delays};
 /// Which oracles to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum OracleSelect {
-    /// The full stack (the default).
+    /// The full stack (the default), except the sigma oracle, which runs
+    /// only in its own tier.
     #[default]
     All,
     /// Only the simulator-differential oracle.
@@ -62,7 +65,8 @@ pub enum OracleSelect {
     Robustness,
     /// Only the sliced-vs-unsliced identity check.
     Decompose,
-    /// Only the flat-vs-pruned Φ-enumeration identity check.
+    /// Only the LP-coupling consistency check: the base options rerun with
+    /// `path_coupled_lp` flipped, compared with [`lp_coupling_violation`].
     Sigma,
     /// Only the clock-skew optimization soundness checks.
     Skew,
@@ -99,8 +103,10 @@ impl OracleSelect {
         matches!(self, OracleSelect::All | OracleSelect::Decompose)
     }
 
+    /// Only in its own tier: its LP-coupled rerun solves the LPs of failing
+    /// σ, which cost the mixed tier about a sixth of each iteration.
     fn sigma(self) -> bool {
-        matches!(self, OracleSelect::All | OracleSelect::Sigma)
+        self == OracleSelect::Sigma
     }
 
     fn skew(self) -> bool {
@@ -181,7 +187,7 @@ pub struct OracleStats {
     pub snapshot_roundtrips: u64,
     /// Sliced-vs-unsliced identity comparisons completed.
     pub decompose_checks: u64,
-    /// Flat-vs-pruned Φ-enumeration identity comparisons completed.
+    /// LP-coupling consistency comparisons completed.
     pub sigma_checks: u64,
     /// Skew-tier soundness checks completed.
     pub skew_checks: u64,
@@ -248,10 +254,14 @@ pub fn check_circuit(ctx: &mut OracleCtx, c: &Circuit, stim_seed: u64) -> Option
     ctx.stats.analyses += 1;
     let base = match analyze(c, &ctx.opts.analysis) {
         Ok(r) => r,
-        Err(_) => {
+        Err(e) => {
             // Structured engine errors (σ explosion, cone limits) are
-            // legitimate refusals, not bugs; count and move on.
+            // legitimate refusals, not bugs; count and move on. The sigma
+            // oracle still checks that the flipped run refuses alike.
             ctx.stats.analysis_errors += 1;
+            if ctx.select.sigma() {
+                return sigma_consistency(ctx, c, Err(&e));
+            }
             return None;
         }
     };
@@ -288,7 +298,7 @@ pub fn check_circuit(ctx: &mut OracleCtx, c: &Circuit, stim_seed: u64) -> Option
         }
     }
     if ctx.select.sigma() {
-        if let Some(f) = sigma_identity(ctx, c, &base_json) {
+        if let Some(f) = sigma_consistency(ctx, c, Ok(&base)) {
             return Some(f);
         }
     }
@@ -545,38 +555,107 @@ fn decompose_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Opti
     None
 }
 
-/// The sigma oracle: the pruned Φ walk visits exactly the LP-feasible
-/// subsequence of the flat odometer, so the report must be byte-identical
-/// between the two. The base report is the default pruned run; an engine
-/// error on the flat run is also a failure — both strategies gate the σ
-/// explosion on the *unpruned* combination count, so they must refuse
-/// identically.
-fn sigma_identity(ctx: &mut OracleCtx, c: &Circuit, base_json: &str) -> Option<Failure> {
-    let opts = MctOptions {
-        sigma: SigmaStrategy::Flat,
+/// The sigma oracle: reruns the base options with `path_coupled_lp`
+/// flipped and checks the LP run against the closed-form run. When the
+/// closed-form run errs, the LP run must err with the same text; when both
+/// succeed, [`lp_coupling_violation`] must find nothing. An LP run that
+/// errs where the closed-form run succeeded is not a failure: it may have
+/// swept past the closed-form run's first failure.
+fn sigma_consistency(
+    ctx: &mut OracleCtx,
+    c: &Circuit,
+    base: Result<&MctReport, &str>,
+) -> Option<Failure> {
+    let flipped = MctOptions {
+        path_coupled_lp: !ctx.opts.analysis.path_coupled_lp,
         ..ctx.opts.analysis.clone()
     };
     ctx.stats.analyses += 1;
-    match analyze(c, &opts) {
-        Ok(r) => {
-            let j = report_to_json(&r).to_compact();
-            if j != base_json {
-                return Some(Failure {
-                    oracle: "sigma",
-                    detail: format!(
-                        "report differs under the flat Φ walk:\n  base: {base_json}\n  got:  {j}"
-                    ),
-                });
-            }
-        }
-        Err(e) => {
-            return Some(Failure {
-                oracle: "sigma",
-                detail: format!("the flat Φ walk errored where the pruned base run succeeded: {e}"),
-            })
-        }
+    let other = analyze(c, &flipped);
+    let other = other.as_ref().map_err(String::as_str);
+    let (closed, lp) = if flipped.path_coupled_lp {
+        (base, other)
+    } else {
+        (other, base)
+    };
+    let violation = match (closed, lp) {
+        (Ok(closed), Ok(lp)) => lp_coupling_violation(closed, lp),
+        (Err(k), Ok(_)) => Some(format!(
+            "the closed-form run errored where the LP run succeeded: {k}"
+        )),
+        (Err(k), Err(l)) if k != l => Some(format!(
+            "the closed-form run errored with `{k}` and the LP run with `{l}`"
+        )),
+        _ => None,
+    };
+    if let Some(detail) = violation {
+        return Some(Failure {
+            oracle: "sigma",
+            detail,
+        });
     }
     ctx.stats.sigma_checks += 1;
+    None
+}
+
+/// Checks an LP-coupled report against the closed-form report of the same
+/// circuit and options. Both runs decide every σ of Φ(τ) of every candidate
+/// they examine, and the LP only drops failing σ from Ω or lowers the sup
+/// of one it keeps, so:
+///
+/// * when both examined the same number of candidates, they count the same
+///   σ and σ-cache hits;
+/// * the regions both examined have equal τ ends, and every region valid in
+///   closed form is valid under LP;
+/// * the LP bound is no higher, and equal when the closed-form run found no
+///   failure.
+///
+/// Returns a description of the first violation, or `None`. Runs that hit
+/// a time budget are partial and are not compared.
+pub fn lp_coupling_violation(closed: &MctReport, lp: &MctReport) -> Option<String> {
+    if closed.timed_out || lp.timed_out {
+        return None;
+    }
+    let name = &closed.circuit;
+    if closed.candidates_checked == lp.candidates_checked
+        && (closed.sigma_checked, closed.sigma_cache_hits)
+            != (lp.sigma_checked, lp.sigma_cache_hits)
+    {
+        return Some(format!(
+            "{name}: over the same {} candidates the closed-form run checked {} σ \
+             ({} cache hits) and the LP run {} ({})",
+            closed.candidates_checked,
+            closed.sigma_checked,
+            closed.sigma_cache_hits,
+            lp.sigma_checked,
+            lp.sigma_cache_hits
+        ));
+    }
+    for (k, l) in closed.regions.iter().zip(&lp.regions) {
+        if (k.tau_lo, k.tau_hi) != (l.tau_lo, l.tau_hi) {
+            return Some(format!(
+                "{name}: region [{}, {}) in closed form is [{}, {}) under LP",
+                k.tau_lo, k.tau_hi, l.tau_lo, l.tau_hi
+            ));
+        }
+        if k.valid && !l.valid {
+            return Some(format!(
+                "{name}: region [{}, {}) is valid in closed form but not under LP",
+                k.tau_lo, k.tau_hi
+            ));
+        }
+    }
+    let (kb, lb) = (closed.bound_exact, lp.bound_exact);
+    if lb > kb || (closed.exhausted && lb != kb) {
+        return Some(format!(
+            "{name}: LP bound {}/{} against closed-form bound {}/{} (closed form exhausted: {})",
+            lb.num(),
+            lb.den(),
+            kb.num(),
+            kb.den(),
+            closed.exhausted
+        ));
+    }
     None
 }
 

@@ -53,10 +53,10 @@ fn default_stack_smoke() {
     );
 }
 
-/// The sigma oracle (flat-vs-pruned Φ identity) under the same knobs the
-/// CLI applies for `--oracle sigma`: wide delay bias and path-coupled LPs
-/// with a 75–100% variation interval, so the pruning bound actually
-/// engages on a fraction of the candidates.
+/// The sigma oracle (LP-coupled run against the closed-form run) under the
+/// same knobs the CLI applies for `--oracle sigma`: wide delay bias and
+/// path-coupled LPs with a 75–100% variation interval, so classes have
+/// several shifts and the LP runs on failing combinations.
 #[test]
 fn sigma_oracle_smoke() {
     let mut cfg = FuzzConfig {

@@ -357,20 +357,15 @@ pub fn composite(
 ///
 /// Every branch class's register-to-register path runs through the trunk
 /// pin, so with path-coupled LPs the per-class shift constraints are
-/// *jointly* constrained through the shared trunk delay variable — the
-/// regime where the Φ-subtree pruning walk cuts whole subtrees that the
-/// flat odometer would enumerate combination by combination. The trunk
-/// delay dominates each branch path (small ascending branch increments on
-/// a long trunk), so each class's *independent* interval is wide — the
-/// per-class closed form keeps almost every combination — while the
-/// *coupled* system pins every class to nearly the same shared trunk
+/// *jointly* constrained through the shared trunk delay variable. The
+/// trunk delay dominates each branch path (small ascending branch
+/// increments on a long trunk), so each class's *independent* interval is
+/// wide — the per-class closed form keeps almost every combination — while
+/// the *coupled* system pins every class to nearly the same shared trunk
 /// value, so shift vectors that would need incompatible trunk windows are
-/// LP-infeasible. Branch delays ascend, making the coupled classes the
-/// largest (and therefore the most significant digits of the walk), so
-/// two incompatible branch shifts already cut at depth two, removing the
-/// product of every remaining class width in one probe. Scaling
-/// `branches` scales the delay-class count, and with a wide variation
-/// interval the combination count grows geometrically.
+/// LP-infeasible. Scaling `branches` scales the delay-class count, and
+/// with a wide variation interval the combination count grows
+/// geometrically: a σ-heavy workload for the Φ walk and LP coupling.
 ///
 /// # Panics
 ///

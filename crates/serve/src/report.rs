@@ -14,10 +14,10 @@
 //!
 //! The options encoding is a *partial overlay*: a request carries only the
 //! fields it wants to change, applied over [`MctOptions::default()`].
-//! Requests always run the production variable order, Φ walk and
-//! slicing on one sweep thread; the retired `ordering`, `sigma`,
-//! `reorder_schedule`, `decompose` and `num_threads` keys that older
-//! clients send are accepted and ignored. The fingerprint folds in every
+//! Requests always run the production variable order and slicing on one
+//! sweep thread; the retired `ordering`, `sigma`, `reorder_schedule`,
+//! `decompose` and `num_threads` keys that older clients send are accepted
+//! and ignored. The fingerprint folds in every
 //! semantic field but deliberately skips `time_budget_ms` — a longer
 //! budget can only produce the same (or a more complete) report, so it
 //! should not split the cache.
@@ -276,8 +276,8 @@ pub fn options_to_json(opts: &MctOptions) -> Json {
 /// resets an optional field. The retired lever keys `ordering`, `sigma`,
 /// `reorder_schedule`, `decompose` and `num_threads` are accepted with any
 /// value and ignored, so clients that still send them keep working (every
-/// analysis runs sliced into cones on one sweep thread; no option selects
-/// the unsliced reference).
+/// analysis runs sliced into cones on one sweep thread, and walks every σ
+/// of Φ; no option selects the unsliced reference).
 ///
 /// # Errors
 ///
@@ -372,10 +372,9 @@ fn usize_field(v: &Json, name: &str) -> Result<usize, String> {
 ///
 /// Deliberately excluded: `time_budget_ms` (timed-out reports are never cached, and among
 /// non-timed-out runs the budget does not affect the result), `ordering`
-/// and `sigma` (variable order and Φ walk change node counts and wall
-/// time, never the report — see [`mct_core::VarOrder`] and
-/// [`mct_core::SigmaStrategy`]), and `decompose` (the cone-sliced report
-/// is bit-identical to the unsliced one).
+/// (variable order changes node counts and wall time, never the report —
+/// see [`mct_core::VarOrder`]), and `decompose` (the cone-sliced report is
+/// bit-identical to the unsliced one).
 ///
 /// Deliberately *included*, unlike the knobs above: `skew` and
 /// `skew_bound`. The skew-optimization tier appends a `skew` object to
@@ -570,7 +569,6 @@ mod tests {
             time_budget_ms: Some(10),
             ordering: mct_core::VarOrder::Alloc,
             decompose: false,
-            sigma: mct_core::SigmaStrategy::Flat,
             ..MctOptions::default()
         };
         assert_eq!(options_fingerprint(&a), options_fingerprint(&b));

@@ -291,17 +291,12 @@ fn sigma_counters_surface_in_stats_not_in_the_report() {
     // replay)...
     let report = first.get("report").unwrap();
     assert!(report.get("sigma_pruned").is_none());
-    assert!(report.get("sigma_pruned_subtrees").is_none());
     assert!(report.get("sigma_reused").is_none());
 
     // ...and surface in the aggregated kernel stats instead.
     let stats = client.stats().unwrap();
     let kernel = stats.get("kernel").expect("kernel stats");
     assert!(kernel.get("sigma_pruned").and_then(Json::as_i64).is_some());
-    assert!(kernel
-        .get("sigma_pruned_subtrees")
-        .and_then(Json::as_i64)
-        .is_some());
     let reused = kernel.get("sigma_reused").and_then(Json::as_i64).unwrap();
     assert!(
         reused > 0,

@@ -789,4 +789,86 @@ mod tests {
         assert_eq!(replay.cones_replayed, 3);
         assert_eq!(strip(warm), strip(cold));
     }
+
+    /// A cone file can decode cleanly yet hold verdicts that name a state
+    /// bit or an output beyond its cone, or a diverging exact run without
+    /// its iteration. Seeding a run with it is a miss: the cone is
+    /// recomputed to the cold report, and its fresh entry replaces the bad
+    /// one.
+    #[test]
+    fn verdicts_beyond_the_cone_are_a_miss_not_a_panic() {
+        use mct_core::{MctAnalyzer, MctOptions};
+        use mct_netlist::{Circuit, GateKind, Time};
+        let t = Time::from_f64;
+        let mut c = Circuit::new("fig2");
+        let f = c.add_dff("f", true, Time::ZERO);
+        let cb = c.add_gate("c", GateKind::Buf, &[f], t(1.5));
+        let d = c.add_gate("d", GateKind::Not, &[f], t(4.0));
+        let e = c.add_gate("e", GateKind::Buf, &[f], t(5.0));
+        let a = c.add_gate("a", GateKind::And, &[cb, d, e], Time::ZERO);
+        let b = c.add_gate("b", GateKind::Not, &[f], t(2.0));
+        let g = c.add_gate("g", GateKind::Or, &[a, b], Time::ZERO);
+        c.connect_dff_data("f", g).unwrap();
+        c.set_output(f);
+        let strip = |mut r: mct_core::MctReport| {
+            r.kernel = Default::default();
+            format!("{r:?}")
+        };
+        let cx_bad = [
+            DecisionOutcome::BasisStateMismatch { cycle: 1, bit: 99 },
+            DecisionOutcome::InductionOutputMismatch { output: 7 },
+        ];
+        let diverging = ExactRun {
+            outcome: DecisionOutcome::InductionOutputMismatch { output: 0 },
+            bad_iteration: None,
+        };
+        for exact_check in [false, true] {
+            let opts = MctOptions {
+                exact_check,
+                ..MctOptions::default()
+            };
+            let (cold, artifacts) = MctAnalyzer::new(&c)
+                .unwrap()
+                .run_decomposed(&opts, &[])
+                .unwrap();
+            let harvested = artifacts.entries[0].clone().unwrap();
+            let mut corrupt: Vec<ConeCacheEntry> = Vec::new();
+            if exact_check {
+                let mut entry = harvested.clone();
+                let keys: Vec<(Vec<i64>, ExactPart)> = entry
+                    .outcomes_exact()
+                    .map(|(sub, p)| (sub.to_vec(), p))
+                    .collect();
+                assert!(!keys.is_empty());
+                for (sub, part) in keys {
+                    let fix = Some(diverging);
+                    entry.insert_exact(sub, ExactPart { fix, ..part });
+                }
+                corrupt.push(entry);
+            } else {
+                for bad in cx_bad {
+                    let mut entry = harvested.clone();
+                    let keys: Vec<(Vec<i64>, i64)> = entry
+                        .outcomes_cx()
+                        .map(|(sub, m, _)| (sub.to_vec(), m))
+                        .collect();
+                    assert!(!keys.is_empty());
+                    for (sub, m) in keys {
+                        entry.insert_cx(sub, m, bad);
+                    }
+                    corrupt.push(entry);
+                }
+            }
+            for entry in corrupt {
+                let seed = decode_cone(&encode_cone(&entry)).unwrap();
+                let (warm, replay) = MctAnalyzer::new(&c)
+                    .unwrap()
+                    .run_decomposed(&opts, &[Some(&seed)])
+                    .unwrap();
+                assert_eq!(replay.cones_replayed, 0);
+                assert_eq!(strip(warm), strip(cold.clone()));
+                assert_eq!(replay.entries[0].as_ref(), Some(&harvested));
+            }
+        }
+    }
 }
