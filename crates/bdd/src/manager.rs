@@ -1652,16 +1652,19 @@ pub struct BddStats {
     /// Per-cone decision outcomes answered from a cone's memo or its cached
     /// entry, keyed by the cone's projection of the shift vector, instead
     /// of being re-derived; a repeated shift vector counts once per cone.
-    /// Filled in by the analysis layer (the memos live above the kernel);
-    /// [`BddManager::stats`] reports 0.
+    /// Only decided shift vectors count: a vector that a settled
+    /// candidate's walk never reached is counted as a repeat in the report
+    /// but never asks a memo. Filled in by the analysis layer (the memos
+    /// live above the kernel); [`BddManager::stats`] reports 0.
     pub mvec_memo_hits: u64,
-    /// Failing shift combinations that the path-coupled LP proved
+    /// Decided failing shift combinations that the path-coupled LP proved
     /// unrealizable and dropped from the failing set. Filled in by the
     /// analysis layer; [`BddManager::stats`] reports 0.
     pub sigma_pruned: u64,
     /// Sinks that a sink-by-sink decision visited without making a fresh
-    /// comparison: the sink's decision record answered every check. Filled
-    /// in by the analysis layer; [`BddManager::stats`] reports 0.
+    /// comparison: the sink's decision record answered every check. Only
+    /// decided shift vectors visit sinks. Filled in by the analysis layer;
+    /// [`BddManager::stats`] reports 0.
     pub sigma_reused: u64,
     /// Simplex pivots performed by the clock-skew feasibility programs.
     /// Filled in by the analysis layer; [`BddManager::stats`] reports 0.

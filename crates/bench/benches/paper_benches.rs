@@ -12,10 +12,7 @@
 //! * `fig2/*` — the worked Example 2 end to end (Figure 2);
 //! * `theorems/*` — the dynamic simulator sweeps behind Theorems 1 and 2;
 //! * `ablation/*` — reachability restriction on/off, path-coupled LP
-//!   on/off, Φ-signature cache effectiveness (exhaustive sweep);
-//! * `decompose/*` — the unsliced reference vs the cone-sliced production
-//!   path on the multi-cone composite machines, plus the seeded replay
-//!   path (`BENCH_6.json`).
+//!   on/off, Φ-signature cache effectiveness (exhaustive sweep).
 //!
 //! Run with `cargo bench` or `cargo bench --bench paper_benches -- table1`
 //! to filter by scenario-name substring.
@@ -572,68 +569,6 @@ fn bench_ordering(h: &mut Harness) {
     }
 }
 
-/// The unsliced reference (the whole circuit as one cone) vs the sliced
-/// production path on the multi-cone composite machines (three
-/// independent cones each). Peak arena nodes are printed per scenario
-/// from a deterministic probe run — `BENCH_6.json` was
-/// transcribed from an earlier form of this output. The sliced peak
-/// column sums the per-cone peaks (each cone runs in a private manager),
-/// so it upper-bounds live nodes even if every cone were resident at
-/// once. The `replay` scenario times the incremental path: every cone
-/// seeded from a previous run's cached artifacts, the workload an ECO
-/// pays on its untouched cones.
-fn bench_decompose(h: &mut Harness) {
-    use mct_core::ConeCacheEntry;
-    let suite = standard_suite();
-    for name in ["syn-s5378x", "syn-s15850x"] {
-        let entry = suite
-            .iter()
-            .find(|e| e.circuit.name() == name)
-            .expect("suite circuit");
-        for (label, decompose) in [("unsliced", false), ("cones", true)] {
-            let scenario = format!("decompose/{name}/{label}");
-            if !h.wants(&scenario) {
-                continue;
-            }
-            let opts = MctOptions {
-                decompose,
-                ..MctOptions::paper()
-            };
-            // One deterministic probe run for the node-count column.
-            let report = MctAnalyzer::new(&entry.circuit)
-                .unwrap()
-                .run(&opts)
-                .unwrap();
-            println!("{scenario:<44} peak_nodes {}", report.kernel.peak_nodes);
-            h.bench(&scenario, || {
-                MctAnalyzer::new(&entry.circuit)
-                    .unwrap()
-                    .run(&opts)
-                    .unwrap()
-                    .mct_upper_bound
-            });
-        }
-        let scenario = format!("decompose/{name}/replay");
-        if h.wants(&scenario) {
-            let opts = MctOptions::paper();
-            let (_, artifacts) = MctAnalyzer::new(&entry.circuit)
-                .unwrap()
-                .run_decomposed(&opts, &[])
-                .unwrap();
-            h.bench(&scenario, || {
-                let seeds: Vec<Option<&ConeCacheEntry>> =
-                    artifacts.entries.iter().map(Option::as_ref).collect();
-                let (report, arts) = MctAnalyzer::new(&entry.circuit)
-                    .unwrap()
-                    .run_decomposed(&opts, &seeds)
-                    .unwrap();
-                assert_eq!(arts.cones_replayed, arts.cones_total);
-                report.mct_upper_bound
-            });
-        }
-    }
-}
-
 fn main() {
     let mut h = Harness::new();
     bench_table1(&mut h);
@@ -645,7 +580,6 @@ fn main() {
     bench_substrates_extra(&mut h);
     bench_bdd_ops(&mut h);
     bench_ordering(&mut h);
-    bench_decompose(&mut h);
     if h.results.is_empty() {
         eprintln!("no scenario matched the filter");
         std::process::exit(1);

@@ -48,10 +48,10 @@ pub struct MctOptions {
     pub use_reachability: bool,
     /// Couple each delay class to a representative gate path with the
     /// linear programs of Section 7, instead of only the independent-interval
-    /// closed form. Every σ of `Φ(τ)` is still decided; the LP runs only
-    /// for a failing σ that could raise the candidate's bound, drops it
-    /// from the failing set when no delay assignment realizes it, and
-    /// otherwise tightens its sup.
+    /// closed form. Each σ the walk visits is still decided first; the LP
+    /// runs only for a failing σ that could raise the candidate's bound,
+    /// drops it from the failing set when no delay assignment realizes it,
+    /// and otherwise tightens its sup.
     pub path_coupled_lp: bool,
     /// When set, sweep past the first failure down to this period (in time
     /// units), recording the validity of every interval in
@@ -189,14 +189,17 @@ pub struct MctReport {
     pub failure: Option<DecisionOutcome>,
     /// Number of candidate periods examined.
     pub candidates_checked: usize,
-    /// Number of shift combinations submitted to the decision algorithm,
-    /// including cache hits: every σ of `Φ(τ)` of every examined candidate,
-    /// with or without [`MctOptions::path_coupled_lp`].
+    /// Number of shift combinations of the examined candidates: every σ of
+    /// `Φ(τ)` of every examined candidate, with or without
+    /// [`MctOptions::path_coupled_lp`]. Counted in closed form, so it
+    /// includes the σ that a settled candidate's walk skips without
+    /// deciding them; the report is the one that deciding all of them
+    /// gives.
     pub sigma_checked: usize,
-    /// How many of those repeated a shift vector submitted earlier in the
-    /// sweep (the paper's Φ-signature cache). The per-cone memos answer a
-    /// repeat without a decision, since it repeats its projection onto
-    /// every cone.
+    /// How many of those repeat a shift vector of an earlier examined
+    /// candidate (the paper's Φ-signature cache): `|Φ(τ) ∩ Φ(τ_prev)|`
+    /// per candidate, in closed form. A decided repeat is answered by the
+    /// per-cone memos, since it repeats its projection onto every cone.
     pub sigma_cache_hits: usize,
     /// Whether the induction frontier was restricted to reachable states.
     pub used_reachability: bool,
@@ -673,23 +676,79 @@ mod tests {
         );
     }
 
+    /// A run seeded with its own harvest replays every cone to the same
+    /// report. A harvest holds only the verdicts of the σ its run decided,
+    /// so an exhaustive run from the same seeds decides the σ they lack and
+    /// still reports what a cold exhaustive run does.
+    #[test]
+    fn seeded_runs_replay_their_own_harvest() {
+        let suite = mct_gen::standard_suite();
+        let mut circuits = vec![mct_gen::families::lfsr(12, &[5, 11], t(2.0))];
+        for name in ["syn-s5378x", "syn-s15850x"] {
+            let row = suite.iter().find(|e| e.circuit.name() == name);
+            circuits.push(row.expect("suite row").circuit.clone());
+        }
+        let opts = MctOptions::paper();
+        for c in &circuits {
+            let name = c.name();
+            let run = |opts: &MctOptions, seeds: &[Option<&ConeCacheEntry>]| {
+                let (r, a) = MctAnalyzer::new(c)
+                    .unwrap()
+                    .run_decomposed(opts, seeds)
+                    .unwrap();
+                (strip_kernel(r), a)
+            };
+            let (cold, harvest) = run(&opts, &[]);
+            let seeds: Vec<Option<&ConeCacheEntry>> =
+                harvest.entries.iter().map(Option::as_ref).collect();
+            let (warm, replay) = run(&opts, &seeds);
+            assert_eq!(replay.cones_replayed, replay.cones_total, "{name}");
+            assert_eq!(format!("{cold:?}"), format!("{warm:?}"), "{name}");
+
+            let floor = MctOptions {
+                exhaustive_floor: Some(cold.steady_delay / 2.0),
+                ..opts.clone()
+            };
+            let (cold, _) = run(&floor, &[]);
+            let (warm, a) = run(&floor, &seeds);
+            assert!(a.cones_replayed < a.cones_total, "{name}: nothing decided");
+            assert_eq!(format!("{cold:?}"), format!("{warm:?}"), "{name}");
+        }
+    }
+
     #[test]
     fn mvec_memo_hits_surface_in_kernel() {
+        // Figure 2 is one cone whose projection of σ is σ itself, so the
+        // cone memo answers exactly the decided σ that an earlier
+        // candidate decided too.
         let c = figure2();
-        let opts = MctOptions {
-            exhaustive_floor: Some(1.0),
-            ..MctOptions::default()
+        let run = |opts: &MctOptions| {
+            crate::sweep::TEST_SIGMA_DECIDED.set(0);
+            let report = MctAnalyzer::new(&c).unwrap().run(opts).unwrap();
+            (report, crate::sweep::TEST_SIGMA_DECIDED.get())
         };
-        let report = MctAnalyzer::new(&c).unwrap().run(&opts).unwrap();
-        // The sweep runs in τ order, and figure 2 is one cone whose
-        // projection of σ is σ itself, so every repeated σ is answered by
-        // the cone memo and every memo answer is a repeat: the kernel
-        // counter equals the cache-hit count exactly.
+        // A sweep that decides every σ it counts: every repeated σ is
+        // answered by the memo and every memo answer is a repeat, so the
+        // kernel counter equals the cache-hit count exactly.
+        let (report, decided) = run(&MctOptions::default());
+        assert_eq!(decided, report.sigma_checked as u64, "{report:?}");
         assert!(report.sigma_cache_hits > 0, "{report:?}");
         assert_eq!(
             report.kernel.mvec_memo_hits, report.sigma_cache_hits as u64,
             "{:?}",
             report.kernel
+        );
+        // An exhaustive sweep stops settled candidates early: the repeats
+        // it skips are counted in closed form but never reach the memo.
+        let (report, decided) = run(&MctOptions {
+            exhaustive_floor: Some(1.0),
+            ..MctOptions::default()
+        });
+        assert!(decided < report.sigma_checked as u64, "{report:?}");
+        assert!(report.kernel.mvec_memo_hits > 0, "{:?}", report.kernel);
+        assert!(
+            report.kernel.mvec_memo_hits <= report.sigma_cache_hits as u64,
+            "{report:?}"
         );
     }
 
@@ -730,7 +789,7 @@ mod tests {
         // The LP proved some failing σ unrealizable and said so.
         assert!(lp.kernel.sigma_pruned > 0, "{:?}", lp.kernel);
         assert_eq!(closed.kernel.sigma_pruned, 0, "{:?}", closed.kernel);
-        // Both sweeps examine every candidate and decide every σ of Φ(τ).
+        // Both sweeps examine every candidate and count every σ of Φ(τ).
         assert_eq!(lp.candidates_checked, closed.candidates_checked);
         assert_eq!(lp.sigma_checked, closed.sigma_checked);
         assert_eq!(lp.sigma_cache_hits, closed.sigma_cache_hits);

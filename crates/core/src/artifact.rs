@@ -15,9 +15,9 @@
 use crate::analyzer::MctOptions;
 use crate::decision::DecisionOutcome;
 use crate::exact::ExactRun;
-use mct_bdd::{Bdd, BddImportError, BddManager, BddSnapshot, Var};
+use mct_bdd::{Bdd, BddImportError, BddManager, BddSnapshot, FxHashMap, Var};
 use mct_tbf::{count_states, TimedVar, TimedVarTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 
@@ -46,9 +46,9 @@ pub struct ConeCacheEntry {
     pub(crate) period: usize,
     pub(crate) has_reach: bool,
     /// `C_x` verdicts keyed by (local σ projection, global induction depth).
-    pub(crate) outcomes_cx: HashMap<(Vec<i64>, i64), DecisionOutcome>,
+    pub(crate) outcomes_cx: FxHashMap<(Vec<i64>, i64), DecisionOutcome>,
     /// Exact-check parts keyed by local σ projection.
-    pub(crate) outcomes_exact: HashMap<Vec<i64>, ExactPart>,
+    pub(crate) outcomes_exact: FxHashMap<Vec<i64>, ExactPart>,
 }
 
 /// One cone's contribution to the exact check at one σ: the history depths
@@ -74,8 +74,8 @@ impl ConeCacheEntry {
             tail: 0,
             period: 0,
             has_reach: false,
-            outcomes_cx: HashMap::new(),
-            outcomes_exact: HashMap::new(),
+            outcomes_cx: FxHashMap::default(),
+            outcomes_exact: FxHashMap::default(),
         }
     }
 

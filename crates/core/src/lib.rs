@@ -33,11 +33,12 @@
 //! space.
 //!
 //! [`MctAnalyzer`] sweeps `τ` downward over the exact breakpoints
-//! `{k/j}` where some shift changes, skipping already-seen shift
-//! signatures. With bounded gate-delay variation (the paper's Section 7,
-//! delays in `[0.9·d, d]`), each shift becomes a *set*; the analyzer
-//! decides every combination `σ ∈ Φ(τ)` (each feasible by exact interval
-//! arithmetic) and reports `D̄_s = max_{σ ∈ Ω} τ(σ)` over the failing set
+//! `{k/j}` where some shift changes, answering already-seen shift
+//! signatures from its memos. With bounded gate-delay variation (the
+//! paper's Section 7, delays in `[0.9·d, d]`), each shift becomes a *set*;
+//! the analyzer decides the combinations `σ ∈ Φ(τ)` (each feasible by exact
+//! interval arithmetic) until nothing left can change the result, and
+//! reports `D̄_s = max_{σ ∈ Ω} τ(σ)` over the failing set
 //! `Ω`, optionally coupling each failing σ's τ range through the per-path
 //! linear programs via the simplex solver.
 //!

@@ -2,6 +2,7 @@
 //! `Φ`, and feasibility of shift combinations.
 
 use mct_lp::Rat;
+use std::ops::ControlFlow;
 
 /// The inclusive range of shifts a delay class can take on a τ interval:
 /// `⌊−I_k/τ⌋` as an integer range `[⌈k^min/τ⌉, ⌈k^max/τ⌉]` (clamped to at
@@ -90,6 +91,18 @@ impl SigmaIter {
             .try_fold(1u128, |acc, n| acc.checked_mul(n))
             .unwrap_or(u128::MAX)
     }
+
+    /// Number of combinations in both `Π a_i` and `Π b_i`: the product over
+    /// classes of the two ranges' overlap, saturating like
+    /// [`combination_count`](Self::combination_count).
+    pub(crate) fn shared_count(a: &[ShiftRange], b: &[ShiftRange]) -> u128 {
+        debug_assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x.hi.min(y.hi) - x.lo.max(y.lo) + 1).max(0) as u128)
+            .try_fold(1u128, |acc, n| acc.checked_mul(n))
+            .unwrap_or(u128::MAX)
+    }
 }
 
 impl Iterator for SigmaIter {
@@ -117,8 +130,9 @@ impl Iterator for SigmaIter {
 }
 
 /// Callback of [`SigmaWalk::run`]: one visited leaf and the sup of its
-/// closed-form τ range (`None`: unbounded above).
-pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], Option<Rat>) -> Result<(), E>;
+/// closed-form τ range (`None`: unbounded above). `Break` ends the walk.
+pub(crate) type LeafVisitor<'a, E> =
+    &'a mut dyn FnMut(&[i64], Option<Rat>) -> Result<ControlFlow<()>, E>;
 
 /// Backtracking prefix-tree walk over `Φ = Π_i [lo_i, hi_i]`.
 ///
@@ -129,10 +143,12 @@ pub(crate) type LeafVisitor<'a, E> = &'a mut dyn FnMut(&[i64], Option<Rat>) -> R
 /// Every σ of `Φ(τ)` is closed-form feasible on the examined interval
 /// `[τ, prev)`: each class's shift range is taken at τ itself, so
 /// `k^min_i/σ_i ≤ τ` and, when `σ_i > 1`, `τ < k^max_i/(σ_i − 1)`. The
-/// walk therefore visits every σ; it carries only the running sup
+/// walk therefore cuts no subtree; it carries only the running sup
 /// `min(prev, min_i k^max_i/(σ_i − 1))` down to each leaf, which is what
 /// [`feasible_tau_range`] returns as the leaf's upper end, at one division
-/// per tree node instead of one per class and leaf.
+/// per tree node instead of one per class and leaf. The visitor may end
+/// the walk early: the sweep stops a candidate's walk once its verdict is
+/// settled.
 pub(crate) struct SigmaWalk<'a> {
     ranges: &'a [ShiftRange],
     intervals: &'a [(i64, i64)],
@@ -167,10 +183,11 @@ impl<'a> SigmaWalk<'a> {
     }
 
     /// Runs the walk: `visit` sees each σ in odometer order, with the sup
-    /// of its closed-form τ range.
+    /// of its closed-form τ range, until it returns `Break` or an error.
     pub fn run<E>(&self, visit: LeafVisitor<'_, E>) -> Result<(), E> {
         let mut sigma = vec![0i64; self.ranges.len()];
         self.rec(self.ranges.len(), self.interval_hi, &mut sigma, visit)
+            .map(drop)
     }
 
     fn rec<E>(
@@ -179,7 +196,7 @@ impl<'a> SigmaWalk<'a> {
         hi: Option<Rat>,
         sigma: &mut Vec<i64>,
         visit: LeafVisitor<'_, E>,
-    ) -> Result<(), E> {
+    ) -> Result<ControlFlow<()>, E> {
         if j == 0 {
             return visit(sigma, hi);
         }
@@ -193,9 +210,11 @@ impl<'a> SigmaWalk<'a> {
             } else {
                 hi
             };
-            self.rec(j - 1, c_hi, sigma, visit)?;
+            if self.rec(j - 1, c_hi, sigma, visit)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
         }
-        Ok(())
+        Ok(ControlFlow::Continue(()))
     }
 }
 
@@ -389,7 +408,7 @@ mod tests {
             SigmaWalk::new(&ranges, &intervals, tau, prev)
                 .run::<()>(&mut |s, hi| {
                     seen.push((s.to_vec(), hi));
-                    Ok(())
+                    Ok(ControlFlow::Continue(()))
                 })
                 .unwrap();
             assert_eq!(seen, expected, "ranges {ranges:?} τ {tau:?} prev {prev:?}");

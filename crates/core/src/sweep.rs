@@ -23,11 +23,12 @@
 //!    Each cone steps through one [`Image`]; a layer product first runs
 //!    every cone to ρ closure and imports each distinct layer once.
 //! 3. **Sweep.** One loop on the calling thread walks the plan in
-//!    descending τ ([`Engine::sweep`]), decides every σ of the candidate's
-//!    Φ walk, runs the LP of a failing σ that could raise the candidate's
-//!    bound under [`MctOptions::path_coupled_lp`], and writes the report as
-//!    it goes; it stops after the first failing candidate unless the floor
-//!    is exhaustive. For each σ every cone answers its projection `σ|c`
+//!    descending τ ([`Engine::sweep`]), decides the σ of the candidate's
+//!    Φ walk until the candidate is settled, runs the LP of a failing σ
+//!    that could raise the candidate's bound under
+//!    [`MctOptions::path_coupled_lp`], and writes the report as it goes; it
+//!    stops after the first failing candidate unless the floor is
+//!    exhaustive. For each σ every cone answers its projection `σ|c`
 //!    from the first source
 //!    that has it — its seed, its memo, or its lazily built environment
 //!    (the reachability manager itself, when this run computed the cone's
@@ -77,7 +78,7 @@ use crate::decision::{
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
 use crate::sigma::{ShiftRange, SigmaIter, SigmaWalk};
-use mct_bdd::{Bdd, BddManager, BddStats, Var};
+use mct_bdd::{Bdd, BddManager, BddStats, FxHashMap, Var};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
 use mct_tbf::{
@@ -85,7 +86,10 @@ use mct_tbf::{
     TimedVarTable,
 };
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+#[cfg(test)]
+use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// What a seeded run produced beyond the report: replay accounting and
@@ -142,15 +146,10 @@ fn plan(bp_delays: &[i64], floor: Rat, shared: &SweepShared) -> SweepPlan {
             overflowed = true;
             break;
         }
-        let ranges: Vec<ShiftRange> = shared
-            .intervals
-            .iter()
-            .map(|&(lo, hi)| ShiftRange::at(lo, hi, b))
-            .collect();
         candidates.push(PlannedCandidate {
             tau: b,
             prev,
-            combos: SigmaIter::combination_count(&ranges),
+            combos: SigmaIter::combination_count(&shared.ranges(b)),
         });
         prev = Some(b);
     }
@@ -161,6 +160,36 @@ fn plan(bp_delays: &[i64], floor: Rat, shared: &SweepShared) -> SweepPlan {
 }
 
 impl SweepShared {
+    /// Each class's shift range at `tau`: the axes of `Φ(tau)`.
+    fn ranges(&self, tau: Rat) -> Vec<ShiftRange> {
+        self.intervals
+            .iter()
+            .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
+            .collect()
+    }
+
+    /// The bound past which no failing σ of `cand` can raise it: the
+    /// interval's upper end, or under LP coupling the rounded LP ceiling
+    /// just below it. Once the bound reaches it, every later σ of `Φ(τ)`
+    /// leaves it as it is: [`omega_sup`](Self::omega_sup) returns at most
+    /// the interval's upper end, and under LP coupling it skips every σ
+    /// whose own cap the bound reaches.
+    fn cap(&self, cand: &PlannedCandidate) -> Rat {
+        let lp = self
+            .opts
+            .path_coupled_lp
+            .then(|| lp_ceiling(self.l_millis, cand.prev));
+        self.failing_sup(cand, None, lp)
+    }
+
+    /// Whether `cand`'s walk can stop: it holds a failure in Ω, with bound
+    /// `sup`, and either an earlier candidate failed (only the region's
+    /// validity is still open) or `sup` has reached the
+    /// [`cap`](Self::cap).
+    fn settled(&self, cand: &PlannedCandidate, sup: Option<Rat>, failed: bool) -> bool {
+        sup.is_some_and(|b| failed || b >= self.cap(cand))
+    }
+
     /// The sup a failing σ adds to its candidate's bound: the sup `hi` of
     /// its closed-form τ range, tightened by its LP optimum `lp` when LP
     /// coupling found one. The optimum is rounded to micro-units; with `lp`
@@ -361,8 +390,8 @@ impl ConeMeta<'_> {
 /// next entry, and the per-sink decision records, which live only as long
 /// as the run.
 struct ConeMemo {
-    cx: HashMap<(Vec<i64>, i64), DecisionOutcome>,
-    exact: HashMap<Vec<i64>, ExactPart>,
+    cx: FxHashMap<(Vec<i64>, i64), DecisionOutcome>,
+    exact: FxHashMap<Vec<i64>, ExactPart>,
     /// Per sink: its record at every projection decided so far.
     records: Vec<SinkRecords>,
 }
@@ -370,8 +399,8 @@ struct ConeMemo {
 impl ConeMemo {
     fn new(sinks: usize) -> Self {
         ConeMemo {
-            cx: HashMap::new(),
-            exact: HashMap::new(),
+            cx: FxHashMap::default(),
+            exact: FxHashMap::default(),
             records: (0..sinks).map(|_| SinkRecords::default()).collect(),
         }
     }
@@ -381,7 +410,7 @@ impl ConeMemo {
 /// projection index names.
 #[derive(Default)]
 struct SinkRecords {
-    slots: HashMap<Vec<i64>, usize>,
+    slots: FxHashMap<Vec<i64>, usize>,
     records: Vec<SinkRecord>,
 }
 
@@ -663,6 +692,16 @@ thread_local! {
     /// Every `(cone, sink, projection, depth)` decided.
     pub(crate) static TEST_SINK_KEYS: std::cell::RefCell<HashSet<SinkKey>> =
         std::cell::RefCell::default();
+    /// Switches the settled-candidate stop off: every σ of `Φ(τ)` is
+    /// decided.
+    pub(crate) static TEST_DECIDE_EVERY_SIGMA: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+    /// σ decided by the sweep.
+    pub(crate) static TEST_SIGMA_DECIDED: std::cell::Cell<u64> =
+        const { std::cell::Cell::new(0) };
+    /// The shift ranges of every examined candidate, in sweep order.
+    pub(crate) static TEST_EXAMINED: std::cell::RefCell<Vec<Vec<ShiftRange>>> =
+        std::cell::RefCell::default();
 }
 
 /// `(cone, sink, projection, depth)`: what one sink's checks depend on.
@@ -843,11 +882,17 @@ struct Engine<'a, 'v> {
 }
 
 impl<'v> Engine<'_, 'v> {
-    /// Walks the plan in descending τ, deciding every σ, and writes the
-    /// report as it goes. Stops after the first failing
-    /// candidate unless the floor is exhaustive, and at the deadline; a
-    /// report already marked `timed_out` (the deadline expired inside the
-    /// reachability fixpoint) stops at the first candidate.
+    /// Walks the plan in descending τ, deciding σ until the candidate's
+    /// verdict is settled, and writes the report as it goes. Stops after
+    /// the first failing candidate unless the floor is exhaustive, and at
+    /// the deadline; a report already marked `timed_out` (the deadline
+    /// expired inside the reachability fixpoint) stops at the first
+    /// candidate.
+    ///
+    /// Once a candidate is [`settled`](SweepShared::settled), no σ left in
+    /// its walk can change the region, the bound or the first failure, so
+    /// the walk stops there. Its σ counts are closed-form: `|Φ(τ)|`, and
+    /// `|Φ(τ) ∩ Φ(τ_prev)|` repeats.
     fn sweep(
         &self,
         st: &mut SweepState<'v>,
@@ -856,7 +901,7 @@ impl<'v> Engine<'_, 'v> {
         report: &mut MctReport,
     ) -> Result<(), MctError> {
         let opts = &self.shared.opts;
-        let mut seen: HashSet<Vec<i64>> = HashSet::new();
+        let mut prev_ranges: Option<Vec<ShiftRange>> = None;
         let mut failed = false;
         let mut completed = true;
         let mut smallest_examined: Option<Rat> = None;
@@ -875,37 +920,41 @@ impl<'v> Engine<'_, 'v> {
             }
             let mut first_invalid = None;
             let mut sup: Option<Rat> = None;
-            let ranges: Vec<ShiftRange> = self
-                .shared
-                .intervals
-                .iter()
-                .map(|&(lo, hi)| ShiftRange::at(lo, hi, cand.tau))
-                .collect();
+            let ranges = self.shared.ranges(cand.tau);
+            #[cfg(test)]
+            TEST_EXAMINED.with_borrow_mut(|e| e.push(ranges.clone()));
             let walk = SigmaWalk::new(&ranges, &self.shared.intervals, cand.tau, cand.prev);
             let walked = walk.run::<MctError>(&mut |sigma, hi| {
-                report.sigma_checked += 1;
-                if seen.contains(sigma) {
-                    report.sigma_cache_hits += 1;
-                } else {
-                    seen.insert(sigma.to_vec());
-                }
                 let outcome = self.decide(st, sigma)?;
-                if outcome.is_valid() {
-                    return Ok(());
+                if !outcome.is_valid() {
+                    if let Some(s) = self
+                        .shared
+                        .omega_sup(cand, sigma, hi, sup, &mut st.lp_dropped)
+                    {
+                        first_invalid.get_or_insert(outcome);
+                        sup = Some(sup.map_or(s, |b| b.max(s)));
+                    }
                 }
-                if let Some(s) = self
-                    .shared
-                    .omega_sup(cand, sigma, hi, sup, &mut st.lp_dropped)
-                {
-                    first_invalid.get_or_insert(outcome);
-                    sup = Some(sup.map_or(s, |b| b.max(s)));
-                }
-                Ok(())
+                let settled = self.shared.settled(cand, sup, failed);
+                #[cfg(test)]
+                let settled = settled && !TEST_DECIDE_EVERY_SIGMA.get();
+                Ok(if settled {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                })
             });
             for env in st.envs.iter_mut().flatten() {
                 env.settle();
             }
             walked?;
+            // Shift ranges only grow as τ descends, so every earlier Φ
+            // meets Φ(τ) inside the previous candidate's.
+            report.sigma_checked += cand.combos as usize;
+            report.sigma_cache_hits += prev_ranges
+                .as_ref()
+                .map_or(0, |p| SigmaIter::shared_count(p, &ranges) as usize);
+            prev_ranges = Some(ranges);
             report.regions.push(ValidityRegion {
                 tau_lo: cand.tau.as_f64() / 1000.0,
                 tau_hi: cand.prev.map_or(f64::INFINITY, |p| p.as_f64() / 1000.0),
@@ -943,6 +992,8 @@ impl<'v> Engine<'_, 'v> {
     /// Decides one σ: every cone answers its projection, and the answers
     /// recombine into the whole machine's outcome.
     fn decide(&self, st: &mut SweepState<'v>, sigma: &[i64]) -> Result<DecisionOutcome, MctError> {
+        #[cfg(test)]
+        TEST_SIGMA_DECIDED.set(TEST_SIGMA_DECIDED.get() + 1);
         if self.shared.opts.exact_check {
             let parts = (0..self.cones.len())
                 .map(|c| {
@@ -1487,11 +1538,18 @@ pub(crate) fn run(
 
 #[cfg(test)]
 mod tests {
-    use super::{TEST_GC_THRESHOLD, TEST_SINK_EXTRACTIONS, TEST_SINK_KEYS};
+    use super::{
+        PlannedCandidate, SweepShared, TEST_DECIDE_EVERY_SIGMA, TEST_EXAMINED, TEST_GC_THRESHOLD,
+        TEST_SIGMA_DECIDED, TEST_SINK_EXTRACTIONS, TEST_SINK_KEYS,
+    };
     use crate::analyzer::{MctAnalyzer, MctOptions, MctReport, VarOrder};
     use crate::error::MctError;
+    use crate::sigma::SigmaIter;
     use crate::ConeCacheEntry;
+    use mct_gen::families;
+    use mct_lp::Rat;
     use mct_netlist::{Circuit, GateKind, Time};
+    use std::collections::HashSet;
 
     fn t(v: f64) -> Time {
         Time::from_f64(v)
@@ -1614,6 +1672,119 @@ mod tests {
             matches!(over, Err(MctError::ProductTooLarge { .. })),
             "{over:?}"
         );
+    }
+
+    /// One run with the settled-candidate stop on or off: the report, the
+    /// σ it decided, and `(sigma_checked, sigma_cache_hits)` counted by
+    /// brute force over the Φ of every examined candidate.
+    fn traced(
+        c: &Circuit,
+        opts: &MctOptions,
+        stop: bool,
+    ) -> (Result<MctReport, MctError>, u64, (usize, usize)) {
+        TEST_DECIDE_EVERY_SIGMA.set(!stop);
+        TEST_SIGMA_DECIDED.set(0);
+        TEST_EXAMINED.with_borrow_mut(Vec::clear);
+        let report = run(c, opts);
+        TEST_DECIDE_EVERY_SIGMA.set(false);
+        let mut seen = HashSet::new();
+        let mut counts = (0, 0);
+        for ranges in TEST_EXAMINED.take() {
+            for sigma in SigmaIter::new(&ranges) {
+                counts.0 += 1;
+                if !seen.insert(sigma) {
+                    counts.1 += 1;
+                }
+            }
+        }
+        (report, TEST_SIGMA_DECIDED.get(), counts)
+    }
+
+    /// A candidate's walk stops once its verdict is settled, and the
+    /// report is the one that deciding every σ gives: same regions, bound,
+    /// first failure and errors, and σ counts that a brute-force count over
+    /// the examined candidates' Φ confirms.
+    #[test]
+    fn settled_candidates_stop_without_changing_the_report() {
+        let lfsr = families::lfsr(12, &[5, 11], t(2.0));
+        let mut circuits: Vec<Circuit> = (1..=4)
+            .map(|seed| families::random_fsm(seed, 3, 1, 10))
+            .collect();
+        circuits.extend([figure2(), families::sigma_star(2), lfsr.clone()]);
+        let mut decided_total = (0, 0);
+        for c in &circuits {
+            let l = run(c, &MctOptions::fixed_delays()).unwrap().steady_delay;
+            let floor = MctOptions {
+                exhaustive_floor: Some(l / 2.0),
+                ..MctOptions::paper()
+            };
+            let variants = [
+                MctOptions::paper(),
+                MctOptions::fixed_delays(),
+                floor.clone(),
+                MctOptions {
+                    path_coupled_lp: true,
+                    ..floor.clone()
+                },
+                MctOptions {
+                    exact_check: true,
+                    max_product_bits: 16,
+                    ..floor
+                },
+            ];
+            for opts in &variants {
+                let (stopped, decided, counts) = traced(c, opts, true);
+                let (full, all, full_counts) = traced(c, opts, false);
+                let what = format!("{} {opts:?}", c.name());
+                assert!(decided <= all, "{what}");
+                decided_total.0 += decided;
+                decided_total.1 += all;
+                if let Ok(r) = &full {
+                    // Without the stop every counted σ is decided.
+                    assert_eq!(all, r.sigma_checked as u64, "{what}");
+                    assert_eq!((r.sigma_checked, r.sigma_cache_hits), full_counts);
+                }
+                if let Ok(r) = &stopped {
+                    assert_eq!((r.sigma_checked, r.sigma_cache_hits), counts, "{what}");
+                }
+                assert_eq!(stopped.map(strip), full.map(strip), "{what}");
+            }
+        }
+        assert!(decided_total.0 < decided_total.1, "{decided_total:?}");
+        // Every σ of the LFSR's second candidate fails, and the first
+        // failing one already reaches the interval's upper end.
+        let (report, decided, _) = traced(&lfsr, &MctOptions::paper(), true);
+        let report = report.unwrap();
+        assert_eq!(report.sigma_checked, 4_097, "{report:?}");
+        assert!(decided <= 4, "{decided} σ decided");
+
+        // Under LP coupling a failing σ may add less than the interval's
+        // upper end, and then the walk goes on until the bound reaches the
+        // cap. No circuit above has a first failure in Ω below its cap
+        // (nor did thousands of random LP-mode circuits), so a stop that
+        // ignores the cap would not show in their reports: the rule is
+        // checked on its own.
+        let shared = SweepShared {
+            classes: Vec::new(),
+            intervals: Vec::new(),
+            l_millis: 5_000,
+            opts: MctOptions {
+                path_coupled_lp: true,
+                ..MctOptions::paper()
+            },
+        };
+        let cand = PlannedCandidate {
+            tau: Rat::new(1_500, 1),
+            prev: Some(Rat::new(2_000, 1)),
+            combos: 1,
+        };
+        let cap = shared.cap(&cand);
+        assert_eq!(cap, Rat::new(1_999_999, 1_000));
+        let below = Some(Rat::new(1_800, 1));
+        assert!(!shared.settled(&cand, None, true));
+        assert!(!shared.settled(&cand, below, false));
+        assert!(shared.settled(&cand, below, true));
+        assert!(shared.settled(&cand, Some(cap), false));
     }
 
     #[test]

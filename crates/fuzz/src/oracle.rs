@@ -27,7 +27,7 @@
 //!   performance lever: the recombined report must be byte-identical to
 //!   the unsliced reference (the whole circuit as one cone).
 //! * **sigma** — LP path coupling only drops failing shift combinations
-//!   and tightens the sup of the ones it keeps, while both modes decide
+//!   and tightens the sup of the ones it keeps, while both modes count
 //!   every σ of Φ: rerun with `path_coupled_lp` flipped, the LP run must
 //!   agree with the closed-form run on errors, σ counts and region ends,
 //!   keep every closed-form-valid region valid, and bound no higher (the
@@ -599,7 +599,7 @@ fn sigma_consistency(
 }
 
 /// Checks an LP-coupled report against the closed-form report of the same
-/// circuit and options. Both runs decide every σ of Φ(τ) of every candidate
+/// circuit and options. Both runs count every σ of Φ(τ) of every candidate
 /// they examine, and the LP only drops failing σ from Ω or lowers the sup
 /// of one it keeps, so:
 ///

@@ -62,7 +62,7 @@ fn reachability_never_hurts_and_helps_on_planted_rows() {
 }
 
 /// LP path coupling only drops failing shift combinations from Ω and
-/// tightens the sup of the ones it keeps, while both modes decide every σ
+/// tightens the sup of the ones it keeps, while both modes count every σ
 /// of Φ(τ). So on every Table-1 row the LP run examines the same σ over
 /// the same candidates, keeps every closed-form-valid region valid, and
 /// bounds no higher ([`lp_coupling_violation`] checks all three).
