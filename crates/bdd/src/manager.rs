@@ -316,6 +316,31 @@ enum IteFrame {
     },
 }
 
+/// Explicit-stack frame for [`BddManager::and_exists_memo`].
+enum QuantFrame {
+    App(Bdd, Bdd),
+    /// The quantified-variable early exit: inspect the low result before
+    /// deciding whether the high branch is needed at all.
+    AfterLo {
+        f1: Bdd,
+        g1: Bdd,
+        key: (u32, u32),
+    },
+    CombineOr {
+        key: (u32, u32),
+    },
+    CombineMk {
+        var: u32,
+        key: (u32, u32),
+    },
+}
+
+/// Explicit-stack frame for [`BddManager::vector_compose_memo`].
+enum ComposeFrame {
+    Visit(Bdd),
+    Emit { var: u32, reg: u32, c: u32 },
+}
+
 /// Owner of all BDD nodes: arena, unique table, ops cache, and the garbage
 /// collector.
 ///
@@ -358,6 +383,17 @@ pub struct BddManager {
     /// kept for their capacity).
     ite_frames: Vec<IteFrame>,
     ite_results: Vec<Bdd>,
+    /// The same for [`and_exists_memo`](Self::and_exists_memo) and
+    /// [`vector_compose_memo`](Self::vector_compose_memo). Neither calls the
+    /// other, so they share one result stack; both call `ite`, which keeps
+    /// its own.
+    quant_frames: Vec<QuantFrame>,
+    compose_frames: Vec<ComposeFrame>,
+    walk_results: Vec<Bdd>,
+    /// The substitution of a running
+    /// [`vector_compose_memo`](Self::vector_compose_memo) call by variable
+    /// index; every slot is `None` between calls.
+    compose_map: Vec<Option<Bdd>>,
     ops_hits: u64,
     ops_lookups: u64,
     /// Completed [`compact`](Self::compact) relocations.
@@ -406,6 +442,10 @@ impl BddManager {
             ops_bits: OPS_CACHE_MIN_BITS,
             ite_frames: Vec::new(),
             ite_results: Vec::new(),
+            quant_frames: Vec::new(),
+            compose_frames: Vec::new(),
+            walk_results: Vec::new(),
+            compose_map: Vec::new(),
             ops_hits: 0,
             ops_lookups: 0,
             compactions: 0,
@@ -935,23 +975,33 @@ impl BddManager {
         subst: &[(Var, Bdd)],
         memo: &mut QuantMemo,
     ) -> Bdd {
-        enum Frame {
-            Visit(Bdd),
-            Emit { var: u32, reg: u32, c: u32 },
-        }
         self.refresh(memo);
         let pairs = subst.iter().map(|&(v, g)| (v.0, g.0));
         if !memo.subst.iter().copied().eq(pairs.clone()) {
             memo.subst = pairs.collect();
             memo.composed.clear();
         }
-        let map: FxHashMap<u32, Bdd> = subst.iter().map(|&(v, g)| (v.index(), g)).collect();
         let memo = &mut memo.composed;
-        let mut frames = vec![Frame::Visit(f)];
-        let mut results: Vec<Bdd> = Vec::new();
+        // The stacks and the map go back, capacity intact, on return; `ite`
+        // and `var` never reach them.
+        let mut frames = std::mem::take(&mut self.compose_frames);
+        let mut results = std::mem::take(&mut self.walk_results);
+        let mut map = std::mem::take(&mut self.compose_map);
+        debug_assert!(frames.is_empty() && results.is_empty());
+        // Only the nodes of `f` are looked up, and no node decides on a
+        // variable past `num_vars`.
+        if map.len() < self.num_vars as usize {
+            map.resize(self.num_vars as usize, None);
+        }
+        for &(v, g) in subst {
+            if let Some(slot) = map.get_mut(v.index() as usize) {
+                *slot = Some(g);
+            }
+        }
+        frames.push(ComposeFrame::Visit(f));
         while let Some(frame) = frames.pop() {
             match frame {
-                Frame::Visit(f) => {
+                ComposeFrame::Visit(f) => {
                     if f.is_const() {
                         results.push(f);
                         continue;
@@ -963,15 +1013,15 @@ impl BddManager {
                         continue;
                     }
                     let n = self.node(f);
-                    frames.push(Frame::Emit { var: n.var, reg, c });
-                    frames.push(Frame::Visit(Bdd(n.hi)));
-                    frames.push(Frame::Visit(Bdd(n.lo)));
+                    frames.push(ComposeFrame::Emit { var: n.var, reg, c });
+                    frames.push(ComposeFrame::Visit(Bdd(n.hi)));
+                    frames.push(ComposeFrame::Visit(Bdd(n.lo)));
                 }
-                Frame::Emit { var, reg, c } => {
+                ComposeFrame::Emit { var, reg, c } => {
                     let hi = results.pop().expect("compose high result");
                     let lo = results.pop().expect("compose low result");
-                    let root = match map.get(&var) {
-                        Some(&g) => g,
+                    let root = match map[var as usize] {
+                        Some(g) => g,
                         None => self.var(Var(var)),
                     };
                     let r = self.ite(root, hi, lo);
@@ -980,7 +1030,16 @@ impl BddManager {
                 }
             }
         }
-        results.pop().expect("compose result")
+        for &(v, _) in subst {
+            if let Some(slot) = map.get_mut(v.index() as usize) {
+                *slot = None;
+            }
+        }
+        let r = results.pop().expect("compose result");
+        self.compose_frames = frames;
+        self.walk_results = results;
+        self.compose_map = map;
+        r
     }
 
     /// Renames variables according to `map` (a special case of
@@ -1095,23 +1154,6 @@ impl BddManager {
     /// [`and_exists_set`](Self::and_exists_set) through a memo the caller
     /// keeps across calls with the same quantified set.
     pub fn and_exists_memo(&mut self, f: Bdd, g: Bdd, vars: &VarSet, memo: &mut QuantMemo) -> Bdd {
-        enum Frame {
-            App(Bdd, Bdd),
-            /// The quantified-variable early exit: inspect the low result
-            /// before deciding whether the high branch is needed at all.
-            AfterLo {
-                f1: Bdd,
-                g1: Bdd,
-                key: (u32, u32),
-            },
-            CombineOr {
-                key: (u32, u32),
-            },
-            CombineMk {
-                var: u32,
-                key: (u32, u32),
-            },
-        }
         if vars.is_empty() {
             return self.and(f, g);
         }
@@ -1122,11 +1164,15 @@ impl BddManager {
         }
         let memo = &mut memo.products;
         let qvars = self.quantified(vars);
-        let mut frames = vec![Frame::App(f, g)];
-        let mut results: Vec<Bdd> = Vec::new();
+        // The stacks go back, capacity intact, on return; `and`, `or` and
+        // `mk` never reach them.
+        let mut frames = std::mem::take(&mut self.quant_frames);
+        let mut results = std::mem::take(&mut self.walk_results);
+        debug_assert!(frames.is_empty() && results.is_empty());
+        frames.push(QuantFrame::App(f, g));
         while let Some(frame) = frames.pop() {
             match frame {
-                Frame::App(f, g) => {
+                QuantFrame::App(f, g) => {
                     if f.is_false() || g.is_false() {
                         results.push(Bdd::FALSE);
                         continue;
@@ -1154,15 +1200,15 @@ impl BddManager {
                     let (f0, f1) = self.cofactors_at(f, var);
                     let (g0, g1) = self.cofactors_at(g, var);
                     if qvars[pos] == var {
-                        frames.push(Frame::AfterLo { f1, g1, key });
-                        frames.push(Frame::App(f0, g0));
+                        frames.push(QuantFrame::AfterLo { f1, g1, key });
+                        frames.push(QuantFrame::App(f0, g0));
                     } else {
-                        frames.push(Frame::CombineMk { var, key });
-                        frames.push(Frame::App(f1, g1));
-                        frames.push(Frame::App(f0, g0));
+                        frames.push(QuantFrame::CombineMk { var, key });
+                        frames.push(QuantFrame::App(f1, g1));
+                        frames.push(QuantFrame::App(f0, g0));
                     }
                 }
-                Frame::AfterLo { f1, g1, key } => {
+                QuantFrame::AfterLo { f1, g1, key } => {
                     let lo = results.pop().expect("and_exists low result");
                     if lo.is_true() {
                         // ∃x. h = lo ∨ hi is already TRUE: skip the high
@@ -1171,18 +1217,18 @@ impl BddManager {
                         results.push(Bdd::TRUE);
                     } else {
                         results.push(lo);
-                        frames.push(Frame::CombineOr { key });
-                        frames.push(Frame::App(f1, g1));
+                        frames.push(QuantFrame::CombineOr { key });
+                        frames.push(QuantFrame::App(f1, g1));
                     }
                 }
-                Frame::CombineOr { key } => {
+                QuantFrame::CombineOr { key } => {
                     let hi = results.pop().expect("and_exists high result");
                     let lo = results.pop().expect("and_exists low result");
                     let r = self.or(lo, hi);
                     memo.insert(key, r.0);
                     results.push(r);
                 }
-                Frame::CombineMk { var, key } => {
+                QuantFrame::CombineMk { var, key } => {
                     let hi = results.pop().expect("and_exists high result");
                     let lo = results.pop().expect("and_exists low result");
                     let r = self.mk(var, lo, hi);
@@ -1191,7 +1237,10 @@ impl BddManager {
                 }
             }
         }
-        results.pop().expect("and_exists result")
+        let r = results.pop().expect("and_exists result");
+        self.quant_frames = frames;
+        self.walk_results = results;
+        r
     }
 
     /// Drops `memo` when a collection or compaction ran since its entries
@@ -2274,6 +2323,135 @@ mod tests {
             let kept = counter.kept(&mut m, set, &mut memo);
             assert_eq!(kept, counter.fresh(&mut m, set));
             set = kept;
+        }
+    }
+
+    /// Truth table of `f` over variables 0..6: bit `a` is `f` under the
+    /// assignment whose variable `v` is bit `v` of `a`.
+    fn table(m: &BddManager, f: Bdd) -> u64 {
+        (0..64u32).fold(0, |t, a| {
+            t | u64::from(m.eval(f, |v| a >> v.index() & 1 == 1)) << a
+        })
+    }
+
+    /// The function over variables 0..6 with truth table `t`.
+    fn from_table(m: &mut BddManager, t: u64) -> Bdd {
+        let mut f = m.zero();
+        for a in (0..64u32).filter(|a| t >> a & 1 == 1) {
+            let lits: Vec<Bdd> = (0..6)
+                .map(|v| m.literal(Var::new(v), a >> v & 1 == 1))
+                .collect();
+            let cube = m.and_all(lits);
+            f = m.or(f, cube);
+        }
+        f
+    }
+
+    /// `∃ vars. t` on truth tables.
+    fn exists_table(t: u64, vars: &[u32]) -> u64 {
+        vars.iter().fold(t, |t, &v| {
+            (0..64u32).fold(0, |r, a| r | ((t >> a | t >> (a ^ 1 << v)) & 1) << a)
+        })
+    }
+
+    /// `t[v ← g_v]` on truth tables.
+    fn compose_table(t: u64, subst: &[(u32, u64)]) -> u64 {
+        (0..64u32).fold(0, |r, a| {
+            let b = subst
+                .iter()
+                .fold(a, |b, &(v, g)| (b & !(1 << v)) | ((g >> a & 1) as u32) << v);
+            r | (t >> b & 1) << a
+        })
+    }
+
+    /// Seeded sequences of kept-memo relational products and compositions,
+    /// mixed with plain compositions, quantifications, `ite`, collections
+    /// and compactions on one manager, against truth tables and the plain
+    /// calls. The walks' manager-owned stacks must come back empty from
+    /// every call, and a kept memo must never answer across a collection
+    /// or compaction. Under `MCT_BDD_GC_STRESS` and
+    /// `MCT_BDD_COMPACT_STRESS` every step also collects and compacts.
+    #[test]
+    fn reused_stacks_match_truth_tables_across_mixed_calls() {
+        let mut rng = mct_prng::SmallRng::seed_from_u64(0x5ac4_2b1d);
+        for _ in 0..4 {
+            let mut m = BddManager::new();
+            let mut memo = QuantMemo::default();
+            let sets: [&[u32]; 3] = [&[0, 2, 5], &[1, 3], &[4]];
+            let mut pool: Vec<(Bdd, u64)> = (0..8)
+                .map(|_| {
+                    let t = rng.next_u64();
+                    (from_table(&mut m, t), t)
+                })
+                .collect();
+            // Two substitutions: a rename and two functions of the pool.
+            let rename: Vec<(u32, Bdd, u64)> = [(0, 3), (3, 1), (5, 2)]
+                .iter()
+                .map(|&(v, w)| {
+                    let g = m.var(Var::new(w));
+                    (v, g, table(&m, g))
+                })
+                .collect();
+            let mut substs = [
+                rename,
+                vec![(1, pool[0].0, pool[0].1), (4, pool[1].0, pool[1].1)],
+            ];
+            for _ in 0..300 {
+                let pick = |rng: &mut mct_prng::SmallRng| pool[rng.gen_range(0..pool.len())];
+                let (f, tf) = pick(&mut rng);
+                let (g, tg) = pick(&mut rng);
+                let (h, th) = pick(&mut rng);
+                let vars = sets[rng.gen_range(0..sets.len())];
+                let set: VarSet = vars.iter().map(|&v| Var::new(v)).collect();
+                let subst = &substs[rng.gen_range(0..substs.len())];
+                let pairs: Vec<(Var, Bdd)> =
+                    subst.iter().map(|&(v, g, _)| (Var::new(v), g)).collect();
+                let tables: Vec<(u32, u64)> = subst.iter().map(|&(v, _, t)| (v, t)).collect();
+                let result = match rng.gen_range(0..8u32) {
+                    0 | 1 => {
+                        let r = m.and_exists_memo(f, g, &set, &mut memo);
+                        assert_eq!(r, m.and_exists_set(f, g, &set));
+                        Some((r, exists_table(tf & tg, vars)))
+                    }
+                    2 | 3 => {
+                        let r = m.vector_compose_memo(f, &pairs, &mut memo);
+                        assert_eq!(r, m.vector_compose(f, &pairs));
+                        Some((r, compose_table(tf, &tables)))
+                    }
+                    4 => Some((m.vector_compose(f, &pairs), compose_table(tf, &tables))),
+                    5 => Some((m.exists_set(f, &set), exists_table(tf, vars))),
+                    6 => Some((m.ite(f, g, h), tf & tg | !tf & th)),
+                    _ => None,
+                };
+                assert!(m.quant_frames.is_empty() && m.compose_frames.is_empty());
+                assert!(m.walk_results.is_empty());
+                assert!(m.compose_map.iter().all(Option::is_none));
+                if let Some((r, t)) = result {
+                    assert_eq!(table(&m, r), t);
+                    pool[rng.gen_range(0..8usize)] = (r, t);
+                }
+                let roots: Vec<Bdd> = pool
+                    .iter()
+                    .map(|p| p.0)
+                    .chain(substs.iter().flatten().map(|s| s.1))
+                    .collect();
+                let collect = rng.gen_range(0..10u32) == 0;
+                if collect {
+                    m.collect_garbage(&roots);
+                } else {
+                    m.maybe_collect_garbage(&roots);
+                }
+                if (collect && rng.gen_bool()) || m.compact_pending() {
+                    let map = m.compact(&roots);
+                    for p in &mut pool {
+                        p.0 = map.rewrite(p.0);
+                    }
+                    for s in substs.iter_mut().flatten() {
+                        s.1 = map.rewrite(s.1);
+                    }
+                }
+            }
+            assert!(m.walk_results.capacity() > 0);
         }
     }
 

@@ -30,7 +30,7 @@ pub enum VarOrder {
     /// First-use allocation order (the historical behaviour).
     Alloc,
     /// Structural static order computed from the netlist before any BDD is
-    /// built (see [`StaticOrder`]): leaves clustered by a sink-DFS over the
+    /// built (see [`StaticOrder`](mct_tbf::StaticOrder)): leaves clustered by a sink-DFS over the
     /// gate DAG, timed copies of each leaf interleaved at adjacent levels.
     #[default]
     Static,
@@ -67,7 +67,7 @@ pub struct MctOptions {
     /// (`L` = the steady-state delay).
     pub floor_divisor: i64,
     /// State cap for cone extraction (see
-    /// [`ConeExtractor::with_node_limit`]).
+    /// [`ConeExtractor::with_node_limit`](mct_tbf::ConeExtractor::with_node_limit)).
     pub cone_node_limit: usize,
     /// Use the exact product-machine equivalence check instead of the
     /// sufficient condition `C_x` (Section 6's "decide whether two finite

@@ -2,7 +2,6 @@
 //! `Φ`, and feasibility of shift combinations.
 
 use mct_lp::Rat;
-use std::ops::ControlFlow;
 
 /// The inclusive range of shifts a delay class can take on a τ interval:
 /// `⌊−I_k/τ⌋` as an integer range `[⌈k^min/τ⌉, ⌈k^max/τ⌉]` (clamped to at
@@ -110,112 +109,27 @@ impl Iterator for SigmaIter {
 
     fn next(&mut self) -> Option<Vec<i64>> {
         let result = self.current.clone()?;
-        // Odometer increment.
         let cur = self.current.as_mut().expect("checked above");
-        let mut i = 0;
-        loop {
-            if i == self.ranges.len() {
-                self.current = None;
-                break;
-            }
-            if cur[i] < self.ranges[i].hi {
-                cur[i] += 1;
-                break;
-            }
-            cur[i] = self.ranges[i].lo;
-            i += 1;
+        if !next_sigma(cur, &self.ranges) {
+            self.current = None;
         }
         Some(result)
     }
 }
 
-/// Callback of [`SigmaWalk::run`]: one visited leaf and the sup of its
-/// closed-form τ range (`None`: unbounded above). `Break` ends the walk.
-pub(crate) type LeafVisitor<'a, E> =
-    &'a mut dyn FnMut(&[i64], Option<Rat>) -> Result<ControlFlow<()>, E>;
-
-/// Backtracking prefix-tree walk over `Φ = Π_i [lo_i, hi_i]`.
-///
-/// Classes are assigned from the most-significant odometer digit (the last
-/// index) down to index 0, children in increasing shift order, so leaves are
-/// visited in **exactly** the [`SigmaIter`] order.
-///
-/// Every σ of `Φ(τ)` is closed-form feasible on the examined interval
-/// `[τ, prev)`: each class's shift range is taken at τ itself, so
-/// `k^min_i/σ_i ≤ τ` and, when `σ_i > 1`, `τ < k^max_i/(σ_i − 1)`. The
-/// walk therefore cuts no subtree; it carries only the running sup
-/// `min(prev, min_i k^max_i/(σ_i − 1))` down to each leaf, which is what
-/// [`feasible_tau_range`] returns as the leaf's upper end, at one division
-/// per tree node instead of one per class and leaf. The visitor may end
-/// the walk early: the sweep stops a candidate's walk once its verdict is
-/// settled.
-pub(crate) struct SigmaWalk<'a> {
-    ranges: &'a [ShiftRange],
-    intervals: &'a [(i64, i64)],
-    interval_hi: Option<Rat>,
-}
-
-impl<'a> SigmaWalk<'a> {
-    /// Prepares a walk of `Φ` over the examined τ interval
-    /// `[interval_lo, interval_hi)`, where `ranges` are the shift ranges at
-    /// `interval_lo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the examined interval is empty: the sweep's breakpoints
-    /// strictly descend, so it never builds one.
-    pub fn new(
-        ranges: &'a [ShiftRange],
-        intervals: &'a [(i64, i64)],
-        interval_lo: Rat,
-        interval_hi: Option<Rat>,
-    ) -> Self {
-        assert!(
-            interval_hi.is_none_or(|h| interval_lo < h),
-            "empty examined interval"
-        );
-        debug_assert_eq!(ranges.len(), intervals.len());
-        SigmaWalk {
-            ranges,
-            intervals,
-            interval_hi,
+/// Steps `sigma` to the next combination of `Φ = Π_i ranges[i]` in
+/// odometer order, index 0 the least-significant digit: the
+/// [`SigmaIter`] order, in place. Returns false after the last
+/// combination.
+pub(crate) fn next_sigma(sigma: &mut [i64], ranges: &[ShiftRange]) -> bool {
+    for (s, r) in sigma.iter_mut().zip(ranges) {
+        if *s < r.hi {
+            *s += 1;
+            return true;
         }
+        *s = r.lo;
     }
-
-    /// Runs the walk: `visit` sees each σ in odometer order, with the sup
-    /// of its closed-form τ range, until it returns `Break` or an error.
-    pub fn run<E>(&self, visit: LeafVisitor<'_, E>) -> Result<(), E> {
-        let mut sigma = vec![0i64; self.ranges.len()];
-        self.rec(self.ranges.len(), self.interval_hi, &mut sigma, visit)
-            .map(drop)
-    }
-
-    fn rec<E>(
-        &self,
-        j: usize,
-        hi: Option<Rat>,
-        sigma: &mut Vec<i64>,
-        visit: LeafVisitor<'_, E>,
-    ) -> Result<ControlFlow<()>, E> {
-        if j == 0 {
-            return visit(sigma, hi);
-        }
-        let r = self.ranges[j - 1];
-        let k_max = self.intervals[j - 1].1;
-        for s in r.lo..=r.hi {
-            sigma[j - 1] = s;
-            let c_hi = if s > 1 {
-                let this_hi = Rat::new(k_max, s - 1);
-                Some(hi.map_or(this_hi, |h| h.min(this_hi)))
-            } else {
-                hi
-            };
-            if self.rec(j - 1, c_hi, sigma, visit)?.is_break() {
-                return Ok(ControlFlow::Break(()));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
+    false
 }
 
 /// The feasible τ range of a shift combination `σ` under independent
@@ -260,6 +174,9 @@ pub fn feasible_tau_range(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::skewed_k_min;
+    use crate::BreakpointIter;
+    use mct_tbf::DelayClass;
 
     #[test]
     fn shift_range_fixed_delay_is_singleton() {
@@ -358,70 +275,76 @@ mod tests {
         assert_eq!(SigmaIter::combination_count(&ranges), u128::MAX);
     }
 
-    /// One random walk input: class intervals, the examined interval
-    /// `[tau, prev)`, and the shift ranges at `tau`.
-    type Case = (Vec<(i64, i64)>, Rat, Option<Rat>, Vec<ShiftRange>);
-
-    /// 200 seeded random cases of 1–4 classes.
-    fn random_cases() -> Vec<Case> {
+    /// Property: on every interval `[τ, prev)` a sweep examines, `τ` and
+    /// `prev` consecutive breakpoints of the classes' delays, every σ of
+    /// Φ(τ) has the closed-form τ range `[τ, prev)` exactly: each class's
+    /// shift range is taken at τ, and each `k_i^max/(σ_i − 1)` with
+    /// `σ_i > 1` is itself a breakpoint above τ. So a failing σ's
+    /// closed-form sup is the interval's upper end. Over seeded random
+    /// classes, zero-delay and skewed ones among them.
+    #[test]
+    fn every_sigma_of_phi_spans_its_examined_interval() {
         let mut rng = mct_prng::SmallRng::seed_from_u64(0x51674a15);
-        (0..200u64)
-            .map(|_| {
-                let n = rng.gen_range(1..5usize);
-                let intervals: Vec<(i64, i64)> = (0..n)
-                    .map(|_| {
-                        let k_max = 250 * rng.gen_range(1..20i64);
-                        let k_min = (k_max * rng.gen_range(5..11i64)) / 10;
-                        (k_min, k_max)
-                    })
-                    .collect();
-                let tau = Rat::new(250 * rng.gen_range(1..16i64), 1);
-                let prev = if rng.gen_bool() {
-                    None
-                } else {
-                    Some(tau + Rat::new(250 * rng.gen_range(1..8i64), 1))
-                };
+        let mut checked = 0u64;
+        for case in 0..200 {
+            let n = rng.gen_range(1..5usize);
+            let intervals: Vec<(i64, i64)> = (0..n)
+                .map(|_| {
+                    if rng.gen_range(0..4u32) == 0 {
+                        return (0, 0);
+                    }
+                    let delay = 250 * rng.gen_range(1..20i64);
+                    let class = DelayClass {
+                        leaf: 0,
+                        delay,
+                        skew_offset: if rng.gen_bool() {
+                            rng.gen_range(-delay / 2..=delay / 2)
+                        } else {
+                            0
+                        },
+                        path: Vec::new(),
+                    };
+                    let variation = (rng.gen_range(5..11i64), 10);
+                    (skewed_k_min(&class, Some(variation)), delay)
+                })
+                .collect();
+            let l = intervals.iter().map(|c| c.1).max().unwrap_or(0);
+            let delays: Vec<i64> = intervals.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+            let floor = Rat::new(l.max(1), rng.gen_range(2..9i64));
+            let mut prev = None;
+            for tau in BreakpointIter::new(&delays, floor) {
                 let ranges: Vec<ShiftRange> = intervals
                     .iter()
                     .map(|&(lo, hi)| ShiftRange::at(lo, hi, tau))
                     .collect();
-                (intervals, tau, prev, ranges)
-            })
-            .collect()
-    }
-
-    /// Property: every σ of Φ(τ) is closed-form feasible on `[τ, prev)`,
-    /// so the walk visits the whole flat enumeration in order, each leaf
-    /// with the sup of [`feasible_tau_range`].
-    #[test]
-    fn every_sigma_of_phi_is_closed_form_feasible() {
-        for (intervals, tau, prev, ranges) in random_cases() {
-            let expected: Vec<(Vec<i64>, Option<Rat>)> = SigmaIter::new(&ranges)
-                .map(|s| {
-                    let (lo, hi) = feasible_tau_range(&s, &intervals, tau, prev)
-                        .unwrap_or_else(|| panic!("{s:?} infeasible at τ {tau:?}"));
-                    assert_eq!(lo, tau, "{s:?}");
-                    (s, hi)
-                })
-                .collect();
-            let mut seen = Vec::new();
-            SigmaWalk::new(&ranges, &intervals, tau, prev)
-                .run::<()>(&mut |s, hi| {
-                    seen.push((s.to_vec(), hi));
-                    Ok(ControlFlow::Continue(()))
-                })
-                .unwrap();
-            assert_eq!(seen, expected, "ranges {ranges:?} τ {tau:?} prev {prev:?}");
+                for sigma in SigmaIter::new(&ranges) {
+                    assert_eq!(
+                        feasible_tau_range(&sigma, &intervals, tau, prev),
+                        Some((tau, prev)),
+                        "case {case}: classes {intervals:?}, σ {sigma:?}"
+                    );
+                    checked += 1;
+                }
+                prev = Some(tau);
+            }
         }
+        assert!(checked > 5_000, "{checked} σ checked");
     }
 
     #[test]
-    #[should_panic(expected = "empty examined interval")]
-    fn empty_examined_interval_is_rejected() {
-        let intervals = vec![(3600, 4000)];
-        let tau = Rat::new(4000, 1);
-        let ranges = vec![ShiftRange::at(3600, 4000, tau)];
-        SigmaWalk::new(&ranges, &intervals, tau, Some(tau));
+    fn next_sigma_steps_in_sigma_iter_order() {
+        let ranges = [
+            ShiftRange { lo: 1, hi: 2 },
+            ShiftRange { lo: 3, hi: 3 },
+            ShiftRange { lo: 2, hi: 4 },
+        ];
+        let mut sigma: Vec<i64> = ranges.iter().map(|r| r.lo).collect();
+        let mut stepped = vec![sigma.clone()];
+        while next_sigma(&mut sigma, &ranges) {
+            stepped.push(sigma.clone());
+        }
+        assert_eq!(stepped, SigmaIter::new(&ranges).collect::<Vec<_>>());
+        assert!(!next_sigma(&mut [], &[]));
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! lockstep product of its cones, and the unsliced machine is the one-cone
 //! case. Every analysis runs the same phases:
 //!
-//! 1. **Setup.** The global delay classes, the explicit descending-τ
-//!    candidate plan ([`plan`]; each candidate's `|Φ(τ)|` is interval
-//!    arithmetic, so σ explosion is detected before any symbolic work),
-//!    and per-cone views, extractors, and provenance ([`ConeMeta`]).
+//! 1. **Setup.** The global delay classes, the descending breakpoints
+//!    ([`BreakpointIter`], drawn by the sweep as it goes), and per-cone
+//!    views, extractors, and provenance ([`ConeMeta`]).
 //! 2. **Reachability.** One stateful cone: its own layer union is the
 //!    global reachable set. Several: cones advance in lockstep from their
 //!    initial states, so the global set is `⋃_k ∧_c I_c^k` over per-cone
@@ -22,10 +21,12 @@
 //!    set, which is exactly the frontier restriction its decisions need.
 //!    Each cone steps through one [`Image`]; a layer product first runs
 //!    every cone to ρ closure and imports each distinct layer once.
-//! 3. **Sweep.** One loop on the calling thread walks the plan in
-//!    descending τ ([`Engine::sweep`]), decides the σ of the candidate's
-//!    Φ walk until the candidate is settled, runs the LP of a failing σ
-//!    that could raise the candidate's bound under
+//! 3. **Sweep.** One loop on the calling thread draws the candidates in
+//!    descending τ ([`Engine::sweep`]). It computes each candidate's shift
+//!    ranges and `|Φ(τ)|` when it reaches the candidate, so σ explosion is
+//!    detected there, after reachability; it decides the σ of the
+//!    candidate's Φ walk until the candidate is settled, runs the LP of a
+//!    failing σ that could raise the candidate's bound under
 //!    [`MctOptions::path_coupled_lp`], and writes the report as it goes; it
 //!    stops after the first failing candidate unless the floor is
 //!    exhaustive. For each σ every cone answers its projection `σ|c`
@@ -46,7 +47,7 @@
 //!
 //! # Bit-identity
 //!
-//! * **Φ is global.** Planning, σ enumeration, and the LPs use the parent
+//! * **Φ is global.** Breakpoints, σ enumeration, and the LPs use the parent
 //!   delay classes, so every slicing walks the same `(candidate, σ)`
 //!   sequence, with or without LP coupling.
 //! * **`C_x` factors over cones and sinks.** Each basis/induction
@@ -77,7 +78,7 @@ use crate::decision::{
 };
 use crate::error::MctError;
 use crate::exact::{decide_exact_detail, history_depths, product_bits};
-use crate::sigma::{ShiftRange, SigmaIter, SigmaWalk};
+use crate::sigma::{next_sigma, ShiftRange, SigmaIter};
 use mct_bdd::{Bdd, BddManager, BddStats, FxHashMap, Var};
 use mct_lp::Rat;
 use mct_netlist::{Cone, FsmView, NetId};
@@ -89,7 +90,6 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 #[cfg(test)]
 use std::collections::HashSet;
-use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// What a seeded run produced beyond the report: replay accounting and
@@ -118,44 +118,29 @@ struct SweepShared {
     opts: MctOptions,
 }
 
-/// One candidate period of the plan.
-struct PlannedCandidate {
-    /// The breakpoint τ (left end of the examined interval), milli-units.
+/// One candidate period: the breakpoint τ and the examined interval
+/// `[τ, prev)`.
+struct Candidate {
     tau: Rat,
-    /// The previous (larger) breakpoint — right end of the interval.
+    /// The previous (larger) breakpoint: the interval's upper end.
     prev: Option<Rat>,
-    /// `|Φ(τ)|` before feasibility filtering, saturating at `u128::MAX`.
-    combos: u128,
+    /// The bound past which no failing σ of the candidate can raise it:
+    /// the interval's upper end, or under LP coupling the rounded LP
+    /// ceiling just below it.
+    cap: Rat,
 }
 
-/// The full candidate list of one sweep, in descending τ order.
-struct SweepPlan {
-    candidates: Vec<PlannedCandidate>,
-    /// A `(max_candidates + 1)`-th breakpoint exists: the sweep ends by
-    /// budget, and that candidate counts as examined-but-unprocessed.
-    overflowed: bool,
-}
-
-/// Drains the breakpoint iterator into an explicit plan.
-fn plan(bp_delays: &[i64], floor: Rat, shared: &SweepShared) -> SweepPlan {
-    let mut candidates = Vec::new();
-    let mut prev: Option<Rat> = None;
-    let mut overflowed = false;
-    for b in BreakpointIter::new(bp_delays, floor) {
-        if candidates.len() == shared.opts.max_candidates {
-            overflowed = true;
-            break;
-        }
-        candidates.push(PlannedCandidate {
-            tau: b,
-            prev,
-            combos: SigmaIter::combination_count(&shared.ranges(b)),
-        });
-        prev = Some(b);
-    }
-    SweepPlan {
-        candidates,
-        overflowed,
+impl Candidate {
+    /// Whether the candidate's walk can stop: it holds a failure in Ω, with
+    /// bound `sup`, and either an earlier candidate failed (only the
+    /// region's validity is still open) or `sup` has reached the
+    /// [`cap`](Self::cap). Once the bound reaches the cap, every later σ of
+    /// `Φ(τ)` leaves it as it is: a failing σ adds at most the interval's
+    /// upper end, and under LP coupling
+    /// [`omega_sup`](SweepShared::omega_sup) skips every σ once the bound
+    /// reaches the cap.
+    fn settled(&self, sup: Option<Rat>, failed: bool) -> bool {
+        sup.is_some_and(|b| failed || b >= self.cap)
     }
 }
 
@@ -168,35 +153,28 @@ impl SweepShared {
             .collect()
     }
 
-    /// The bound past which no failing σ of `cand` can raise it: the
-    /// interval's upper end, or under LP coupling the rounded LP ceiling
-    /// just below it. Once the bound reaches it, every later σ of `Φ(τ)`
-    /// leaves it as it is: [`omega_sup`](Self::omega_sup) returns at most
-    /// the interval's upper end, and under LP coupling it skips every σ
-    /// whose own cap the bound reaches.
-    fn cap(&self, cand: &PlannedCandidate) -> Rat {
+    /// The candidate at breakpoint `tau`, below the breakpoint `prev`.
+    fn candidate(&self, tau: Rat, prev: Option<Rat>) -> Candidate {
         let lp = self
             .opts
             .path_coupled_lp
-            .then(|| lp_ceiling(self.l_millis, cand.prev));
-        self.failing_sup(cand, None, lp)
+            .then(|| lp_ceiling(self.l_millis, prev));
+        Candidate {
+            tau,
+            prev,
+            cap: self.failing_sup(prev, lp),
+        }
     }
 
-    /// Whether `cand`'s walk can stop: it holds a failure in Ω, with bound
-    /// `sup`, and either an earlier candidate failed (only the region's
-    /// validity is still open) or `sup` has reached the
-    /// [`cap`](Self::cap).
-    fn settled(&self, cand: &PlannedCandidate, sup: Option<Rat>, failed: bool) -> bool {
-        sup.is_some_and(|b| failed || b >= self.cap(cand))
-    }
-
-    /// The sup a failing σ adds to its candidate's bound: the sup `hi` of
-    /// its closed-form τ range, tightened by its LP optimum `lp` when LP
-    /// coupling found one. The optimum is rounded to micro-units; with `lp`
-    /// at the LP's own ceiling this is the σ's *cap*, which bounds what its
-    /// LP can add.
-    fn failing_sup(&self, cand: &PlannedCandidate, hi: Option<Rat>, lp: Option<f64>) -> Rat {
-        let closed_form_sup = hi.or(cand.prev).unwrap_or(Rat::new(self.l_millis, 1));
+    /// The sup a failing σ adds to the bound of the candidate below `prev`:
+    /// its closed-form sup, tightened by its LP optimum `lp` when LP
+    /// coupling found one. Every σ of `Φ(τ)` has the closed-form range
+    /// `[τ, prev)` (`L` stands for an unbounded `prev`): each
+    /// `k_i^max/(σ_i − 1)` with `σ_i > 1` is itself a breakpoint above τ.
+    /// The optimum is rounded to micro-units; with `lp` at the LP's own
+    /// ceiling this is the candidate's cap.
+    fn failing_sup(&self, prev: Option<Rat>, lp: Option<f64>) -> Rat {
+        let closed_form_sup = prev.unwrap_or(Rat::new(self.l_millis, 1));
         match lp {
             Some(v) => Rat::new((v * 1000.0).round() as i64, 1000).min(closed_form_sup),
             None => closed_form_sup,
@@ -206,25 +184,22 @@ impl SweepShared {
     /// What failing σ adds to its candidate's bound, given the bound `sup`
     /// its earlier failing σ hold: `None` when σ leaves Ω or cannot raise
     /// the bound. Without [`MctOptions::path_coupled_lp`] every failing σ
-    /// is in Ω with its closed-form sup. With it, the LP runs while the
-    /// candidate holds no failure, and after that only while σ's cap
-    /// exceeds `sup`: a skipped σ would add at most its cap, which the
-    /// bound already reaches. An LP-infeasible σ leaves Ω and is counted
-    /// in `dropped`; a stalled LP proves nothing, and σ keeps its
-    /// closed-form sup.
+    /// is in Ω with its closed-form sup. With it, the LP runs until the
+    /// bound reaches the candidate's cap: a skipped σ would add at most
+    /// the cap, which the bound already reaches. An LP-infeasible σ leaves
+    /// Ω and is counted in `dropped`; a stalled LP proves nothing, and σ
+    /// keeps its closed-form sup.
     fn omega_sup(
         &self,
-        cand: &PlannedCandidate,
+        cand: &Candidate,
         sigma: &[i64],
-        hi: Option<Rat>,
         sup: Option<Rat>,
         dropped: &mut u64,
     ) -> Option<Rat> {
         if !self.opts.path_coupled_lp {
-            return Some(self.failing_sup(cand, hi, None));
+            return Some(self.failing_sup(cand.prev, None));
         }
-        let ceiling = lp_ceiling(self.l_millis, cand.prev);
-        if sup.is_some_and(|b| self.failing_sup(cand, hi, Some(ceiling)) <= b) {
+        if sup.is_some_and(|b| cand.cap <= b) {
             return None;
         }
         let lp = lp_max_tau(
@@ -240,8 +215,8 @@ impl SweepShared {
                 *dropped += 1;
                 None
             }
-            LpTau::Sup(v) => Some(self.failing_sup(cand, hi, Some(v))),
-            LpTau::Unknown => Some(self.failing_sup(cand, hi, None)),
+            LpTau::Sup(v) => Some(self.failing_sup(cand.prev, Some(v))),
+            LpTau::Unknown => Some(self.failing_sup(cand.prev, None)),
         }
     }
 }
@@ -882,81 +857,63 @@ struct Engine<'a, 'v> {
 }
 
 impl<'v> Engine<'_, 'v> {
-    /// Walks the plan in descending τ, deciding σ until the candidate's
-    /// verdict is settled, and writes the report as it goes. Stops after
-    /// the first failing candidate unless the floor is exhaustive, and at
-    /// the deadline; a report already marked `timed_out` (the deadline
-    /// expired inside the reachability fixpoint) stops at the first
-    /// candidate.
+    /// Draws the candidates from `breakpoints` in descending τ, deciding σ
+    /// until each candidate's verdict is settled, and writes the report as
+    /// it goes. Stops after the first failing candidate unless the floor is
+    /// exhaustive, at the deadline, and once `max_candidates` candidates
+    /// are done; a report already marked `timed_out` (the deadline expired
+    /// inside the reachability fixpoint) stops at the first candidate.
     ///
-    /// Once a candidate is [`settled`](SweepShared::settled), no σ left in
+    /// Once a candidate is [`settled`](Candidate::settled), no σ left in
     /// its walk can change the region, the bound or the first failure, so
     /// the walk stops there. Its σ counts are closed-form: `|Φ(τ)|`, and
     /// `|Φ(τ) ∩ Φ(τ_prev)|` repeats.
     fn sweep(
         &self,
         st: &mut SweepState<'v>,
-        plan: &SweepPlan,
+        breakpoints: BreakpointIter,
         deadline: Option<Instant>,
         report: &mut MctReport,
     ) -> Result<(), MctError> {
         let opts = &self.shared.opts;
-        let mut prev_ranges: Option<Vec<ShiftRange>> = None;
+        // The last examined candidate's τ and shift ranges.
+        let mut prev: Option<(Rat, Vec<ShiftRange>)> = None;
         let mut failed = false;
-        let mut completed = true;
-        let mut smallest_examined: Option<Rat> = None;
-        for cand in &plan.candidates {
+        for (i, tau) in breakpoints.enumerate() {
             report.candidates_checked += 1;
-            if report.timed_out || expired(deadline) {
-                report.timed_out = true;
-                completed = false;
+            if i == opts.max_candidates {
+                // The budget is spent: the sweep counts this breakpoint as
+                // examined but does not process it.
                 break;
             }
-            if cand.combos > opts.max_sigma_combos as u128 {
+            if report.timed_out || expired(deadline) {
+                report.timed_out = true;
+                break;
+            }
+            let ranges = self.shared.ranges(tau);
+            let combos = SigmaIter::combination_count(&ranges);
+            if combos > opts.max_sigma_combos as u128 {
                 return Err(MctError::SigmaExplosion {
-                    tau: cand.tau.as_f64() / 1000.0,
+                    tau: tau.as_f64() / 1000.0,
                     cap: opts.max_sigma_combos,
                 });
             }
-            let mut first_invalid = None;
-            let mut sup: Option<Rat> = None;
-            let ranges = self.shared.ranges(cand.tau);
             #[cfg(test)]
             TEST_EXAMINED.with_borrow_mut(|e| e.push(ranges.clone()));
-            let walk = SigmaWalk::new(&ranges, &self.shared.intervals, cand.tau, cand.prev);
-            let walked = walk.run::<MctError>(&mut |sigma, hi| {
-                let outcome = self.decide(st, sigma)?;
-                if !outcome.is_valid() {
-                    if let Some(s) = self
-                        .shared
-                        .omega_sup(cand, sigma, hi, sup, &mut st.lp_dropped)
-                    {
-                        first_invalid.get_or_insert(outcome);
-                        sup = Some(sup.map_or(s, |b| b.max(s)));
-                    }
-                }
-                let settled = self.shared.settled(cand, sup, failed);
-                #[cfg(test)]
-                let settled = settled && !TEST_DECIDE_EVERY_SIGMA.get();
-                Ok(if settled {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                })
-            });
+            let cand = self.shared.candidate(tau, prev.as_ref().map(|p| p.0));
+            let walked = self.walk_phi(st, &cand, &ranges, failed);
             for env in st.envs.iter_mut().flatten() {
                 env.settle();
             }
-            walked?;
+            let (sup, first_invalid) = walked?;
             // Shift ranges only grow as τ descends, so every earlier Φ
             // meets Φ(τ) inside the previous candidate's.
-            report.sigma_checked += cand.combos as usize;
-            report.sigma_cache_hits += prev_ranges
+            report.sigma_checked += combos as usize;
+            report.sigma_cache_hits += prev
                 .as_ref()
-                .map_or(0, |p| SigmaIter::shared_count(p, &ranges) as usize);
-            prev_ranges = Some(ranges);
+                .map_or(0, |(_, p)| SigmaIter::shared_count(p, &ranges) as usize);
             report.regions.push(ValidityRegion {
-                tau_lo: cand.tau.as_f64() / 1000.0,
+                tau_lo: tau.as_f64() / 1000.0,
                 tau_hi: cand.prev.map_or(f64::INFINITY, |p| p.as_f64() / 1000.0),
                 valid: sup.is_none(),
             });
@@ -964,29 +921,55 @@ impl<'v> Engine<'_, 'v> {
                 failed = true;
                 report.bound_exact = bound;
                 report.mct_upper_bound = bound.as_f64() / 1000.0;
-                report.first_failing_tau = Some(cand.tau.as_f64() / 1000.0);
+                report.first_failing_tau = Some(tau.as_f64() / 1000.0);
                 report.failure = first_invalid;
                 if opts.exhaustive_floor.is_none() {
                     return Ok(());
                 }
             }
-            smallest_examined = Some(cand.tau);
-        }
-        if completed && plan.overflowed {
-            // The loop counts the (max_candidates + 1)-th breakpoint before
-            // noticing the budget is spent.
-            report.candidates_checked += 1;
+            prev = Some((tau, ranges));
         }
         if !failed {
             // Every examined period was valid: the certified bound is the
             // smallest period checked. When nothing was certified the sound
             // claim is the steady machine's: every shift is 1 above L.
             report.exhausted = true;
-            let bound = smallest_examined.unwrap_or(Rat::new(self.shared.l_millis, 1));
+            let bound = prev.map_or(Rat::new(self.shared.l_millis, 1), |p| p.0);
             report.bound_exact = bound;
             report.mct_upper_bound = bound.as_f64() / 1000.0;
         }
         Ok(())
+    }
+
+    /// Walks `Φ(τ)` of `cand` in odometer order, deciding each σ until the
+    /// candidate is settled (`failed`: an earlier candidate failed).
+    /// Returns the candidate's bound over the failing σ that stay in Ω, and
+    /// the first of them.
+    fn walk_phi(
+        &self,
+        st: &mut SweepState<'v>,
+        cand: &Candidate,
+        ranges: &[ShiftRange],
+        failed: bool,
+    ) -> Result<(Option<Rat>, Option<DecisionOutcome>), MctError> {
+        let mut sup: Option<Rat> = None;
+        let mut first_invalid = None;
+        let mut sigma: Vec<i64> = ranges.iter().map(|r| r.lo).collect();
+        loop {
+            let outcome = self.decide(st, &sigma)?;
+            if !outcome.is_valid() {
+                if let Some(s) = self.shared.omega_sup(cand, &sigma, sup, &mut st.lp_dropped) {
+                    first_invalid.get_or_insert(outcome);
+                    sup = Some(sup.map_or(s, |b| b.max(s)));
+                }
+            }
+            let settled = cand.settled(sup, failed);
+            #[cfg(test)]
+            let settled = settled && !TEST_DECIDE_EVERY_SIGMA.get();
+            if settled || !next_sigma(&mut sigma, ranges) {
+                return Ok((sup, first_invalid));
+            }
+        }
     }
 
     /// Decides one σ: every cone answers its projection, and the answers
@@ -1304,7 +1287,7 @@ pub(crate) fn run(
         .map(|c| seeds.get(c).copied().flatten())
         .collect();
 
-    // ---- Setup: the global classes and the candidate plan. -------------
+    // ---- Setup: the global classes and the breakpoints. ----------------
     let extractor = ConeExtractor::new(view).with_node_limit(opts.cone_node_limit);
     let classes = extractor.delay_classes_at(&view.sink_starts())?;
     validate_skew_holds(view, &classes, opts.delay_variation)?;
@@ -1362,13 +1345,13 @@ pub(crate) fn run(
     }
     .clamp(1, 128);
     let bp_delays: Vec<i64> = intervals.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+    let breakpoints = BreakpointIter::new(&bp_delays, floor);
     let shared = SweepShared {
         classes,
         intervals,
         l_millis,
         opts: opts.clone(),
     };
-    let sweep_plan = plan(&bp_delays, floor, &shared);
 
     // ---- Per-cone views, extractors, and provenance. --------------------
     let parent_ns = view.num_state_bits();
@@ -1495,7 +1478,7 @@ pub(crate) fn run(
         parent_ns,
         parent_np: view.num_input_bits(),
     };
-    engine.sweep(&mut st, &sweep_plan, deadline, &mut report)?;
+    engine.sweep(&mut st, breakpoints, deadline, &mut report)?;
     st.finish(&mut report.kernel);
 
     // ---- Harvest. ----------------------------------------------------------
@@ -1539,8 +1522,8 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::{
-        PlannedCandidate, SweepShared, TEST_DECIDE_EVERY_SIGMA, TEST_EXAMINED, TEST_GC_THRESHOLD,
-        TEST_SIGMA_DECIDED, TEST_SINK_EXTRACTIONS, TEST_SINK_KEYS,
+        SweepShared, TEST_DECIDE_EVERY_SIGMA, TEST_EXAMINED, TEST_GC_THRESHOLD, TEST_SIGMA_DECIDED,
+        TEST_SINK_EXTRACTIONS, TEST_SINK_KEYS,
     };
     use crate::analyzer::{MctAnalyzer, MctOptions, MctReport, VarOrder};
     use crate::error::MctError;
@@ -1773,18 +1756,52 @@ mod tests {
                 ..MctOptions::paper()
             },
         };
-        let cand = PlannedCandidate {
-            tau: Rat::new(1_500, 1),
-            prev: Some(Rat::new(2_000, 1)),
-            combos: 1,
-        };
-        let cap = shared.cap(&cand);
-        assert_eq!(cap, Rat::new(1_999_999, 1_000));
+        let cand = shared.candidate(Rat::new(1_500, 1), Some(Rat::new(2_000, 1)));
+        assert_eq!(cand.cap, Rat::new(1_999_999, 1_000));
         let below = Some(Rat::new(1_800, 1));
-        assert!(!shared.settled(&cand, None, true));
-        assert!(!shared.settled(&cand, below, false));
-        assert!(shared.settled(&cand, below, true));
-        assert!(shared.settled(&cand, Some(cap), false));
+        assert!(!cand.settled(None, true));
+        assert!(!cand.settled(below, false));
+        assert!(cand.settled(below, true));
+        assert!(cand.settled(Some(cand.cap), false));
+    }
+
+    /// The candidate budget: a capped sweep counts the
+    /// `(max_candidates + 1)`-th breakpoint as examined but unprocessed and
+    /// examines the uncapped sweep's first candidates, and a budget that
+    /// every breakpoint fits in counts nothing extra.
+    #[test]
+    fn candidate_budget_counts_one_breakpoint_past_the_cap() {
+        let floor = MctOptions {
+            exhaustive_floor: Some(1.0),
+            ..MctOptions::paper()
+        };
+        let capped = |k: usize| {
+            run(
+                &figure2(),
+                &MctOptions {
+                    max_candidates: k,
+                    ..floor.clone()
+                },
+            )
+            .unwrap()
+        };
+        let full = run(&figure2(), &floor).unwrap();
+        let n = full.regions.len();
+        assert!(n > 2 && full.first_failing_tau.is_some(), "{full:?}");
+        assert_eq!(full.candidates_checked, n);
+
+        let none = capped(0);
+        assert_eq!(none.candidates_checked, 1, "{none:?}");
+        assert!(none.exhausted && none.regions.is_empty(), "{none:?}");
+        assert_eq!(none.bound_exact, Rat::new(5_000, 1));
+        for k in 1..n {
+            let r = capped(k);
+            assert_eq!(r.candidates_checked, k + 1, "k {k}");
+            assert_eq!(r.regions, full.regions[..k], "k {k}");
+        }
+        let fits = capped(n);
+        assert_eq!(fits.candidates_checked, n);
+        assert_eq!(strip(fits), strip(full));
     }
 
     #[test]

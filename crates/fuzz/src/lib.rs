@@ -15,7 +15,7 @@
 //!    simulator, metamorphic (rename / permutation / delay scaling /
 //!    variable-order determinism / cache replay), and robustness
 //!    (serialization round-trips, no panics);
-//! 3. [`shrink`] delta-debugs any failure down to a minimal repro;
+//! 3. [`shrink`](mod@shrink) delta-debugs any failure down to a minimal repro;
 //! 4. [`corpus`] persists repros as timed `.bench` files with JSON
 //!    provenance, which future runs replay and mutate.
 //!

@@ -19,6 +19,9 @@ pub struct Image {
     quantified: VarSet,
     /// `(next, current)` pairs.
     rename: Vec<(Var, Var)>,
+    /// The rename as a substitution, rebuilt in place at every step: a
+    /// collection may move the current variables' nodes between steps.
+    subst: Vec<(Var, Bdd)>,
     memo: QuantMemo,
 }
 
@@ -42,6 +45,7 @@ impl Image {
                 .chain(inputs.iter().copied())
                 .collect(),
             rename: bits.iter().map(|&(next, _, cur)| (next, cur)).collect(),
+            subst: Vec::with_capacity(bits.len()),
             memo: QuantMemo::default(),
         }
     }
@@ -80,12 +84,10 @@ impl Image {
     /// The states one step from `set`, over the current variables.
     pub fn step(&mut self, manager: &mut BddManager, set: Bdd) -> Bdd {
         let next = manager.and_exists_memo(set, self.relation, &self.quantified, &mut self.memo);
-        let subst: Vec<(Var, Bdd)> = self
-            .rename
-            .iter()
-            .map(|&(n, c)| (n, manager.var(c)))
-            .collect();
-        manager.vector_compose_memo(next, &subst, &mut self.memo)
+        self.subst.clear();
+        self.subst
+            .extend(self.rename.iter().map(|&(n, c)| (n, manager.var(c))));
+        manager.vector_compose_memo(next, &self.subst, &mut self.memo)
     }
 
     /// The transition relation: the root a fixpoint keeps across
